@@ -14,6 +14,7 @@ quantities incrementally in O(n^2) per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -209,23 +210,25 @@ class AdaptivePolicy:
         self._branches: list[str] = []
         self._t0: Optional[int] = None
         # incremental learned-rule state
-        self._M = pseudo_inverse(syn.model.B @ np.linalg.inv(syn.H)) @ syn.model.B
+        self._A, self._B = syn.model.A, syn.model.B
+        self._P, self._F, self._K = syn.P, syn.F, syn.K
+        self._M = pseudo_inverse(self._B @ np.linalg.inv(syn.H)) @ self._B
         self._c = np.zeros(syn.n)
         self._num = 0.0
         self._den = 0.0
+        # v = u_hat + K x of the previous step, and B v
+        self._prev_v: Optional[np.ndarray] = None
         self._prev_b: Optional[np.ndarray] = None
 
     def _learned_raw(self, t: int, x: np.ndarray) -> Optional[float]:
         """Advance the incremental sums with the newly observed x_t and
         return the current coefficient (None while history is too short)."""
-        A, B = self.syn.model.A, self.syn.model.B
-        P, F = self.syn.P, self.syn.F
-        r_prev = A @ self.log.states[t - 1] + B @ self.log.actions[t - 1] - x
+        r_prev = self._A.dot(self.log.states[t - 1]) + self._B.dot(self.log.actions[t - 1]) - x
         include = (t - 1) >= self.numerator_start
-        self._c = F @ self._c + (self._prev_b if include else 0.0)
-        self._num += float(r_prev @ (P @ self._c))
-        v = self.log.blackbox_actions[t - 1] + self.syn.K @ self.log.states[t - 1]
-        self._den += float(v @ (self._M @ v))
+        self._c = self._F.dot(self._c) + (self._prev_b if include else 0.0)
+        self._num += float(r_prev.dot(self._P.dot(self._c)))
+        v = self._prev_v
+        self._den += float(v.dot(self._M.dot(v)))
         if t < 2:
             return None
         if abs(self._den) < _DENOM_FLOOR:
@@ -240,10 +243,11 @@ class AdaptivePolicy:
         x = np.asarray(x, dtype=float).reshape(-1)
         self.log.append_state(x)
         raw = float("nan")
+        zero_state = math.sqrt(x.dot(x)) <= self.zero_tol  # == np.linalg.norm(x)
         if t == 0:
             lam = 1.0
             branch = "init"
-        elif np.linalg.norm(x) <= self.zero_tol:
+        elif zero_state:
             lam = self._lambdas[-1]
             branch = "zero_state"
             # still advance the incremental sums so later updates see all data
@@ -273,13 +277,14 @@ class AdaptivePolicy:
         self._lambdas.append(lam)
         self._raw.append(raw)
         self._branches.append(branch)
-        if self._t0 is None and (lam == 0.0 or np.linalg.norm(x) <= self.zero_tol):
+        if self._t0 is None and (lam == 0.0 or zero_state):
             self._t0 = t
         u_hat = np.asarray(self.blackbox.act(t, x), dtype=float).reshape(-1)
         u_bar = np.asarray(self.advice.act(t, x), dtype=float).reshape(-1)
         u = lam * u_hat + (1.0 - lam) * u_bar
         self.log.append_step(u, u_hat)
-        self._prev_b = self.syn.model.B @ (u_hat + self.syn.K @ x)
+        self._prev_v = u_hat + self._K.dot(x)
+        self._prev_b = self._B.dot(self._prev_v)
         return u
 
     @property

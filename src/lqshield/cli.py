@@ -260,9 +260,28 @@ class _CartpoleBench:
         raise ConfigError(f"unknown policy label {label!r}")
 
 
+# benches built in this process, keyed by packed config and root seed;
+# one entry at a time.  cmd_sweep_theta stores the bench it builds, so
+# jobs=1 and forked pool workers reuse it, and spawned workers build once.
+_benches: dict[tuple, _CartpoleBench] = {}
+
+
+def _bench_key(packed_cfg: dict, root_seed: int) -> tuple:
+    return tuple(packed_cfg.items()), root_seed
+
+
+def _bench_for(packed_cfg: dict, root_seed: int) -> _CartpoleBench:
+    key = _bench_key(packed_cfg, root_seed)
+    bench = _benches.get(key)
+    if bench is None:
+        _benches.clear()
+        bench = _benches[key] = _CartpoleBench(RunConfig.from_packed(packed_cfg), root_seed)
+    return bench
+
+
 def _sweep_task(task: dict) -> list[tuple]:
     """One (theta, policy) cell of the sweep; safe to run in a worker."""
-    bench = _CartpoleBench(RunConfig.from_packed(task["cfg"]), task["root_seed"])
+    bench = _bench_for(task["cfg"], task["root_seed"])
     theta = task["theta"]
     rows = []
     for mc in range(task["monte_carlo"]):
@@ -295,10 +314,11 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     blowup = cfg.get("experiment", "blowup", 50.0)
     jitter = cfg.get("experiment", "initial_angle_variation", 0.05)
     roster = cfg.get_str("experiment", "policies", "lqr,blackbox,naive,adaptive").split(",")
-    # workers read the cartpole keys in their own processes; touch them
-    # here too so the echoed effective config is complete
-    _CartpoleBench(cfg, seed)
+    # building the bench here records the cartpole keys in the echoed
+    # effective config; the tasks of this process then reuse it
     packed_cfg = cfg.packed()
+    _benches.clear()
+    _benches[_bench_key(packed_cfg, seed)] = _CartpoleBench(cfg, seed)
     tasks = [
         {
             "cfg": packed_cfg,

@@ -10,6 +10,7 @@ rather than integrator mismatch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,25 +58,33 @@ class CartPoleParams:
         return replace(self, model_m=self.m, model_M=self.M)
 
 
-def _accelerations(p: CartPoleParams, state, u: float) -> tuple[float, float]:
-    _, _, th, thd = state
-    sin, cos = np.sin(th), np.cos(th)
-    total = p.m + p.M
-    th_acc = (p.g * sin + cos * ((-u - p.m * p.l * thd**2 * sin) / total)) / (
-        p.l * (4.0 / 3.0 - p.m * cos**2 / total)
-    )
-    y_acc = (u + p.m * p.l * (thd**2 * sin - th_acc * cos)) / total
-    return th_acc, y_acc
+def _euler_stepper(p: CartPoleParams):
+    """One explicit-Euler step of ``p``'s plant on Python floats, with the
+    parameters read once.  ``a * a`` rounds like ``a**2``, and
+    ``math.sin``/``math.cos`` give the bits of ``np.sin``/``np.cos`` on
+    NumPy scalars wherever NumPy calls the C library for them, so the step
+    matches its NumPy-scalar form there (``tests/test_cartpole.py``)."""
+    g, m, l, tau = p.g, p.m, p.l, p.tau
+    total = m + p.M
+    ml = m * l
+
+    def step(y: float, yd: float, th: float, thd: float, u: float) -> list[float]:
+        sin, cos = math.sin(th), math.cos(th)
+        thd_sq = thd * thd
+        th_acc = (g * sin + cos * ((-u - ml * thd_sq * sin) / total)) / (
+            l * (4.0 / 3.0 - m * (cos * cos) / total)
+        )
+        y_acc = (u + ml * (thd_sq * sin - th_acc * cos)) / total
+        return [y + tau * yd, yd + tau * y_acc, th + tau * thd, thd + tau * th_acc]
+
+    return step
 
 
 def cartpole_true_step(params: CartPoleParams, state, u) -> np.ndarray:
     """One explicit-Euler step of the frictionless nonlinear plant."""
     state = np.asarray(state, dtype=float).reshape(4)
     u = float(np.asarray(u, dtype=float).reshape(-1)[0])
-    th_acc, y_acc = _accelerations(params, state, u)
-    y, yd, th, thd = state
-    tau = params.tau
-    return np.array([y + tau * yd, yd + tau * y_acc, th + tau * thd, thd + tau * th_acc])
+    return np.array(_euler_stepper(params)(*state.tolist(), u))
 
 
 def cartpole_linearization(params: CartPoleParams) -> LinearModel:
@@ -127,11 +136,13 @@ def cartpole_residual(
     """
     model = cartpole_linearization(params_model)
     A, B = model.A, model.B
+    true_step = _euler_stepper(params_true)
 
     def f(t, x, u):
         x = np.asarray(x, dtype=float).reshape(4)
         uv = np.asarray(u, dtype=float).reshape(-1)
-        return cartpole_true_step(params_true, x, uv) - (A @ x + B @ uv)
+        true_next = true_step(*x.tolist(), float(uv[0]))
+        return np.array(true_next) - (A.dot(x) + B.dot(uv))
 
     probe = ResidualModel(eval=f, lipschitz=0.0, kind="state_action", label="probe")
     c_hat = estimate_lipschitz(

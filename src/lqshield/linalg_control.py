@@ -163,17 +163,10 @@ def dare_residual_norm(model: LinearModel, P: np.ndarray) -> float:
     return float(np.linalg.norm(P - rhs, 2))
 
 
-def solve_dare(
-    model: LinearModel,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> np.ndarray:
-    """Fixed-point solution of P = Q + A'PA - A'PB (R+B'PB)^-1 B'PA.
-
-    Iterates from P0 = Q until the sup-norm update drops below
-    ``tol * (1 + ||P||)``.  Divergence or non-convergence raises
-    :class:`NonStabilizable`.
-    """
+def _dare_fixed_point(
+    model: LinearModel, tol: float, max_iter: int
+) -> tuple[np.ndarray, int]:
+    """The Riccati fixed point of :func:`solve_dare` and its iteration count."""
     A, B, Q, R = model.A, model.B, model.Q, model.R
     P = Q.copy()
     blowup = 1e12 * (1.0 + np.linalg.norm(Q, 2))
@@ -190,34 +183,24 @@ def solve_dare(
                 f"Riccati iteration diverged after {it} iterations"
             )
         if delta <= tol * (1.0 + np.max(np.abs(P))):
-            return P
-    raise NonStabilizable(
-        f"Riccati iteration did not converge within {max_iter} iterations"
-    )
-
-
-def solve_dare_with_count(
-    model: LinearModel, tol: float = 1e-12, max_iter: int = 10_000
-) -> tuple[np.ndarray, int]:
-    """Same as :func:`solve_dare` but also reports the iteration count."""
-    A, B, Q, R = model.A, model.B, model.Q, model.R
-    P = Q.copy()
-    blowup = 1e12 * (1.0 + np.linalg.norm(Q, 2))
-    for it in range(1, max_iter + 1):
-        BtP = B.T @ P
-        H = R + BtP @ B
-        K = np.linalg.solve(H, BtP @ A)
-        P_next = Q + A.T @ P @ A - (BtP @ A).T @ K
-        P_next = 0.5 * (P_next + P_next.T)
-        delta = np.max(np.abs(P_next - P))
-        P = P_next
-        if not np.isfinite(delta) or np.max(np.abs(P)) > blowup:
-            raise NonStabilizable(f"Riccati iteration diverged after {it} iterations")
-        if delta <= tol * (1.0 + np.max(np.abs(P))):
             return P, it
     raise NonStabilizable(
         f"Riccati iteration did not converge within {max_iter} iterations"
     )
+
+
+def solve_dare(
+    model: LinearModel,
+    tol: float = 1e-12,
+    max_iter: int = 10_000,
+) -> np.ndarray:
+    """Fixed-point solution of P = Q + A'PA - A'PB (R+B'PB)^-1 B'PA.
+
+    Iterates from P0 = Q until the sup-norm update drops below
+    ``tol * (1 + ||P||)``.  Divergence or non-convergence raises
+    :class:`NonStabilizable`.
+    """
+    return _dare_fixed_point(model, tol, max_iter)[0]
 
 
 def synthesize(
@@ -228,10 +211,15 @@ def synthesize(
 ) -> Synthesis:
     """Full LQR synthesis: P, K, F, H plus the decay-envelope constants.
 
+    P is the fixed point of :func:`solve_dare` and ``iterations`` its
+    iteration count.  ``C_F`` is the max of ||F^t||_2 / rho^t over
+    0 <= t <= ``T_check``, with the powers F^1..F^T_check stacked and
+    their spectral norms taken in one batched SVD call.
+
     Raises :class:`NonStabilizable` if the Riccati iteration fails or if
     the synthesized closed loop is not contracting.
     """
-    P, iterations = solve_dare_with_count(model, tol=tol, max_iter=max_iter)
+    P, iterations = _dare_fixed_point(model, tol, max_iter)
     A, B, Q, R = model.A, model.B, model.Q, model.R
     H = R + B.T @ P @ B
     H = 0.5 * (H + H.T)
@@ -245,13 +233,16 @@ def synthesize(
             f"synthesized closed loop has spectral radius {rho_F:.6f} >= 1"
         )
     rho = 0.5 * (1.0 + rho_F)
-    # C_F = max_t ||F^t|| / rho^t over the finite check horizon; the t=0
-    # term makes it at least 1.
-    C_F = 1.0
+    # the t=0 term makes C_F at least 1; the powers come from the F @ F^t
+    # recurrence of a per-power loop, so C_F matches that loop bit for bit
+    powers = np.empty((T_check, model.n, model.n))
     Ft = np.eye(model.n)
-    for t in range(1, T_check + 1):
+    for t in range(T_check):
         Ft = F @ Ft
-        ratio = np.linalg.norm(Ft, 2) / rho**t
+        powers[t] = Ft
+    C_F = 1.0
+    for t, norm in enumerate(np.linalg.norm(powers, 2, axis=(1, 2)), start=1):
+        ratio = norm / rho**t
         if ratio > C_F:
             C_F = ratio
     kappa = max(2.0, np.linalg.norm(A, 2), np.linalg.norm(B, 2))

@@ -9,6 +9,8 @@ replay the recursion exactly, and flags blow-ups instead of raising
 from __future__ import annotations
 
 import csv
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -161,43 +163,67 @@ def simulate(
     The policy is queried exactly once per step in time order.  If some
     ||x_t|| exceeds ``blowup`` (or goes non-finite) the rollout stops and
     the partial trajectory is returned with ``diverged`` set.
+
+    Each step evaluates x_{t+1} = A x_t + B u_t + f_t and the stage cost
+    x_t'Q x_t + u_t'R u_t with the operations of
+    :meth:`Trajectory.replay_errors`, in the same order, so a rollout
+    replays without defect; ``ndarray.dot`` stands in for ``@`` only for
+    its lower call overhead.  The records are preallocated for the full
+    horizon and trimmed when the rollout stops early.
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
     x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape[0] != model.n:
-        raise ValueError(f"x0 has dimension {x.shape[0]}, expected {model.n}")
+    n, m = model.n, model.m
+    if x.shape[0] != n:
+        raise ValueError(f"x0 has dimension {x.shape[0]}, expected {n}")
     A, B, Q, R = model.A, model.B, model.Q, model.R
-    states = [x.copy()]
-    actions: list[np.ndarray] = []
-    residuals: list[np.ndarray] = []
-    step_costs: list[float] = []
+    act = policy.act
+    f_eval = residual.eval if residual is not None else None
+    zero = np.zeros(n)
+    # an infinite (or NaN) bound still stops the rollout on non-finite states
+    limit = blowup if blowup < math.inf else sys.float_info.max
+    states = np.empty((T + 1, n))
+    actions = np.empty((T, m))
+    residuals = np.empty((T, n))
+    step_costs = np.empty(T)
+    states[0] = x
+    steps = T
     diverged = False
     diverged_at: Optional[int] = None
     for t in range(T):
-        u = np.asarray(policy.act(t, x), dtype=float).reshape(-1)
-        if u.shape[0] != model.m:
-            raise ValueError(f"policy returned dimension {u.shape[0]}, expected {model.m}")
-        if residual is not None:
-            f = np.asarray(residual.eval(t, x, u), dtype=float).reshape(-1)
+        u = act(t, x)
+        if type(u) is not np.ndarray or u.dtype != np.float64 or u.ndim != 1:
+            u = np.asarray(u, dtype=float).reshape(-1)
+        if u.shape[0] != m:
+            raise ValueError(f"policy returned dimension {u.shape[0]}, expected {m}")
+        if f_eval is None:
+            f = zero
         else:
-            f = np.zeros(model.n)
-        x_next = A @ x + B @ u + f
-        actions.append(u)
-        residuals.append(f)
-        step_costs.append(float(x @ Q @ x + u @ R @ u))
-        states.append(x_next.copy())
+            f = f_eval(t, x, u)
+            if type(f) is not np.ndarray or f.dtype != np.float64 or f.ndim != 1:
+                f = np.asarray(f, dtype=float).reshape(-1)
+        x_next = A.dot(x) + B.dot(u) + f
+        actions[t] = u
+        residuals[t] = f
+        step_costs[t] = float(x.dot(Q).dot(x) + u.dot(R).dot(u))
+        states[t + 1] = x_next
         x = x_next
-        nx = np.linalg.norm(x)
-        if not np.isfinite(nx) or nx > blowup:
+        # the same value as np.linalg.norm(x)
+        if not (math.sqrt(x.dot(x)) <= limit):
             diverged = True
-            diverged_at = t + 1
+            diverged_at = steps = t + 1
             break
+    if steps < T:
+        states = states[: steps + 1].copy()
+        actions = actions[:steps].copy()
+        residuals = residuals[:steps].copy()
+        step_costs = step_costs[:steps].copy()
     return Trajectory(
-        states=np.asarray(states),
-        actions=np.asarray(actions),
-        residuals=np.asarray(residuals),
-        step_costs=np.asarray(step_costs),
+        states=states,
+        actions=actions,
+        residuals=residuals,
+        step_costs=step_costs,
         total_cost=float(np.sum(step_costs)),
         diverged=diverged,
         diverged_at=diverged_at,

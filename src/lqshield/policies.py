@@ -58,20 +58,20 @@ class EpsilonReport:
 
 def lqr_policy(syn: Synthesis) -> Policy:
     """The model-based advice u = -K x."""
-    K = syn.K
+    neg_K = -syn.K
 
     def act(t, x):
-        return -K @ x
+        return neg_K.dot(x)
 
     return Policy(act=act, descriptor="lqr")
 
 
 def gain_policy(K: np.ndarray, descriptor: str = "gain") -> Policy:
     """Plain state feedback u = -K x for an arbitrary gain."""
-    K = np.asarray(K, dtype=float)
+    neg_K = -np.asarray(K, dtype=float)
 
     def act(t, x):
-        return -K @ x
+        return neg_K.dot(x)
 
     return Policy(act=act, descriptor=descriptor)
 
@@ -142,8 +142,17 @@ def _hashed_unit_vector(seed: int, x: np.ndarray, m: int) -> np.ndarray:
 
     Same (seed, x-up-to-1e-9) always yields the same direction, so the
     perturbed policy is a function of the state, not a random process.
+    Raises ValueError for a state whose quantized coordinates do not fit
+    in int64 (non-finite, or any |x_i| >= 2**63 / 1e9, about 9.2e9).
     """
-    q = np.round(np.asarray(x, float) * 1e9).astype(np.int64)
+    x = np.asarray(x, float)
+    scaled = x * 1e9
+    if not np.all(np.abs(scaled) < 2.0**63):
+        raise ValueError(
+            f"cannot hash state with max |x_i| = {float(np.max(np.abs(x)))!r}: "
+            "coordinates must be finite and below 2**63 / 1e9 in magnitude"
+        )
+    q = np.round(scaled).astype(np.int64)
     digest = hashlib.blake2b(
         q.tobytes() + int(seed).to_bytes(8, "little", signed=True), digest_size=16
     ).digest()

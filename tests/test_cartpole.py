@@ -8,7 +8,6 @@ from lqshield.environments import (
     cartpole_residual,
     cartpole_true_step,
 )
-from lqshield.environments.cartpole import _accelerations
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +22,6 @@ def test_upright_equilibrium(params):
 
 def test_horizontal_pole_acceleration(params):
     # cos(pi/2) = 0 kills the coupling: theta_acc = g / (l * 4/3) = 3.675
-    th_acc, _ = _accelerations(params, np.array([0.0, 0.0, np.pi / 2, 0.0]), 0.0)
-    assert th_acc == pytest.approx(9.8 / (2.0 * 4.0 / 3.0), rel=1e-12)
     nxt = cartpole_true_step(params, [0.0, 0.0, np.pi / 2, 0.0], 0.0)
     assert nxt[3] == pytest.approx(params.tau * 3.675, rel=1e-12)
 
@@ -149,3 +146,31 @@ def test_crude_lqr_stabilizes_true_plant(params):
     traj = lq.simulate(model, resid, lq.lqr_policy(syn), [0, 0, 0.3, 0], 800, blowup=50.0)
     assert not traj.diverged
     assert np.linalg.norm(traj.states[-1]) < 1e-6
+
+
+def _numpy_scalar_true_step(p, state, u):
+    """The plant step evaluated on NumPy scalars with np.sin/np.cos: the
+    reference that the Python-float step must match bit for bit."""
+    y, yd, th, thd = np.asarray(state, dtype=float)
+    sin, cos = np.sin(th), np.cos(th)
+    total = p.m + p.M
+    th_acc = (p.g * sin + cos * ((-u - p.m * p.l * thd**2 * sin) / total)) / (
+        p.l * (4.0 / 3.0 - p.m * cos**2 / total)
+    )
+    y_acc = (u + p.m * p.l * (thd**2 * sin - th_acc * cos)) / total
+    tau = p.tau
+    return np.array([y + tau * yd, yd + tau * y_acc, th + tau * thd, thd + tau * th_acc])
+
+
+def test_residual_bit_identical_to_true_step_minus_model(params):
+    resid = cartpole_residual(params, params, lipschitz_samples=50)
+    model = cartpole_linearization(params)
+    rng = np.random.default_rng(17)
+    for _ in range(5000):
+        x = rng.uniform(-1.5, 1.5, 4) * rng.choice([1e-3, 1.0, 10.0])
+        u = rng.uniform(-20.0, 20.0, 1)
+        reference = _numpy_scalar_true_step(params, x, float(u[0]))
+        assert np.array_equal(cartpole_true_step(params, x, u), reference)
+        assert np.array_equal(
+            resid.eval(0, x, u), reference - (model.A @ x + model.B @ u)
+        )

@@ -197,3 +197,26 @@ def test_verify_bounds_marks_violations_excluded(tmp_path):
     rows = read_rows(out / "grid.csv")
     assert rows[0]["status"] == "excluded"
     assert rows[0]["preconditions"] == "False"
+
+
+def test_sweep_synthesizes_once_per_process(tmp_path, monkeypatch):
+    import lqshield.cli as cli
+
+    calls = []
+    real = cli.synthesize
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "synthesize", counting)
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text(
+        "[sweep]\nthetas = 0.1,0.2,0.3\n"
+        "[experiment]\nmonte_carlo = 2\nhorizon = 50\npolicies = lqr,naive,adaptive\n"
+    )
+    code, out = run(tmp_path, "sweep-theta", "--config", str(cfg), "--jobs", "1")
+    assert code == EXIT_OK
+    assert len(read_rows(out / "rows.csv")) == 3 * 3 * 2
+    # the crude and the true-mass models, each synthesized once
+    assert len(calls) == 2

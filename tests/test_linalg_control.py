@@ -82,6 +82,24 @@ class TestSynthesize:
                 Ft = syn.F @ Ft
                 assert np.linalg.norm(Ft, 2) <= syn.C_F * syn.rho**t * (1 + 1e-12)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(0, 500))
+    def test_envelope_constant_equals_per_power_loop(self, seed, T_check):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        model = random_stabilizable(rng, n, int(rng.integers(1, n + 1)))
+        syn = lq.synthesize(model, T_check=T_check)
+        # the one-SVD-per-power loop the batched norm must reproduce exactly
+        C_F = 1.0
+        Ft = np.eye(n)
+        for t in range(1, T_check + 1):
+            Ft = syn.F @ Ft
+            ratio = np.linalg.norm(Ft, 2) / syn.rho**t
+            if ratio > C_F:
+                C_F = ratio
+        assert syn.C_F == float(C_F)
+        assert np.array_equal(lq.solve_dare(model), syn.P)
+
     def test_sigma_and_kappa(self):
         model = lq.LinearModel(
             A=3.0 * np.eye(2) * 0.1, B=np.eye(2), Q=2 * np.eye(2), R=0.5 * np.eye(2)

@@ -156,3 +156,168 @@ def test_policy_queried_once_per_step_in_order():
 
     lq.simulate(model, None, lq.Policy(act=act), [1.0, 0.0], 7)
     assert calls == list(range(7))
+
+
+def _reference_simulate(model, residual, policy, x0, T, blowup=1e9):
+    """The list-based rollout loop that ``simulate`` must reproduce bit for bit."""
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    A, B, Q, R = model.A, model.B, model.Q, model.R
+    states = [x.copy()]
+    actions, residuals, step_costs = [], [], []
+    diverged, diverged_at = False, None
+    for t in range(T):
+        u = np.asarray(policy.act(t, x), dtype=float).reshape(-1)
+        if residual is not None:
+            f = np.asarray(residual.eval(t, x, u), dtype=float).reshape(-1)
+        else:
+            f = np.zeros(model.n)
+        x_next = A @ x + B @ u + f
+        actions.append(u)
+        residuals.append(f)
+        step_costs.append(float(x @ Q @ x + u @ R @ u))
+        states.append(x_next.copy())
+        x = x_next
+        nx = np.linalg.norm(x)
+        if not np.isfinite(nx) or nx > blowup:
+            diverged, diverged_at = True, t + 1
+            break
+    return (
+        np.asarray(states),
+        np.asarray(actions),
+        np.asarray(residuals),
+        np.asarray(step_costs),
+        float(np.sum(step_costs)),
+        diverged,
+        diverged_at,
+    )
+
+
+def _oracle_cases():
+    from lqshield.environments import (
+        CartPoleParams,
+        cartpole_linearization,
+        cartpole_residual,
+    )
+
+    params = CartPoleParams()
+    cp_model = cartpole_linearization(params)
+    cp_syn = lq.synthesize(cp_model, max_iter=20_000)
+    cp_true = lq.synthesize(
+        cartpole_linearization(params.with_true_masses_as_model()), max_iter=20_000
+    )
+    cp_resid = cartpole_residual(params, params, lipschitz_samples=200)
+    advice = lq.lqr_policy(cp_syn)
+    bad = lq.gain_policy(-cp_syn.K, "destabilizing")
+    x_cp = [0.0, 0.0, 0.4, 0.0]
+
+    rng = np.random.default_rng(21)
+    model3 = random_stabilizable(rng, 3)
+    syn3 = lq.synthesize(model3)
+    tanh = lq.lipschitz_residual(3, 3, 0.1, seed=4)
+    x3 = rng.standard_normal(3)
+    neg_K3 = -syn3.K
+
+    # each case builds a fresh policy: the adaptive one is stateful
+    return {
+        "cartpole-lqr": (cp_model, cp_resid, lambda: advice, x_cp, 600, 50.0),
+        "cartpole-naive": (
+            cp_model,
+            cp_resid,
+            lambda: lq.naive_convex_policy(bad, advice, 0.8),
+            x_cp,
+            600,
+            50.0,
+        ),
+        "cartpole-adaptive": (
+            cp_model,
+            cp_resid,
+            lambda: lq.adaptive_policy(cp_syn, lq.lqr_policy(cp_true), advice, 0.01),
+            x_cp,
+            600,
+            50.0,
+        ),
+        "tanh-rotation": (
+            model3,
+            tanh,
+            lambda: lq.epsilon_consistent_blackbox(lq.lqr_policy(syn3), 0.2, "rotation", 3),
+            x3,
+            80,
+            1e9,
+        ),
+        "diverging-gain": (
+            model3,
+            tanh,
+            lambda: lq.gain_policy(-5.0 * syn3.K),
+            x3,
+            200,
+            1e9,
+        ),
+        "list-policy": (
+            model3,
+            tanh,
+            lambda: lq.Policy(act=lambda t, x: (neg_K3 @ x).tolist()),
+            x3,
+            30,
+            1e9,
+        ),
+        "column-policy": (
+            model3,
+            tanh,
+            lambda: lq.Policy(act=lambda t, x: (neg_K3 @ x).reshape(-1, 1)),
+            x3,
+            30,
+            1e9,
+        ),
+        "no-residual": (model3, None, lambda: lq.lqr_policy(syn3), x3, 30, 1e9),
+        "infinite-blowup": (
+            lq.LinearModel(A=[[1e200]], B=[[1.0]], Q=[[1.0]], R=[[1.0]]),
+            None,
+            lambda: lq.Policy(act=lambda t, x: np.zeros(1)),
+            [1e200],
+            10,
+            float("inf"),
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    return _oracle_cases()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "cartpole-lqr",
+        "cartpole-naive",
+        "cartpole-adaptive",
+        "tanh-rotation",
+        "diverging-gain",
+        "list-policy",
+        "column-policy",
+        "no-residual",
+        "infinite-blowup",
+    ],
+)
+def test_simulate_matches_reference_loop(oracle_cases, case):
+    model, resid, make_policy, x0, T, blowup = oracle_cases[case]
+    with np.errstate(over="ignore"):
+        traj = lq.simulate(model, resid, make_policy(), x0, T, blowup=blowup)
+        states, actions, residuals, costs, total, diverged, diverged_at = (
+            _reference_simulate(model, resid, make_policy(), x0, T, blowup=blowup)
+        )
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.actions, actions)
+    assert np.array_equal(traj.residuals, residuals)
+    assert np.array_equal(traj.step_costs, costs)
+    assert traj.total_cost == total
+    assert traj.diverged == diverged
+    assert traj.diverged_at == diverged_at
+
+
+def test_reference_cases_cover_divergence(oracle_cases):
+    for case in ("cartpole-naive", "diverging-gain", "infinite-blowup"):
+        model, resid, make_policy, x0, T, blowup = oracle_cases[case]
+        with np.errstate(over="ignore"):
+            traj = lq.simulate(model, resid, make_policy(), x0, T, blowup=blowup)
+        assert traj.diverged and traj.horizon < T

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lqshield as lq
+from lqshield.policies import _hashed_unit_vector
 
 from conftest import random_stabilizable
 
@@ -188,6 +189,15 @@ class TestEpsilonConsistent:
         rep = lq.measure_epsilon(bb, base, lq.gaussian_state_sampler(3), 2000, 17)
         assert rep.epsilon_hat <= 0.2 * (1 + 1e-9)
         assert rep.epsilon_hat > 0.19  # rotation mode is tight
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e10, -1e10])
+    def test_rotation_rejects_unhashable_state(self, syn3, bad):
+        bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn3), 0.2, "rotation", 5)
+        x = np.array([0.3, bad, 0.7])
+        with pytest.raises(ValueError, match="cannot hash state"):
+            _hashed_unit_vector(5, x, 3)
+        with pytest.raises(ValueError, match="cannot hash state"):
+            bb.act(0, x)
 
 
 class TestMeasureEpsilon:

@@ -80,6 +80,29 @@ def _euler_stepper(p: CartPoleParams):
     return step
 
 
+def _euler_batch_stepper(p: CartPoleParams):
+    """:func:`_euler_stepper` on the columns of states X [N, 4] and
+    actions U [N, 1], returning the next states [N, 4]."""
+    g, m, l, tau = p.g, p.m, p.l, p.tau
+    total = m + p.M
+    ml = m * l
+
+    def step(X: np.ndarray, U: np.ndarray) -> np.ndarray:
+        y, yd, th, thd = X.T
+        u = U[:, 0]
+        sin, cos = np.sin(th), np.cos(th)
+        thd_sq = thd * thd
+        th_acc = (g * sin + cos * ((-u - ml * thd_sq * sin) / total)) / (
+            l * (4.0 / 3.0 - m * (cos * cos) / total)
+        )
+        y_acc = (u + ml * (thd_sq * sin - th_acc * cos)) / total
+        return np.column_stack(
+            [y + tau * yd, yd + tau * y_acc, th + tau * thd, thd + tau * th_acc]
+        )
+
+    return step
+
+
 def cartpole_true_step(params: CartPoleParams, state, u) -> np.ndarray:
     """One explicit-Euler step of the frictionless nonlinear plant."""
     state = np.asarray(state, dtype=float).reshape(4)
@@ -132,11 +155,13 @@ def cartpole_residual(
     """Model error f(t, x, u) = true_step(x, u) - (A x + B u).
 
     The declared Lipschitz constant is a sampled estimate over the
-    operating box ||(x, u)|| <= 1.
+    operating box ||(x, u)|| <= 1.  The batch form applies the same Euler
+    formulas to columns of stacked states and actions.
     """
     model = cartpole_linearization(params_model)
     A, B = model.A, model.B
     true_step = _euler_stepper(params_true)
+    true_step_batch = _euler_batch_stepper(params_true)
 
     def f(t, x, u):
         x = np.asarray(x, dtype=float).reshape(4)
@@ -144,10 +169,19 @@ def cartpole_residual(
         true_next = true_step(*x.tolist(), float(uv[0]))
         return np.array(true_next) - (A.dot(x) + B.dot(uv))
 
-    probe = ResidualModel(eval=f, lipschitz=0.0, kind="state_action", label="probe")
+    def f_batch(t, X, U):
+        return true_step_batch(X, U) - (X @ A.T + U @ B.T)
+
+    probe = ResidualModel(
+        eval=f, lipschitz=0.0, kind="state_action", label="probe", eval_batch=f_batch
+    )
     c_hat = estimate_lipschitz(
         probe, samples=lipschitz_samples, radius=1.0, rng_seed=lipschitz_seed, n=4, m=1
     )
     return ResidualModel(
-        eval=f, lipschitz=float(c_hat), kind="state_action", label="cartpole-model-error"
+        eval=f,
+        lipschitz=float(c_hat),
+        kind="state_action",
+        label="cartpole-model-error",
+        eval_batch=f_batch,
     )

@@ -75,6 +75,44 @@ class TheoremConstants:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
+@dataclass(frozen=True)
+class _SystemNorms:
+    """The operator norms behind the guarantee constants that do not
+    depend on (C_ell, epsilon)."""
+
+    P: float
+    K: float
+    B: float
+    F: float
+    H: float
+    PB: float
+    PF: float
+    QKRK: float  # ||Q + K'RK||
+    BI: float  # ||B + I||, or ||B|| + 1 for a non-square B
+
+
+def _system_norms(syn: Synthesis) -> _SystemNorms:
+    P, K, F, H = syn.P, syn.K, syn.F, syn.H
+    B = syn.model.B
+    Q, R = syn.model.Q, syn.model.R
+    nB = _opnorm(B)
+    if B.shape[0] == B.shape[1]:
+        nBI = _opnorm(B + np.eye(B.shape[0]))
+    else:
+        nBI = nB + 1.0
+    return _SystemNorms(
+        P=_opnorm(P),
+        K=_opnorm(K),
+        B=nB,
+        F=_opnorm(F),
+        H=_opnorm(H),
+        PB=_opnorm(P @ B),
+        PF=_opnorm(P @ F),
+        QKRK=_opnorm(Q + K.T @ R @ K),
+        BI=nBI,
+    )
+
+
 def theorem_constants(syn: Synthesis, C_ell: float, epsilon: float) -> TheoremConstants:
     """Evaluate the guarantee constants for given (C_ell, epsilon).
 
@@ -90,19 +128,18 @@ def theorem_constants(syn: Synthesis, C_ell: float, epsilon: float) -> TheoremCo
     """
     if C_ell < 0 or epsilon < 0:
         raise ValueError("C_ell and epsilon must be nonnegative")
-    P, K, F, H = syn.P, syn.K, syn.F, syn.H
-    B = syn.model.B
-    Q, R = syn.model.Q, syn.model.R
+    return _theorem_constants(syn, _system_norms(syn), C_ell, epsilon)
+
+
+def _theorem_constants(
+    syn: Synthesis, norms: _SystemNorms, C_ell: float, epsilon: float
+) -> TheoremConstants:
+    """:func:`theorem_constants` from precomputed system norms."""
     rho, C_F, sigma, kappa = syn.rho, syn.C_F, syn.sigma, syn.kappa
-    nP, nK, nB, nF, nH = _opnorm(P), _opnorm(K), _opnorm(B), _opnorm(F), _opnorm(H)
-    nPB, nPF = _opnorm(P @ B), _opnorm(P @ F)
-    nQKRK = _opnorm(Q + K.T @ R @ K)
+    nP, nK, nB, nF, nH = norms.P, norms.K, norms.B, norms.F, norms.H
+    nPB, nPF, nQKRK, nBI = norms.PB, norms.PF, norms.QKRK, norms.BI
     C_bar = C_ell * (1.0 + nK)
     gamma = rho + C_F * C_bar
-    if B.shape[0] == B.shape[1]:
-        nBI = _opnorm(B + np.eye(B.shape[0]))
-    else:
-        nBI = nB + 1.0
     applicable = (rho + C_bar) < 1.0
     if applicable:
         C_b = (
@@ -152,14 +189,16 @@ def admissible_lipschitz_cap(syn: Synthesis, tol: float = 1e-10) -> float:
     C_ell_max is evaluated at the residual bound it constrains (the
     constants behind it depend on C_ell), so admissibility means
     C_ell < C_ell_max(C_ell); the map is decreasing, making the
-    feasible set an interval [0, c*).
+    feasible set an interval [0, c*).  The system norms are taken once
+    for the whole bisection.
     """
-    lo, hi = 0.0, theorem_constants(syn, 0.0, 0.0).C_ell_max
+    norms = _system_norms(syn)
+    lo, hi = 0.0, _theorem_constants(syn, norms, 0.0, 0.0).C_ell_max
     if hi <= 0:
         return 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid < theorem_constants(syn, mid, 0.0).C_ell_max:
+        if mid < _theorem_constants(syn, norms, mid, 0.0).C_ell_max:
             lo = mid
         else:
             hi = mid
@@ -369,6 +408,13 @@ def opt_cost_trajopt(
     x_T'P x_T as terminal cost.  The returned best cost is monotone
     non-increasing across iterations and never exceeds the initial
     (LQR rollout) cost.
+
+    The objective rolls a batch of action sequences at once, with the
+    residual evaluated through :meth:`ResidualModel.batch`: each descent
+    iteration evaluates its 2·T·m central-difference probes (u ± h_j e_j,
+    h_j = fd_step max(1, |u_j|)) as one batch, and the initial cost and
+    each line-search candidate as a batch of one.  A sequence whose state
+    goes non-finite costs inf.
     """
     from .linalg_control import synthesize
 
@@ -376,19 +422,33 @@ def opt_cost_trajopt(
         syn = synthesize(model)
     x0 = np.asarray(x0, dtype=float)
     A, B, Q, R, P = model.A, model.B, model.Q, model.R, syn.P
-    n, m = model.n, model.m
+    m = model.m
+    At, Bt = A.T, B.T
+
+    def batch_cost(u_rows: np.ndarray) -> np.ndarray:
+        """Shooting cost of every row of u_rows [N, T*m]."""
+        N = u_rows.shape[0]
+        us = u_rows.reshape(N, T, m)
+        X = np.tile(x0, (N, 1))
+        cost = np.zeros(N)
+        dead = np.zeros(N, dtype=bool)
+        with np.errstate(all="ignore"):
+            for t in range(T):
+                U = us[:, t]
+                cost += np.einsum("ki,ij,kj->k", X, Q, X) + np.einsum("ki,ij,kj->k", U, R, U)
+                X = X @ At + U @ Bt + residual.batch(t, X, U)
+                bad = ~np.isfinite(X).all(axis=1)
+                if bad.any():
+                    # a dead row rolls on from 0 so the residual never sees
+                    # a non-finite state
+                    dead |= bad
+                    X[bad] = 0.0
+            cost += np.einsum("ki,ij,kj->k", X, P, X)
+        cost[dead | ~np.isfinite(cost)] = math.inf
+        return cost
 
     def rollout_cost(u_flat: np.ndarray) -> float:
-        us = u_flat.reshape(T, m)
-        x = x0.copy()
-        cost = 0.0
-        for t in range(T):
-            u = us[t]
-            cost += float(x @ Q @ x + u @ R @ u)
-            x = A @ x + B @ u + np.asarray(residual.eval(t, x, u), dtype=float)
-            if not np.all(np.isfinite(x)):
-                return float("inf")
-        return cost + float(x @ P @ x)
+        return float(batch_cost(u_flat[None])[0])
 
     traj = simulate(model, residual, lqr_policy(syn), x0, T)
     u = traj.actions.reshape(-1).copy()
@@ -397,14 +457,15 @@ def opt_cost_trajopt(
     best = rollout_cost(u)
     initial = best
     history = [best]
+    D = u.shape[0]
+    rows = np.arange(D)
     for _ in range(iterations):
-        grad = np.zeros_like(u)
-        for j in range(u.shape[0]):
-            h = fd_step * max(1.0, abs(u[j]))
-            up, um = u.copy(), u.copy()
-            up[j] += h
-            um[j] -= h
-            grad[j] = (rollout_cost(up) - rollout_cost(um)) / (2.0 * h)
+        h = fd_step * np.maximum(1.0, np.abs(u))
+        probes = np.tile(u, (2 * D, 1))
+        probes[rows, rows] += h
+        probes[D + rows, rows] -= h
+        costs = batch_cost(probes)
+        grad = (costs[:D] - costs[D:]) / (2.0 * h)
         gnorm = np.linalg.norm(grad)
         if gnorm < 1e-14:
             break

@@ -170,6 +170,7 @@ def _dare_fixed_point(
     A, B, Q, R = model.A, model.B, model.Q, model.R
     P = Q.copy()
     blowup = 1e12 * (1.0 + np.linalg.norm(Q, 2))
+    delta = np.inf
     for it in range(1, max_iter + 1):
         BtP = B.T @ P
         H = R + BtP @ B
@@ -185,7 +186,9 @@ def _dare_fixed_point(
         if delta <= tol * (1.0 + np.max(np.abs(P))):
             return P, it
     raise NonStabilizable(
-        f"Riccati iteration did not converge within {max_iter} iterations"
+        f"Riccati iteration did not converge within {max_iter} iterations: "
+        f"last sup-norm update {delta:.3e}, "
+        f"DARE residual {dare_residual_norm(model, P):.3e}"
     )
 
 
@@ -198,7 +201,8 @@ def solve_dare(
 
     Iterates from P0 = Q until the sup-norm update drops below
     ``tol * (1 + ||P||)``.  Divergence or non-convergence raises
-    :class:`NonStabilizable`.
+    :class:`NonStabilizable`; on non-convergence its message gives the
+    last sup-norm update and the DARE residual of the last iterate.
     """
     return _dare_fixed_point(model, tol, max_iter)[0]
 

@@ -39,12 +39,18 @@ class ResidualModel:
     from the f(t,0,0)=0 requirement) and "state_action" otherwise.
     ``lipschitz`` is the declared constant; it is model knowledge, not
     derived -- :func:`estimate_lipschitz` cross-checks it by sampling.
+
+    ``eval_batch(t, X, U)`` is an optional row-wise form of ``eval`` on
+    stacked states X [N, n] and actions U [N, m], returning [N, n].
+    :meth:`batch` uses it when present and otherwise stacks row-wise
+    ``eval`` calls, so every residual works through ``batch``.
     """
 
     eval: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     lipschitz: float
     kind: str = "state_action"
     label: str = ""
+    eval_batch: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.kind not in ("time_only", "state_action"):
@@ -55,6 +61,14 @@ class ResidualModel:
     def __call__(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return self.eval(t, x, u)
 
+    def batch(self, t: int, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """f(t, X[k], U[k]) for every row k, as an [N, n] array."""
+        if self.eval_batch is not None:
+            return self.eval_batch(t, X, U)
+        return np.array(
+            [np.asarray(self.eval(t, x, u), dtype=float).reshape(-1) for x, u in zip(X, U)]
+        )
+
 
 def zero_residual(n: int) -> ResidualModel:
     z = np.zeros(n)
@@ -62,7 +76,12 @@ def zero_residual(n: int) -> ResidualModel:
     def f(t, x, u):
         return z
 
-    return ResidualModel(eval=f, lipschitz=0.0, kind="time_only", label="zero")
+    def f_batch(t, X, U):
+        return np.zeros((X.shape[0], n))
+
+    return ResidualModel(
+        eval=f, lipschitz=0.0, kind="time_only", label="zero", eval_batch=f_batch
+    )
 
 
 def disturbance_residual(w: Sequence[np.ndarray]) -> ResidualModel:
@@ -74,7 +93,12 @@ def disturbance_residual(w: Sequence[np.ndarray]) -> ResidualModel:
     def f(t, x, u):
         return w[t] if 0 <= t < len(w) else z
 
-    return ResidualModel(eval=f, lipschitz=0.0, kind="time_only", label="disturbance")
+    def f_batch(t, X, U):
+        return np.tile(w[t] if 0 <= t < len(w) else z, (X.shape[0], 1))
+
+    return ResidualModel(
+        eval=f, lipschitz=0.0, kind="time_only", label="disturbance", eval_batch=f_batch
+    )
 
 
 def lipschitz_residual(
@@ -100,8 +124,16 @@ def lipschitz_residual(
         z = np.concatenate([np.asarray(x, float), np.asarray(u, float)])
         return constant * saturation * (G @ np.tanh((J @ z) / saturation))
 
+    def f_batch(t, X, U):
+        Z = np.concatenate([X, U], axis=1)
+        return constant * saturation * (np.tanh((Z @ J.T) / saturation) @ G.T)
+
     return ResidualModel(
-        eval=f, lipschitz=constant, kind="state_action", label=f"tanh({constant})"
+        eval=f,
+        lipschitz=constant,
+        kind="state_action",
+        label=f"tanh({constant})",
+        eval_batch=f_batch,
     )
 
 
@@ -244,6 +276,7 @@ def estimate_lipschitz(
 
     Draws ``samples`` pairs (z1, z2) of joint (x, u) points inside the
     ball of the given radius and returns the largest difference ratio.
+    Every pair is evaluated in one :meth:`ResidualModel.batch` call.
     Deterministic given the seed.
     """
     if samples < 2:
@@ -251,26 +284,29 @@ def estimate_lipschitz(
     if n is None or m is None:
         raise ValueError("state and action dimensions are required")
     rng = np.random.default_rng(rng_seed)
-    best = 0.0
+    Z1 = np.empty((samples, n + m))
+    Z2 = np.empty((samples, n + m))
     for k in range(samples):
-        z1 = rng.uniform(-radius, radius, size=n + m)
+        Z1[k] = rng.uniform(-radius, radius, size=n + m)
         if k % 2 == 0:
-            z2 = rng.uniform(-radius, radius, size=n + m)
+            Z2[k] = rng.uniform(-radius, radius, size=n + m)
         else:
             # coordinate-aligned probe: exact difference ratios for maps
             # that depend on a subset of coordinates
-            z2 = z1.copy()
+            Z2[k] = Z1[k]
             j = int(rng.integers(0, n + m))
-            z2[j] += rng.uniform(1e-4, 1e-2) * radius
-        dz = np.linalg.norm(z1 - z2)
-        if dz < 1e-12:
-            continue
-        f1 = residual.eval(t, z1[:n], z1[n:])
-        f2 = residual.eval(t, z2[:n], z2[n:])
-        ratio = np.linalg.norm(np.asarray(f1) - np.asarray(f2)) / dz
-        if ratio > best:
-            best = float(ratio)
-    return best
+            Z2[k, j] += rng.uniform(1e-4, 1e-2) * radius
+    dz = np.linalg.norm(Z1 - Z2, axis=1)
+    keep = dz >= 1e-12
+    if not keep.any():
+        return 0.0
+    # both points of every kept pair in one batch: first points, then second
+    Z = np.concatenate([Z1[keep], Z2[keep]])
+    F = residual.batch(t, Z[:, :n], Z[:, n:])
+    half = F.shape[0] // 2
+    ratios = np.linalg.norm(F[:half] - F[half:], axis=1) / dz[keep]
+    # fmax skips NaN ratios, as the comparison of a per-pair loop would
+    return float(np.fmax.reduce(ratios, initial=0.0))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

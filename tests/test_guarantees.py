@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqshield as lq
 from lqshield.errors import DegenerateOPT, PreconditionViolated
-from lqshield.guarantees import default_c2, predicted_envelope_prefactor
+from lqshield.guarantees import (
+    admissible_lipschitz_cap,
+    default_c2,
+    predicted_envelope_prefactor,
+)
 
 from conftest import random_stabilizable
 
@@ -162,7 +168,245 @@ class TestOptCostTimeOnly:
         lq.opt_cost_time_only(bench2_syn, w, rng.standard_normal(2), check=True)
 
 
+def _reference_theorem_constants(syn, C_ell, epsilon):
+    """The per-call norm computation that ``theorem_constants`` and
+    ``admissible_lipschitz_cap`` must reproduce bit for bit."""
+    opnorm = lambda M: float(np.linalg.norm(M, 2))  # noqa: E731
+    P, K, F, H = syn.P, syn.K, syn.F, syn.H
+    B = syn.model.B
+    Q, R = syn.model.Q, syn.model.R
+    rho, C_F, sigma, kappa = syn.rho, syn.C_F, syn.sigma, syn.kappa
+    nP, nK, nB, nF, nH = opnorm(P), opnorm(K), opnorm(B), opnorm(F), opnorm(H)
+    nPB, nPF = opnorm(P @ B), opnorm(P @ F)
+    nQKRK = opnorm(Q + K.T @ R @ K)
+    C_bar = C_ell * (1.0 + nK)
+    gamma = rho + C_F * C_bar
+    if B.shape[0] == B.shape[1]:
+        nBI = opnorm(B + np.eye(B.shape[0]))
+    else:
+        nBI = nB + 1.0
+    applicable = (rho + C_bar) < 1.0
+    if applicable:
+        C_b = (
+            2.0 * C_F**2 * nP * (rho + C_bar) * (rho + 1.0 + nK)
+            / (1.0 - (rho + C_bar) ** 2)
+            * math.sqrt(nQKRK / sigma)
+        )
+        C_a = nH / (
+            2.0 * C_F * (nPF + (1.0 + nK) * (nPB + nP) + 0.5 * C_b * nBI * (1.0 + nF + nK))
+        )
+        C_c = nH / (4.0 * nPB + 2.0 * nP + C_b * (nB + 1.0) * nB)
+    else:
+        C_b = math.inf
+        C_a = 0.0
+        C_c = 0.0
+    mu = C_F * (epsilon * (C_ell + nB) + C_a * C_ell)
+    CR_model_bar = 2.0 * kappa * (C_F * nP / (1.0 - rho)) ** 2 / sigma
+    eps_max = min(sigma / (2.0 * nH), (1.0 / C_F - C_a * C_ell) / (C_ell + nB))
+    C_ell_max = min(1.0, C_a, C_c, (1.0 - rho) / (C_F * (1.0 + nK)))
+    return {
+        "C_ell": float(C_ell),
+        "epsilon": float(epsilon),
+        "gamma": float(gamma),
+        "mu": float(mu),
+        "C_a_sys": float(C_a),
+        "C_b_sys": float(C_b),
+        "C_c_sys": float(C_c),
+        "CR_model_bar": float(CR_model_bar),
+        "eps_max_stability": float(eps_max),
+        "C_ell_max": float(C_ell_max),
+        "applicable": applicable,
+        "C_F": C_F,
+        "rho": rho,
+        "sigma": sigma,
+        "kappa": kappa,
+        "norm_H": nH,
+        "norm_B": nB,
+        "norm_K": nK,
+        "norm_P": nP,
+    }
+
+
+def _reference_cap(syn, tol=1e-10):
+    lo, hi = 0.0, _reference_theorem_constants(syn, 0.0, 0.0)["C_ell_max"]
+    if hi <= 0:
+        return 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid < _reference_theorem_constants(syn, mid, 0.0)["C_ell_max"]:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol * max(1.0, hi):
+            break
+    return lo
+
+
+class TestHoistedNorms:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000))
+    def test_bit_identical_to_per_call_norms(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        m = n if rng.random() < 0.5 else int(rng.integers(1, n + 1))
+        try:
+            syn = lq.synthesize(random_stabilizable(rng, n, m), max_iter=20_000)
+        except lq.NonStabilizable:
+            return
+        cap = admissible_lipschitz_cap(syn)
+        assert cap == _reference_cap(syn)
+        for C_ell in (0.0, 0.5 * cap, cap, 2.0 * cap + 0.01):
+            eps = float(rng.uniform(0.0, 0.1))
+            got = lq.theorem_constants(syn, C_ell, eps).as_dict()
+            assert got == _reference_theorem_constants(syn, C_ell, eps)
+
+
+def _reference_trajopt(model, residual, x0, T, iterations=40, syn=None, fd_step=1e-6):
+    """The scalar finite-difference shooting loop that ``opt_cost_trajopt``
+    reproduces up to the rounding of its batched objective."""
+    if syn is None:
+        syn = lq.synthesize(model)
+    x0 = np.asarray(x0, dtype=float)
+    A, B, Q, R, P = model.A, model.B, model.Q, model.R, syn.P
+    m = model.m
+
+    def rollout_cost(u_flat):
+        us = u_flat.reshape(T, m)
+        x = x0.copy()
+        cost = 0.0
+        for t in range(T):
+            u = us[t]
+            cost += float(x @ Q @ x + u @ R @ u)
+            x = A @ x + B @ u + np.asarray(residual.eval(t, x, u), dtype=float)
+            if not np.all(np.isfinite(x)):
+                return float("inf")
+        return cost + float(x @ P @ x)
+
+    traj = lq.simulate(model, residual, lq.lqr_policy(syn), x0, T)
+    u = traj.actions.reshape(-1).copy()
+    if u.shape[0] != T * m:
+        u = np.resize(u, T * m)
+    best = rollout_cost(u)
+    initial = best
+    history = [best]
+    for _ in range(iterations):
+        grad = np.zeros_like(u)
+        for j in range(u.shape[0]):
+            h = fd_step * max(1.0, abs(u[j]))
+            up, um = u.copy(), u.copy()
+            up[j] += h
+            um[j] -= h
+            grad[j] = (rollout_cost(up) - rollout_cost(um)) / (2.0 * h)
+        gnorm = np.linalg.norm(grad)
+        if gnorm < 1e-14:
+            break
+        step = 1.0 / (1.0 + gnorm)
+        improved_this_iter = False
+        for _ in range(40):
+            cand = u - step * grad
+            c = rollout_cost(cand)
+            if c < best - 1e-12 * max(1.0, abs(best)):
+                u, best = cand, c
+                improved_this_iter = True
+                break
+            step *= 0.5
+        history.append(best)
+        if not improved_this_iter:
+            break
+    return lq.TrajOptResult(
+        cost=best,
+        initial_cost=initial,
+        improved=best < initial,
+        iterations_run=len(history) - 1,
+        cost_history=history,
+    )
+
+
+def _trajopt_cases(bench2_model, bench2_syn):
+    from lqshield.environments import (
+        CartPoleParams,
+        cartpole_linearization,
+        cartpole_residual,
+    )
+
+    params = CartPoleParams()
+    cp_model = cartpole_linearization(params)
+    cp_syn = lq.synthesize(cp_model, max_iter=20_000)
+    cp_resid = cartpole_residual(params, params, lipschitz_samples=200)
+    cases = {
+        f"cartpole-{angle}": (cp_model, cp_resid, [0.0, 0.0, angle, 0.0], 12, 40, cp_syn)
+        for angle in (0.05, 0.17, 0.3)
+    }
+    rng = np.random.default_rng(4)
+    cases["bench2-tanh"] = (
+        bench2_model,
+        lq.lipschitz_residual(2, 2, 0.05, seed=5),
+        rng.standard_normal(2),
+        20,
+        10,
+        bench2_syn,
+    )
+    w = [0.3 * rng.standard_normal(2) for _ in range(25)]
+    cases["bench2-time-only"] = (
+        bench2_model,
+        lq.disturbance_residual(w),
+        rng.standard_normal(2),
+        25,
+        60,
+        bench2_syn,
+    )
+    return cases
+
+
 class TestOptCostTrajopt:
+    @pytest.mark.parametrize(
+        "case",
+        ["cartpole-0.05", "cartpole-0.17", "cartpole-0.3", "bench2-tanh", "bench2-time-only"],
+    )
+    def test_matches_scalar_reference(self, bench2_model, bench2_syn, case):
+        model, resid, x0, T, iterations, syn = _trajopt_cases(bench2_model, bench2_syn)[case]
+        res = lq.opt_cost_trajopt(model, resid, x0, T, iterations=iterations, syn=syn)
+        ref = _reference_trajopt(model, resid, x0, T, iterations=iterations, syn=syn)
+        assert res.cost == pytest.approx(ref.cost, rel=1e-9)
+        assert res.initial_cost == pytest.approx(ref.initial_cost, rel=1e-9)
+        assert res.iterations_run == ref.iterations_run
+        assert res.improved == ref.improved
+
+    @pytest.mark.parametrize("batch_form", [False, True])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_rows_cost_inf_quietly(self, bench2_model, bench2_syn, batch_form):
+        """A residual that overflows for large actions makes some line-search
+        rows non-finite; they cost inf, with no warning, and the descent
+        keeps its invariants."""
+        w = np.array([0.4, -0.3])
+
+        # negligible while |u_t|^2 < 0.1 (the LQR actions stay below 0.02),
+        # overflowing once |u_t|^2 exceeds about 0.171
+        def f(t, x, u):
+            return w + np.exp(1e4 * (u @ u - 0.1))
+
+        def f_batch(t, X, U):
+            return w + np.exp(1e4 * (np.sum(U * U, axis=1) - 0.1))[:, None]
+
+        resid = lq.ResidualModel(
+            eval=f, lipschitz=0.0, eval_batch=f_batch if batch_form else None
+        )
+        x0 = np.array([0.3, -0.2])
+        with np.errstate(all="ignore"):
+            assert resid.batch(0, np.zeros((1, 2)), np.ones((1, 2)))[0, 0] == math.inf
+        res = lq.opt_cost_trajopt(bench2_model, resid, x0, T=10, iterations=15, syn=bench2_syn)
+        assert math.isfinite(res.cost)
+        assert res.cost <= res.initial_cost
+        assert all(b <= a for a, b in zip(res.cost_history, res.cost_history[1:]))
+        # the scalar loop meets the same overflows, and warns
+        with pytest.warns(RuntimeWarning):
+            ref = _reference_trajopt(bench2_model, resid, x0, T=10, iterations=15, syn=bench2_syn)
+        # the residual's slope (up to 1e4 |u| e^...) amplifies last-bit
+        # differences of the batched objective beyond the 1e-9 of the
+        # smooth cases
+        assert res.cost == pytest.approx(ref.cost, rel=1e-6)
+        assert res.iterations_run == ref.iterations_run
+
     def test_linear_plant_matches_exact(self, bench2_model, bench2_syn):
         rng = np.random.default_rng(1)
         x0 = rng.standard_normal(2)

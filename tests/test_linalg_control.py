@@ -49,6 +49,16 @@ class TestSolveDare:
         with pytest.raises(NonStabilizable):
             lq.solve_dare(model)
 
+    def test_non_convergence_reports_update_and_residual(self, bench2_model):
+        with pytest.raises(NonStabilizable, match="within 3 iterations") as info:
+            lq.solve_dare(bench2_model, max_iter=3)
+        message = str(info.value)
+        update = float(message.split("last sup-norm update ")[1].split(",")[0])
+        residual = float(message.split("DARE residual ")[1])
+        assert update > 1e-12 and residual > 1e-12
+        with pytest.raises(NonStabilizable, match="DARE residual"):
+            lq.synthesize(bench2_model, max_iter=3)
+
 
 class TestSynthesize:
     def test_identity_case(self):

@@ -321,3 +321,65 @@ def test_reference_cases_cover_divergence(oracle_cases):
         with np.errstate(over="ignore"):
             traj = lq.simulate(model, resid, make_policy(), x0, T, blowup=blowup)
         assert traj.diverged and traj.horizon < T
+
+
+def _batch_cases():
+    from lqshield.environments import CartPoleParams, cartpole_residual
+
+    rng = np.random.default_rng(5)
+    w = [rng.standard_normal(3) for _ in range(4)]
+    params = CartPoleParams()
+    return {
+        "zero": (lq.zero_residual(3), 3, 2, 0),
+        "disturbance": (lq.disturbance_residual(w), 3, 2, 2),
+        "disturbance-past-end": (lq.disturbance_residual(w), 3, 2, 9),
+        "tanh": (lq.lipschitz_residual(3, 2, 0.3, seed=1, saturation=0.5), 3, 2, 0),
+        "cartpole": (cartpole_residual(params, params, lipschitz_samples=50), 4, 1, 0),
+        "cartpole-mismatch": (
+            cartpole_residual(params, params.with_true_masses_as_model(), lipschitz_samples=50),
+            4,
+            1,
+            0,
+        ),
+        "no-batch-form": (
+            lq.ResidualModel(eval=lambda t, x, u: 0.1 * np.sin(x) + t * u.sum(), lipschitz=0.2),
+            3,
+            2,
+            3,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_batch_cases()))
+def test_residual_batch_matches_rowwise_eval(case):
+    resid, n, m, t = _batch_cases()[case]
+    assert (resid.eval_batch is None) == (case == "no-batch-form")
+    rng = np.random.default_rng(17)
+    X = rng.uniform(-1.0, 1.0, size=(64, n))
+    U = rng.uniform(-1.0, 1.0, size=(64, m))
+    rows = np.array([resid.eval(t, x, u) for x, u in zip(X, U)], dtype=float)
+    out = resid.batch(t, X, U)
+    assert out.shape == (64, n)
+    assert np.linalg.norm(out - rows) <= 1e-12 * max(np.linalg.norm(rows), 1e-300)
+    if case in ("zero", "disturbance-past-end"):
+        assert not out.any()
+
+
+def test_estimate_lipschitz_matches_pairwise_loop():
+    """The batched estimate reproduces a per-pair loop on the same draws."""
+    resid = lq.lipschitz_residual(3, 2, 0.2, seed=3)
+    rng = np.random.default_rng(8)
+    best = 0.0
+    for k in range(300):
+        z1 = rng.uniform(-2.0, 2.0, size=5)
+        if k % 2 == 0:
+            z2 = rng.uniform(-2.0, 2.0, size=5)
+        else:
+            z2 = z1.copy()
+            j = int(rng.integers(0, 5))
+            z2[j] += rng.uniform(1e-4, 1e-2) * 2.0
+        ratio = np.linalg.norm(resid.eval(0, z1[:3], z1[3:]) - resid.eval(0, z2[:3], z2[3:]))
+        best = max(best, ratio / np.linalg.norm(z1 - z2))
+    est = lq.estimate_lipschitz(resid, 300, 2.0, 8, n=3, m=2)
+    assert est == pytest.approx(best, rel=1e-12)
+    assert lq.estimate_lipschitz(resid, 10, 0.0, 8, n=3, m=2) == 0.0

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InsufficientHistory, NotRun
 from .linalg_control import Synthesis, matrix_power_series, pseudo_inverse
+from .plant import write_csv
 from .policies import Policy
 
 __all__ = [
@@ -158,10 +159,9 @@ def optimal_lambda(
 class AdaptivePolicy:
     """Stateful policy implementing the confidence-decay rule.
 
-    lambda_0 = 1.  At t >= 1, when ||x_t|| is zero (within ``zero_tol``)
-    the previous weight is kept; otherwise a coefficient lambda' is
-    obtained (learned from the log, or read from an external sequence),
-    clamped to [0, 1], and
+    lambda_0 = 1.  At t >= 1, when ||x_t|| is zero the previous weight
+    is kept; otherwise a coefficient lambda' is obtained (learned from
+    the log, or read from an external sequence), clamped to [0, 1], and
 
         lambda_t = min(lambda', lambda_{t-1} - alpha)   if lambda' > 0
                                                         and lambda_{t-1} > alpha
@@ -172,8 +172,6 @@ class AdaptivePolicy:
     two steps.  One instance drives one simulation.
     """
 
-    stateful = True
-
     def __init__(
         self,
         syn: Synthesis,
@@ -182,7 +180,6 @@ class AdaptivePolicy:
         alpha: float,
         lambda_source: Union[str, Sequence[float], Callable[[int], float]] = "learned",
         numerator_start: int = 1,
-        zero_tol: float = 0.0,
         decrease_cap: Optional[float] = None,
     ):
         if alpha <= 0:
@@ -191,7 +188,6 @@ class AdaptivePolicy:
         self.blackbox = blackbox
         self.advice = advice
         self.alpha = float(alpha)
-        self.zero_tol = float(zero_tol)
         self.decrease_cap = decrease_cap
         self.numerator_start = numerator_start
         if isinstance(lambda_source, str):
@@ -243,7 +239,7 @@ class AdaptivePolicy:
         x = np.asarray(x, dtype=float).reshape(-1)
         self.log.append_state(x)
         raw = float("nan")
-        zero_state = math.sqrt(x.dot(x)) <= self.zero_tol  # == np.linalg.norm(x)
+        zero_state = math.sqrt(x.dot(x)) <= 0.0  # == np.linalg.norm(x)
         if t == 0:
             lam = 1.0
             branch = "init"
@@ -323,13 +319,11 @@ def confidence_trace(policy: AdaptivePolicy) -> ConfidenceState:
 
 def write_confidence_csv(policy: AdaptivePolicy, path) -> None:
     """Columns: t, lambda_t, lambda_prime_raw, branch_taken."""
-    import csv
-
     state = policy.trace()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "lambda_t", "lambda_prime_raw", "branch_taken"])
+    rows = [
+        [t, lam, "" if np.isnan(raw) else raw, br]
         for t, (lam, raw, br) in enumerate(
             zip(state.lambdas, state.lambda_prime_raw, state.branches)
-        ):
-            writer.writerow([t, repr(float(lam)), "" if np.isnan(raw) else repr(float(raw)), br])
+        )
+    ]
+    write_csv(path, ["t", "lambda_t", "lambda_prime_raw", "branch_taken"], rows)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -57,7 +56,14 @@ from .guarantees import (
     verify_bounds,
 )
 from .linalg_control import LinearModel, synthesize
-from .plant import disturbance_residual, lipschitz_residual, simulate, write_trajectory_csv
+from .plant import (
+    _fmt,
+    disturbance_residual,
+    lipschitz_residual,
+    simulate,
+    write_csv,
+    write_trajectory_csv,
+)
 from .policies import (
     auxiliary_optimal_policy,
     epsilon_consistent_blackbox,
@@ -73,31 +79,6 @@ EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
-
-
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def read_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, list(reader)
-
-
 class RunConfig:
     """Layered key=value configuration with effective-value logging.
 
@@ -105,17 +86,6 @@ class RunConfig:
     every lookup records the value actually used so the run directory
     carries a complete, re-runnable configuration.
     """
-
-    @classmethod
-    def from_packed(cls, packed: dict) -> "RunConfig":
-        """Rebuild from the picklable {"section|key": value} form used to
-        ship configurations into pool workers."""
-        cfg = cls()
-        cfg._values = {tuple(k.split("|", 1)): v for k, v in packed.items()}
-        return cfg
-
-    def packed(self) -> dict:
-        return {f"{s}|{k}": v for (s, k), v in self._values.items()}
 
     def __init__(self, path=None):
         self._values: dict[tuple[str, str], str] = {}
@@ -134,12 +104,12 @@ class RunConfig:
                 for key, value in parser.items(section):
                     self._values[(section, key)] = value
 
-    def get(self, section: str, key: str, default, cast=None):
+    def get(self, section: str, key: str, default):
         raw = self._values.get((section, key))
         if raw is None:
             value = default
         else:
-            caster = cast if cast is not None else type(default)
+            caster = type(default)
             try:
                 if caster is bool:
                     value = raw.strip().lower() in ("1", "true", "yes", "on")
@@ -172,6 +142,8 @@ class RunConfig:
             M = np.array(rows, dtype=float)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+        if M.size == 0:
+            raise ConfigError(f"[{section}] {key}: matrix must be non-empty")
         self._effective[(section, key)] = raw
         return M
 
@@ -214,7 +186,7 @@ def _cartpole_params(cfg: RunConfig) -> CartPoleParams:
 class _CartpoleBench:
     """Builds the plant and the policy roster for one configuration."""
 
-    def __init__(self, cfg: RunConfig, root_seed: int):
+    def __init__(self, cfg: RunConfig):
         self.params = _cartpole_params(cfg)
         self.model = cartpole_linearization(self.params)
         self.syn = synthesize(self.model, max_iter=20_000)
@@ -228,7 +200,6 @@ class _CartpoleBench:
         # 0 disables clamping; the crude LQR cannot recover theta=0.4
         # under the +-10 force clamp, so sweeps default to unclamped
         self.force_limit = cfg.get("cartpole", "force_limit", 0.0)
-        self.root_seed = root_seed
 
     def _clamped(self, policy):
         if self.force_limit > 0:
@@ -260,50 +231,29 @@ class _CartpoleBench:
         raise ConfigError(f"unknown policy label {label!r}")
 
 
-# benches built in this process, keyed by packed config and root seed;
-# one entry at a time.  cmd_sweep_theta stores the bench it builds, so
-# jobs=1 and forked pool workers reuse it, and spawned workers build once.
-_benches: dict[tuple, _CartpoleBench] = {}
+# the sweep's bench in this process: cmd_sweep_theta sets it, forked
+# pool workers inherit it, and other workers build it in _init_worker
+_bench: _CartpoleBench | None = None
 
 
-def _bench_key(packed_cfg: dict, root_seed: int) -> tuple:
-    return tuple(packed_cfg.items()), root_seed
+def _init_worker(cfg: RunConfig) -> None:
+    global _bench
+    if _bench is None:
+        _bench = _CartpoleBench(cfg)
 
 
-def _bench_for(packed_cfg: dict, root_seed: int) -> _CartpoleBench:
-    key = _bench_key(packed_cfg, root_seed)
-    bench = _benches.get(key)
-    if bench is None:
-        _benches.clear()
-        bench = _benches[key] = _CartpoleBench(RunConfig.from_packed(packed_cfg), root_seed)
-    return bench
-
-
-def _sweep_task(task: dict) -> list[tuple]:
-    """One (theta, policy) cell of the sweep; safe to run in a worker."""
-    bench = _bench_for(task["cfg"], task["root_seed"])
-    theta = task["theta"]
+def _sweep_task(task: tuple) -> list[tuple]:
+    """One (theta, policy) cell of the sweep on this process's bench."""
+    seed, theta_idx, theta, label, monte_carlo, horizon, blowup, jitter = task
     rows = []
-    for mc in range(task["monte_carlo"]):
-        rng = _seed_rng(task["root_seed"], task["theta_idx"], mc)
-        jitter = rng.uniform(-task["jitter"], task["jitter"])
-        x0 = np.array([0.0, 0.0, theta + jitter, 0.0])
-        policy = bench.build(task["label"], seed=task["root_seed"] + 7919 * mc)
-        traj = simulate(
-            bench.model, bench.residual, policy, x0, task["horizon"], blowup=task["blowup"]
-        )
+    for mc in range(monte_carlo):
+        rng = _seed_rng(seed, theta_idx, mc)
+        x0 = np.array([0.0, 0.0, theta + rng.uniform(-jitter, jitter), 0.0])
+        policy = _bench.build(label, seed=seed + 7919 * mc)
+        traj = simulate(_bench.model, _bench.residual, policy, x0, horizon, blowup=blowup)
         lam_final = policy.lambdas[-1] if hasattr(policy, "lambdas") else ""
-        rows.append(
-            (
-                theta,
-                task["label"],
-                mc,
-                float(traj.total_cost),
-                bool(traj.diverged),
-                traj.horizon,
-                lam_final,
-            )
-        )
+        cost, diverged = float(traj.total_cost), bool(traj.diverged)
+        rows.append((theta, label, mc, cost, diverged, traj.horizon, lam_final))
     return rows
 
 
@@ -316,26 +266,17 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     roster = cfg.get_str("experiment", "policies", "lqr,blackbox,naive,adaptive").split(",")
     # building the bench here records the cartpole keys in the echoed
     # effective config; the tasks of this process then reuse it
-    packed_cfg = cfg.packed()
-    _benches.clear()
-    _benches[_bench_key(packed_cfg, seed)] = _CartpoleBench(cfg, seed)
+    global _bench
+    _bench = _CartpoleBench(cfg)
     tasks = [
-        {
-            "cfg": packed_cfg,
-            "root_seed": seed,
-            "theta": theta,
-            "theta_idx": ti,
-            "label": label.strip(),
-            "monte_carlo": monte_carlo,
-            "horizon": horizon,
-            "blowup": blowup,
-            "jitter": jitter,
-        }
+        (seed, ti, theta, label.strip(), monte_carlo, horizon, blowup, jitter)
         for ti, theta in enumerate(thetas)
         for label in roster
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(cfg,)
+        ) as pool:
             results = list(pool.map(_sweep_task, tasks))
     else:
         results = [_sweep_task(t) for t in tasks]
@@ -370,7 +311,7 @@ def cmd_stability_trace(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     roster = cfg.get_str(
         "experiment", "policies", "lqr,adaptive-destabilizing,naive-destabilizing"
     ).split(",")
-    bench = _CartpoleBench(cfg, seed)
+    bench = _CartpoleBench(cfg)
     x0 = np.array([0.0, 0.0, theta, 0.0])
     consts = theorem_constants(bench.syn, bench.residual.lipschitz, 0.0)
     for label in roster:
@@ -401,15 +342,28 @@ def cmd_stability_trace(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     return EXIT_OK
 
 
+def _system_model(cfg: RunConfig, A_default: str, B_default: str) -> LinearModel:
+    """The [system] plant: A and B, with Q and R defaulting to identities
+    sized from them."""
+    A = cfg.get_matrix("system", "A", A_default)
+    B = cfg.get_matrix("system", "B", B_default)
+
+    def identity(k: int) -> str:
+        return ";".join(",".join("1" if i == j else "0" for j in range(k)) for i in range(k))
+
+    Q = cfg.get_matrix("system", "Q", identity(A.shape[0]))
+    R = cfg.get_matrix("system", "R", identity(B.shape[1]))
+    try:
+        return LinearModel(A=A, B=B, Q=Q, R=R)
+    except ValueError as exc:
+        raise ConfigError(f"[system] {exc}") from exc
+
+
 def cmd_adversarial(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
-    A = cfg.get_matrix("system", "A", "0,1,0;0,0,1;0.2,0.1,0.3")
-    B = cfg.get_matrix("system", "B", "1,0,0;0,1,0;0,0,1")
-    Q = cfg.get_matrix("system", "Q", ";".join(",".join("1" if i == j else "0" for j in range(A.shape[0])) for i in range(A.shape[0])))
-    R = cfg.get_matrix("system", "R", ";".join(",".join("1" if i == j else "0" for j in range(B.shape[1])) for i in range(B.shape[1])))
+    model = _system_model(cfg, "0,1,0;0,0,1;0.2,0.1,0.3", "1,0,0;0,1,0;0,0,1")
     lam = cfg.get("adversarial", "lambda", 0.5)
     beta = cfg.get("adversarial", "beta", 0.5)
     horizon = cfg.get("adversarial", "horizon", 60)
-    model = LinearModel(A=A, B=B, Q=Q, R=R)
     syn = synthesize(model)
     cert = construct_adversarial_K2(model, syn.K, lam, beta)
     (out / "certificate.txt").write_text(cert.summary_text() + "\n")
@@ -613,11 +567,7 @@ def cmd_dare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         )
         model = ev_environment(config, []).model
     elif env_name == "custom":
-        A = cfg.get_matrix("system", "A", "0.55,0.25;0,0.45")
-        B = cfg.get_matrix("system", "B", "1,0;0,1")
-        Q = cfg.get_matrix("system", "Q", "1,0;0,1")
-        R = cfg.get_matrix("system", "R", "1,0;0,1")
-        model = LinearModel(A=A, B=B, Q=Q, R=R)
+        model = _system_model(cfg, "0.55,0.25;0,0.45", "1,0;0,1")
     else:
         raise ConfigError(f"unknown environment {env_name!r}")
     syn = synthesize(model, max_iter=20_000)

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import SessionConflict, SessionParseError, ValidationError
 from ..linalg_control import LinearModel
-from ..plant import ResidualModel, Trajectory
+from ..plant import ResidualModel, Trajectory, write_csv
 from ..policies import Policy
 
 __all__ = [
@@ -276,11 +276,7 @@ def line_limited(policy: Policy, gamma: float) -> Policy:
             u = u * (gamma / total)
         return u
 
-    return Policy(
-        act=act,
-        descriptor=f"limited({gamma:g};{policy.descriptor})",
-        stateful=policy.stateful,
-    )
+    return Policy(act=act, descriptor=f"limited({gamma:g};{policy.descriptor})")
 
 
 _SESSION_COLUMNS = ("arrival", "departure", "energy_kwh", "station")
@@ -312,11 +308,12 @@ def load_sessions_csv(path) -> list[ChargingSession]:
 
 
 def write_sessions_csv(sessions: Sequence[ChargingSession], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SESSION_COLUMNS)
-        for s in sessions:
-            writer.writerow([s.arrival, s.departure, repr(s.energy), s.station])
+    """Write sessions in the column layout :func:`load_sessions_csv` reads."""
+    write_csv(
+        path,
+        _SESSION_COLUMNS,
+        [(s.arrival, s.departure, s.energy, s.station) for s in sessions],
+    )
 
 
 def generate_sessions(

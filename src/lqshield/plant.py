@@ -309,6 +309,27 @@ def estimate_lipschitz(
     return float(np.fmax.reduce(ratios, initial=0.0))
 
 
+def _fmt(v) -> str:
+    """One CSV field: floats at full precision (``repr``), bools as
+    True/False, NumPy scalars as the Python values they hold."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return str(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV, each field through :func:`_fmt`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV: t, x_0..x_{n-1}, u_0..u_{m-1}, step_cost.
 
@@ -323,20 +344,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         + [f"u_{j}" for j in range(m)]
         + ["step_cost"]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(traj.horizon):
-            row = (
-                [t]
-                + [repr(float(v)) for v in traj.states[t]]
-                + [repr(float(v)) for v in traj.actions[t]]
-                + [repr(float(traj.step_costs[t]))]
-            )
-            writer.writerow(row)
-        writer.writerow(
-            [traj.horizon]
-            + [repr(float(v)) for v in traj.states[-1]]
-            + [""] * m
-            + [""]
-        )
+    rows = [
+        [t, *traj.states[t], *traj.actions[t], traj.step_costs[t]]
+        for t in range(traj.horizon)
+    ]
+    rows.append([traj.horizon, *traj.states[-1]] + [""] * (m + 1))
+    write_csv(path, header, rows)

@@ -43,7 +43,6 @@ __all__ = [
 class Policy:
     act: Callable[[int, np.ndarray], np.ndarray]
     descriptor: str = ""
-    stateful: bool = False
 
 
 @dataclass(frozen=True)
@@ -276,11 +275,7 @@ def saturated(policy: Policy, limit: float) -> Policy:
     def act(t, x):
         return np.clip(np.asarray(policy.act(t, x), float), -limit, limit)
 
-    return Policy(
-        act=act,
-        descriptor=f"sat({limit:g};{policy.descriptor})",
-        stateful=policy.stateful,
-    )
+    return Policy(act=act, descriptor=f"sat({limit:g};{policy.descriptor})")
 
 
 def nonnegative(policy: Policy) -> Policy:
@@ -289,8 +284,4 @@ def nonnegative(policy: Policy) -> Policy:
     def act(t, x):
         return np.maximum(np.asarray(policy.act(t, x), float), 0.0)
 
-    return Policy(
-        act=act,
-        descriptor=f"nonneg({policy.descriptor})",
-        stateful=policy.stateful,
-    )
+    return Policy(act=act, descriptor=f"nonneg({policy.descriptor})")

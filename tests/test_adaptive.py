@@ -316,3 +316,44 @@ def test_confidence_csv_round_trip(tmp_path, bench2_model, bench2_syn):
         assert int(cells[0]) == t
         assert float(cells[1]) == state.lambdas[t]
         assert cells[3] == state.branches[t]
+
+
+def _reference_write_confidence_csv(policy, path):
+    """The per-writer CSV code that ``write_confidence_csv`` must
+    reproduce byte for byte through the shared writer."""
+    import csv
+
+    state = policy.trace()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "lambda_t", "lambda_prime_raw", "branch_taken"])
+        for t, (lam, raw, br) in enumerate(
+            zip(state.lambdas, state.lambda_prime_raw, state.branches)
+        ):
+            writer.writerow([t, repr(float(lam)), "" if np.isnan(raw) else repr(float(raw)), br])
+
+
+@pytest.mark.parametrize("case", ["finished", "diverged", "scalar"])
+def test_confidence_csv_matches_reference_writer(
+    tmp_path, case, bench2_model, bench2_syn, scalar_model, scalar_syn
+):
+    if case == "scalar":
+        model, syn = scalar_model, scalar_syn
+    else:
+        model, syn = bench2_model, bench2_syn
+    if case == "diverged":
+        # the black box alone blows up, and lambda' = 1 keeps following it
+        bb = lq.gain_policy(-4.0 * np.eye(2))
+        pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
+        resid = lq.zero_residual(2)
+    else:
+        bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn), 0.1, "rotation", 2)
+        pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 0.05, "learned")
+        resid = lq.lipschitz_residual(model.n, model.m, 0.02, seed=3)
+    traj = lq.simulate(model, resid, pol, np.ones(model.n), 40)
+    assert traj.diverged == (case == "diverged")
+    # t = 0 has no coefficient, so every trace writes an empty raw field
+    assert np.isnan(pol.trace().lambda_prime_raw[0])
+    lq.write_confidence_csv(pol, tmp_path / "new.csv")
+    _reference_write_confidence_csv(pol, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

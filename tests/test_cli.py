@@ -1,9 +1,13 @@
 import csv
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lqshield.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(tmp_path, *args):
@@ -220,3 +224,67 @@ def test_sweep_synthesizes_once_per_process(tmp_path, monkeypatch):
     assert len(read_rows(out / "rows.csv")) == 3 * 3 * 2
     # the crude and the true-mass models, each synthesized once
     assert len(calls) == 2
+
+
+def test_dare_sizes_default_costs_from_system(tmp_path):
+    # the 3x3 [system] of the adversarial config gets 3x3 identity Q and R
+    code, out = run(tmp_path, "dare", "--config", str(ROOT / "configs" / "adversarial.cfg"))
+    assert code == EXIT_OK
+    rows = {r["quantity"]: r["value"] for r in read_rows(out / "synthesis.csv")}
+    assert "P[2][2]" in rows and "K[2][2]" in rows
+    assert float(rows["dare_residual"]) < 1e-9
+    text = (out / "effective_config.txt").read_text()
+    assert "system.Q = 1,0,0;0,1,0;0,0,1" in text
+
+
+@pytest.mark.parametrize("B", ["1,0;0,1;1,1", ""])
+@pytest.mark.parametrize("command", ["dare", "adversarial"])
+def test_mismatched_system_is_config_error(tmp_path, capsys, command, B):
+    cfg = tmp_path / "mismatch.cfg"
+    cfg.write_text(f"[system]\nA = 0.5,0.1;0,0.4\nB = {B}\n")
+    code, _ = run(tmp_path, command, "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def _readme_invocations() -> dict:
+    """command -> argv of each `lqshield ...` line in the README."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    argvs = [shlex.split(l)[1:] for l in lines if l.startswith("lqshield ")]
+    return {argv[0]: argv for argv in argvs}
+
+
+@pytest.mark.parametrize("command", ["stability-trace", "adversarial", "dare"])
+def test_documented_invocation_runs(tmp_path, monkeypatch, command):
+    argv = _readme_invocations()[command]
+    out = argv.index("--out")
+    argv[out + 1] = str(tmp_path / "out")
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == EXIT_OK
+
+
+def test_sweep_worker_builds_bench_once(tmp_path, monkeypatch):
+    import lqshield.cli as cli
+
+    cfg = cli.RunConfig()
+    # (seed, theta_idx, theta, label, monte_carlo, horizon, blowup, jitter)
+    task = (4, 1, 0.3, "adaptive", 2, 120, 50.0, 0.05)
+    monkeypatch.setattr(cli, "_bench", None)
+    cli._init_worker(cfg)
+    assert cli._bench is not None
+    worker_rows = cli._sweep_task(task)
+    monkeypatch.setattr(cli, "_bench", cli._CartpoleBench(cfg))
+    assert worker_rows == cli._sweep_task(task)
+
+    calls = []
+    real = cli.synthesize
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "synthesize", counting)
+    present = cli._bench
+    cli._init_worker(cfg)
+    assert cli._bench is present
+    assert calls == []

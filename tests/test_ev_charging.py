@@ -133,7 +133,9 @@ class TestReward:
 
 class TestSessionsCsv:
     def test_round_trip(self, tmp_path):
-        sessions = generate_sessions(5, "pre_covid")
+        # a NumPy scalar energy is written as the float it holds
+        late = ChargingSession(arrival=280, departure=287, energy=np.float64(5.25), station=1)
+        sessions = generate_sessions(5, "pre_covid") + [late]
         path = tmp_path / "sessions.csv"
         write_sessions_csv(sessions, path)
         loaded = load_sessions_csv(path)

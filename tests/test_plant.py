@@ -146,6 +146,63 @@ def test_trajectory_csv_contract(tmp_path):
     assert float(row1[1]) == traj.states[0][0]
 
 
+def _reference_write_trajectory_csv(traj, path):
+    """The per-writer CSV code that ``write_trajectory_csv`` must
+    reproduce byte for byte through the shared writer."""
+    import csv
+
+    n = traj.states.shape[1]
+    m = traj.actions.shape[1] if traj.actions.size else 0
+    header = (
+        ["t"]
+        + [f"x_{i}" for i in range(n)]
+        + [f"u_{j}" for j in range(m)]
+        + ["step_cost"]
+    )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t in range(traj.horizon):
+            row = (
+                [t]
+                + [repr(float(v)) for v in traj.states[t]]
+                + [repr(float(v)) for v in traj.actions[t]]
+                + [repr(float(traj.step_costs[t]))]
+            )
+            writer.writerow(row)
+        writer.writerow(
+            [traj.horizon]
+            + [repr(float(v)) for v in traj.states[-1]]
+            + [""] * m
+            + [""]
+        )
+
+
+def _csv_trajectories():
+    rng = np.random.default_rng(31)
+    model = random_stabilizable(rng, 3)
+    syn = lq.synthesize(model)
+    model_m2 = random_stabilizable(rng, 3, 2)
+    syn_m2 = lq.synthesize(model_m2)
+    x0 = rng.standard_normal(3)
+    return {
+        "finished": lq.simulate(model, None, lq.lqr_policy(syn), x0, 40),
+        "diverged": lq.simulate(model, None, lq.gain_policy(-4.0 * np.eye(3)), x0, 200),
+        "m2": lq.simulate(
+            model_m2, lq.lipschitz_residual(3, 2, 0.1, seed=2), lq.lqr_policy(syn_m2), x0, 40
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["finished", "diverged", "m2"])
+def test_trajectory_csv_matches_reference_writer(tmp_path, case):
+    traj = _csv_trajectories()[case]
+    assert traj.diverged == (case == "diverged")
+    lq.write_trajectory_csv(traj, tmp_path / "new.csv")
+    _reference_write_trajectory_csv(traj, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_policy_queried_once_per_step_in_order():
     model = lq.LinearModel(A=np.zeros((2, 2)), B=np.eye(2), Q=np.eye(2), R=np.eye(2))
     calls = []

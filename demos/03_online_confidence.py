@@ -30,10 +30,11 @@ for c in (1.0, 1.25, 2.0, 4.0):
     bb = lq.parameterized_blackbox(syn, [c * v for v in w])
     pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
     traj = lq.simulate(model, lq.disturbance_residual(w), pol, x0, 100)
+    # the black box is deterministic in (t, x): recompute its suggestions
     log = ObservationLog(
         states=list(traj.states),
-        actions=list(pol.log.actions),
-        blackbox_actions=list(pol.log.blackbox_actions),
+        actions=list(traj.actions),
+        blackbox_actions=[bb.act(t, traj.states[t]) for t in range(traj.horizon)],
     )
     learned = lq.learn_lambda_prime(syn, log)
     print(f"  c={c:4.2f}: learned {learned:.4f}  (hindsight {1.0 / c:.4f})")

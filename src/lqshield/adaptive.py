@@ -161,15 +161,18 @@ class AdaptivePolicy:
 
     lambda_0 = 1.  At t >= 1, when ||x_t|| is zero the previous weight
     is kept; otherwise a coefficient lambda' is obtained (learned from
-    the log, or read from an external sequence), clamped to [0, 1], and
+    the states and actions seen so far, or read from an external
+    sequence), clamped to [0, 1], and
 
         lambda_t = min(lambda', lambda_{t-1} - alpha)   if lambda' > 0
                                                         and lambda_{t-1} > alpha
         lambda_t = 0                                    otherwise.
 
-    ``decrease_cap`` optionally bounds the per-step decrease (off by
-    default); in learned mode the first update is held until the log has
-    two steps.  One instance drives one simulation.
+    In learned mode the first update is held until two steps have been
+    seen.  The learned coefficient is the one :func:`learn_lambda_prime`
+    computes on the run's states, actions and black-box suggestions; the
+    policy keeps only its running sums and the previous step's terms.
+    One instance drives one simulation.
     """
 
     def __init__(
@@ -179,8 +182,6 @@ class AdaptivePolicy:
         advice: Policy,
         alpha: float,
         lambda_source: Union[str, Sequence[float], Callable[[int], float]] = "learned",
-        numerator_start: int = 1,
-        decrease_cap: Optional[float] = None,
     ):
         if alpha <= 0:
             raise ValueError("step size alpha must be positive")
@@ -188,8 +189,6 @@ class AdaptivePolicy:
         self.blackbox = blackbox
         self.advice = advice
         self.alpha = float(alpha)
-        self.decrease_cap = decrease_cap
-        self.numerator_start = numerator_start
         if isinstance(lambda_source, str):
             if lambda_source != "learned":
                 raise ValueError("lambda_source must be 'learned', a sequence, or a callable")
@@ -200,7 +199,6 @@ class AdaptivePolicy:
             seq = [float(v) for v in lambda_source]
             self._external = lambda t: seq[min(t, len(seq) - 1)]
         self.descriptor = f"adaptive({'learned' if self._external is None else 'external'},a={alpha:g})"
-        self.log = ObservationLog()
         self._lambdas: list[float] = []
         self._raw: list[float] = []
         self._branches: list[str] = []
@@ -212,16 +210,17 @@ class AdaptivePolicy:
         self._c = np.zeros(syn.n)
         self._num = 0.0
         self._den = 0.0
-        # v = u_hat + K x of the previous step, and B v
+        # of the previous step: the model's prediction A x + B u, v = u_hat + K x, and B v
+        self._prev_pred: Optional[np.ndarray] = None
         self._prev_v: Optional[np.ndarray] = None
         self._prev_b: Optional[np.ndarray] = None
 
     def _learned_raw(self, t: int, x: np.ndarray) -> Optional[float]:
         """Advance the incremental sums with the newly observed x_t and
         return the current coefficient (None while history is too short)."""
-        r_prev = self._A.dot(self.log.states[t - 1]) + self._B.dot(self.log.actions[t - 1]) - x
-        include = (t - 1) >= self.numerator_start
-        self._c = self._F.dot(self._c) + (self._prev_b if include else 0.0)
+        r_prev = self._prev_pred - x
+        # the numerator sums from s = 1, the denominator from s = 0
+        self._c = self._F.dot(self._c) + (self._prev_b if t >= 2 else 0.0)
         self._num += float(r_prev.dot(self._P.dot(self._c)))
         v = self._prev_v
         self._den += float(v.dot(self._M.dot(v)))
@@ -232,12 +231,13 @@ class AdaptivePolicy:
         return self._num / self._den
 
     def act(self, t: int, x) -> np.ndarray:
-        if t != self.log.t:
+        if t != len(self._lambdas):
             raise ValueError(
-                f"adaptive policy must be stepped in order; expected t={self.log.t}, got {t}"
+                f"adaptive policy must be stepped in order; expected t={len(self._lambdas)}, got {t}"
             )
-        x = np.asarray(x, dtype=float).reshape(-1)
-        self.log.append_state(x)
+        if type(x) is not np.ndarray or x.dtype != np.float64 or x.ndim != 1:
+            x = np.asarray(x, dtype=float).reshape(-1)
+        learned = self._external is None
         raw = float("nan")
         zero_state = math.sqrt(x.dot(x)) <= 0.0  # == np.linalg.norm(x)
         if t == 0:
@@ -247,12 +247,12 @@ class AdaptivePolicy:
             lam = self._lambdas[-1]
             branch = "zero_state"
             # still advance the incremental sums so later updates see all data
-            if self._external is None:
+            if learned:
                 raw_opt = self._learned_raw(t, x)
                 raw = float("nan") if raw_opt is None else raw_opt
         else:
             prev = self._lambdas[-1]
-            if self._external is None:
+            if learned:
                 raw_opt = self._learned_raw(t, x)
             else:
                 raw_opt = float(self._external(t))
@@ -268,19 +268,22 @@ class AdaptivePolicy:
                 else:
                     lam = 0.0
                     branch = "cutoff"
-                if self.decrease_cap is not None:
-                    lam = max(lam, prev - self.decrease_cap)
         self._lambdas.append(lam)
         self._raw.append(raw)
         self._branches.append(branch)
         if self._t0 is None and (lam == 0.0 or zero_state):
             self._t0 = t
-        u_hat = np.asarray(self.blackbox.act(t, x), dtype=float).reshape(-1)
-        u_bar = np.asarray(self.advice.act(t, x), dtype=float).reshape(-1)
+        u_hat = self.blackbox.act(t, x)
+        if type(u_hat) is not np.ndarray or u_hat.dtype != np.float64 or u_hat.ndim != 1:
+            u_hat = np.asarray(u_hat, dtype=float).reshape(-1)
+        u_bar = self.advice.act(t, x)
+        if type(u_bar) is not np.ndarray or u_bar.dtype != np.float64 or u_bar.ndim != 1:
+            u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
         u = lam * u_hat + (1.0 - lam) * u_bar
-        self.log.append_step(u, u_hat)
-        self._prev_v = u_hat + self._K.dot(x)
-        self._prev_b = self._B.dot(self._prev_v)
+        if learned:
+            self._prev_pred = self._A.dot(x) + self._B.dot(u)
+            self._prev_v = u_hat + self._K.dot(x)
+            self._prev_b = self._B.dot(self._prev_v)
         return u
 
     @property

@@ -37,6 +37,7 @@ from .environments.ev_charging import (
     fit_demand_schedule,
     generate_sessions,
     line_limited,
+    load_prices_csv,
 )
 from .errors import (
     ConfigError,
@@ -382,12 +383,7 @@ def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     alpha = cfg.get("experiment", "alpha", 1e-3)
     training_days = cfg.get("experiment", "training_days", 15)
     prices_csv = cfg.get_str("ev", "prices_csv", "")
-    kwargs = {}
-    if prices_csv:
-        from .environments.ev_charging import load_prices_csv
-
-        kwargs["prices"] = load_prices_csv(prices_csv)
-    config = ChargingConfig(
+    settings = dict(
         n_chargers=cfg.get("ev", "n_chargers", 5),
         line_limit=cfg.get("ev", "line_limit", 6.6),
         tau=cfg.get("ev", "tau_minutes", 5.0) / 60.0,
@@ -397,19 +393,26 @@ def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
             cfg.get("ev", "phi3", 10.0),
             cfg.get("ev", "phi4", 100.0),
         ),
-        **kwargs,
     )
+    try:
+        if prices_csv:
+            settings["prices"] = load_prices_csv(prices_csv)
+        config = ChargingConfig(**settings)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[ev] {exc}") from exc
     n, T, gamma = config.n_chargers, config.horizon, config.line_limit
     training = [generate_sessions(seed + k, "pre_covid", n, T) for k in range(training_days)]
     f_hat = fit_demand_schedule(training, T, n)
     syn = synthesize(ev_environment(config, []).model)
+    # one schedule black box serves every day: f_hat is fixed and it is stateless
+    schedule = parameterized_blackbox(syn, f_hat)
     rows = []
     for profile in ("pre_covid", "post_covid"):
         for s in range(n_seeds):
             day_seed = seed + 1000 + s
             sessions = generate_sessions(day_seed, profile, n, T)
             env = ev_environment(config, sessions)
-            blackbox = line_limited(parameterized_blackbox(syn, f_hat), gamma)
+            blackbox = line_limited(schedule, gamma)
             advice = line_limited(lqr_policy(syn), gamma)
             for label, policy in (
                 ("blackbox", blackbox),

@@ -25,6 +25,7 @@ is mildly net-negative).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -88,6 +89,10 @@ class ChargingConfig:
         if self.tau <= 0:
             raise ValueError("step duration must be positive")
         prices = np.asarray(self.prices, dtype=float)
+        if prices.ndim != 1 or prices.shape[0] == 0:
+            raise ValueError(f"prices must be a non-empty series, got shape {prices.shape}")
+        if not np.all(np.isfinite(prices)):
+            raise ValueError("prices must be finite")
         if np.any(prices < 0):
             raise ValueError("prices must be nonnegative")
         object.__setattr__(self, "prices", prices)
@@ -192,25 +197,35 @@ def ev_environment(
         A=np.eye(n), B=-tau * np.eye(n), Q=np.eye(n), R=1e-4 * np.eye(n)
     )
 
+    # per-step {station index: energy} lookups, built once
+    arrivals_at = {t: dict(v) for t, v in arrivals.items()}
+    departures_at = {t: dict(v) for t, v in departures.items()}
+    no_events: dict = {}
+
     def residual_eval(t, x, u):
-        x = np.asarray(x, dtype=float).reshape(n)
         u = np.asarray(u, dtype=float).reshape(n)
-        f = np.zeros(n)
-        arr = dict(arrivals.get(t, ()))
-        dep = dict(departures.get(t, ()))
-        total = float(np.sum(np.abs(u)))
+        xs = np.asarray(x, dtype=float).reshape(n).tolist()
+        us = u.tolist()
+        arr = arrivals_at.get(t, no_events)
+        dep = departures_at.get(t, no_events)
+        total = float(np.add.reduce(np.abs(u)))
         over_limit = total > gamma
-        # effective allocation after the line projection; the full-battery
-        # check uses it so total delivery never exceeds gamma * tau
-        u_eff = u * (gamma / total) if over_limit else u
+        # effective allocation after the line projection, u_i * (gamma / total);
+        # the full-battery check uses it so total delivery never exceeds gamma * tau
+        scale = gamma / total if over_limit else 1.0
+        f = []
         for i in range(n):
+            x_i, u_i = xs[i], us[i]
+            u_eff = u_i * scale
             if i in arr:
-                f[i] = arr[i]
-            elif i in dep or x[i] - tau * u_eff[i] < 0:
-                f[i] = tau * u[i] - x[i]
+                f.append(arr[i])
+            elif i in dep or x_i - tau * u_eff < 0:
+                f.append(tau * u_i - x_i)
             elif over_limit:
-                f[i] = tau * (u[i] - u_eff[i])
-        return f
+                f.append(tau * (u_i - u_eff))
+            else:
+                f.append(0.0)
+        return np.array(f, dtype=float)
 
     residual = ResidualModel(
         eval=residual_eval,
@@ -219,16 +234,18 @@ def ev_environment(
         label="ev-charging",
     )
     phi1, phi2, phi3, phi4 = config.phi
-    prices = config.prices
+    prices = config.prices.tolist()
+    horizon = len(prices)
 
     def reward(t, x, u) -> float:
         x = np.asarray(x, dtype=float).reshape(n)
         u = np.asarray(u, dtype=float).reshape(n)
-        p_t = float(prices[t]) if t < prices.shape[0] else float(prices[-1])
+        p_t = prices[t] if t < horizon else prices[-1]
+        # math.sqrt(v.dot(v)) is the value np.linalg.norm(v) returns
         r = (
-            phi1 * tau * float(np.linalg.norm(u))
-            - phi2 * float(np.linalg.norm(x))
-            - phi3 * p_t * float(np.sum(np.abs(u)))
+            phi1 * tau * math.sqrt(u.dot(u))
+            - phi2 * math.sqrt(x.dot(x))
+            - phi3 * p_t * float(np.add.reduce(np.abs(u)))
         )
         for i, energy in departures.get(t, ()):
             r -= phi4 * x[i] / energy
@@ -269,9 +286,11 @@ def fit_demand_schedule(
 def line_limited(policy: Policy, gamma: float) -> Policy:
     """Project actions onto the feasible set {u >= 0, sum(u) <= gamma}."""
 
+    inner = policy.act
+
     def act(t, x):
-        u = np.maximum(np.asarray(policy.act(t, x), dtype=float), 0.0)
-        total = float(np.sum(u))
+        u = np.maximum(np.asarray(inner(t, x), dtype=float), 0.0)
+        total = float(np.add.reduce(u, None))  # == np.sum(u)
         if total > gamma:
             u = u * (gamma / total)
         return u

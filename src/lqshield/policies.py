@@ -16,6 +16,8 @@ The synthetic black-box families stand in for pre-trained agents:
 from __future__ import annotations
 
 import hashlib
+import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -97,14 +99,14 @@ def parameterized_blackbox(
     to the realized time-only disturbances this is the exact offline
     optimum (see :func:`auxiliary_optimal_policy`).
     """
-    K = syn.K
+    neg_K = -syn.K
     g = _feedforward_terms(syn, f_hat)
     L = len(g)
     zero = np.zeros(syn.m)
 
     def act(t, x):
         ff = g[t] if 0 <= t < L else zero
-        return -K @ x + ff
+        return neg_K.dot(x) + ff
 
     return Policy(act=act, descriptor=descriptor)
 
@@ -145,19 +147,25 @@ def _hashed_unit_vector(seed: int, x: np.ndarray, m: int) -> np.ndarray:
     in int64 (non-finite, or any |x_i| >= 2**63 / 1e9, about 9.2e9).
     """
     x = np.asarray(x, float)
-    scaled = x * 1e9
-    if not np.all(np.abs(scaled) < 2.0**63):
+    vals = (x * 1e9).tolist()
+    if not all(abs(v) < 2.0**63 for v in vals):
         raise ValueError(
             f"cannot hash state with max |x_i| = {float(np.max(np.abs(x)))!r}: "
             "coordinates must be finite and below 2**63 / 1e9 in magnitude"
         )
-    q = np.round(scaled).astype(np.int64)
+    # round() is round-half-even, as np.round is; "<q" is little-endian int64
+    q = struct.pack(f"<{len(vals)}q", *map(round, vals))
     digest = hashlib.blake2b(
-        q.tobytes() + int(seed).to_bytes(8, "little", signed=True), digest_size=16
+        q + int(seed).to_bytes(8, "little", signed=True), digest_size=16
     ).digest()
-    sub = np.random.default_rng(int.from_bytes(digest, "little"))
+    # the PCG64 state and draws of default_rng(int.from_bytes(digest, "little")):
+    # SeedSequence pads short integer entropy with zero words.  numpy.random
+    # is looked up here, not imported with the package, which would raise
+    # the peak memory of every run by about 0.5 MB.
+    rnd = np.random
+    sub = rnd.Generator(rnd.PCG64(rnd.SeedSequence(np.frombuffer(digest, "<u4"))))
     d = sub.standard_normal(m)
-    norm = np.linalg.norm(d)
+    norm = math.sqrt(d.dot(d))  # == np.linalg.norm(d)
     if norm < 1e-12:
         d = np.zeros(m)
         d[0] = 1.0
@@ -193,7 +201,7 @@ def epsilon_consistent_blackbox(
         base = np.asarray(optimal.act(t, x), dtype=float)
         if eps == 0.0:
             return base
-        nx = np.linalg.norm(x)
+        nx = math.sqrt(x.dot(x))  # == np.linalg.norm(x)
         if nx == 0.0:
             return base
         if bias_mode == "rotation":

@@ -134,10 +134,11 @@ def test_confidence_weight_identities(bench):
         bb = lq.parameterized_blackbox(syn, [c * v for v in w])
         pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
         traj = lq.simulate(model, lq.disturbance_residual(w), pol, r.standard_normal(2), 100)
+        # the black box is deterministic in (t, x): recompute its suggestions
         log = ObservationLog(
             states=list(traj.states),
-            actions=list(pol.log.actions),
-            blackbox_actions=list(pol.log.blackbox_actions),
+            actions=list(traj.actions),
+            blackbox_actions=[bb.act(t, traj.states[t]) for t in range(traj.horizon)],
         )
         learned_ok &= abs(lq.learn_lambda_prime(syn, log) - 1.0 / c) < 0.05
     report(

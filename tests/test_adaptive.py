@@ -14,19 +14,25 @@ def syn3():
     return lq.synthesize(random_stabilizable(rng, 3))
 
 
+def run_log(traj, blackbox, t=None):
+    """The observation log of the first ``t`` steps of a recorded run.
+
+    States and actions come from the trajectory; the black boxes are
+    deterministic in (t, x), so their suggestions are recomputed.
+    """
+    t = traj.horizon if t is None else t
+    return ObservationLog(
+        states=[traj.states[i] for i in range(t + 1)],
+        actions=[traj.actions[i] for i in range(t)],
+        blackbox_actions=[blackbox.act(i, traj.states[i]) for i in range(t)],
+    )
+
+
 def log_from_run(syn, model, residual, blackbox, x0, T, alpha=1e-6):
     """Build a full observation log by driving the plant with the black box."""
     pol = lq.adaptive_policy(syn, blackbox, lq.lqr_policy(syn), alpha, lambda_source=lambda t: 1.0)
     traj = lq.simulate(model, residual, pol, x0, T)
-    return (
-        ObservationLog(
-            states=list(traj.states),
-            actions=list(pol.log.actions),
-            blackbox_actions=list(pol.log.blackbox_actions),
-        ),
-        traj,
-        pol,
-    )
+    return run_log(traj, blackbox), traj, pol
 
 
 class TestOptimalLambda:
@@ -140,11 +146,7 @@ class TestLearnLambdaPrime:
         raws = pol.trace().lambda_prime_raw
         # replay the direct evaluation at a few times using log prefixes
         for t_check in (5, 17, 42):
-            log = ObservationLog(
-                states=[traj.states[i] for i in range(t_check + 1)],
-                actions=list(pol.log.actions[:t_check]),
-                blackbox_actions=list(pol.log.blackbox_actions[:t_check]),
-            )
+            log = run_log(traj, bb, t_check)
             direct = lq.learn_lambda_prime(syn, log)
             assert raws[t_check] == pytest.approx(direct, rel=1e-8, abs=1e-10)
 
@@ -159,24 +161,6 @@ class TestLearnLambdaPrime:
         asym = lq.learn_lambda_prime(syn, log, numerator_start=1)
         sym = lq.learn_lambda_prime(syn, log, numerator_start=0)
         assert asym != sym  # the s = 0 term genuinely contributes
-
-    def test_incremental_matches_direct_symmetric_start(self, bench2_model, bench2_syn):
-        syn = bench2_syn
-        rng = np.random.default_rng(21)
-        w = [0.5 * rng.standard_normal(2) for _ in range(25)]
-        bb = lq.parameterized_blackbox(syn, w)
-        pol = lq.adaptive_policy(
-            syn, bb, lq.lqr_policy(syn), 0.01, "learned", numerator_start=0
-        )
-        traj = lq.simulate(bench2_model, lq.disturbance_residual(w), pol, rng.standard_normal(2), 30)
-        raws = pol.trace().lambda_prime_raw
-        log = ObservationLog(
-            states=[traj.states[i] for i in range(21)],
-            actions=list(pol.log.actions[:20]),
-            blackbox_actions=list(pol.log.blackbox_actions[:20]),
-        )
-        direct = lq.learn_lambda_prime(syn, log, numerator_start=0)
-        assert raws[20] == pytest.approx(direct, rel=1e-8, abs=1e-10)
 
 
 class TestAdaptivePolicyBranches:
@@ -234,16 +218,6 @@ class TestAdaptivePolicyBranches:
             bench2_model, lq.zero_residual(2), lq.lqr_policy(syn), traj.states[1], 29
         )
         assert np.allclose(traj.states[1:], lqr_traj.states, atol=1e-12)
-
-    def test_decrease_cap_limits_step(self, syn3):
-        pol = lq.adaptive_policy(
-            syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.05,
-            lambda t: 0.1, decrease_cap=0.2,
-        )
-        pol.act(0, np.ones(3))
-        pol.act(1, np.ones(3))
-        # uncapped rule would jump to 0.1; the cap limits the drop to 0.2
-        assert pol.lambdas[1] == pytest.approx(0.8)
 
     def test_requires_time_order(self, syn3):
         pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, [1.0])
@@ -357,3 +331,178 @@ def test_confidence_csv_matches_reference_writer(
     lq.write_confidence_csv(pol, tmp_path / "new.csv")
     _reference_write_confidence_csv(pol, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class _ReferenceAdaptivePolicy:
+    """The adaptive policy as it was when it logged every step: a copy of
+    the pre-change class (at its default numerator start and without a
+    decrease cap), kept as the oracle for the log-free step."""
+
+    def __init__(self, syn, blackbox, advice, alpha, lambda_source="learned"):
+        from lqshield.linalg_control import pseudo_inverse
+
+        self.blackbox = blackbox
+        self.advice = advice
+        self.alpha = float(alpha)
+        if isinstance(lambda_source, str):
+            self._external = None
+        elif callable(lambda_source):
+            self._external = lambda_source
+        else:
+            seq = [float(v) for v in lambda_source]
+            self._external = lambda t: seq[min(t, len(seq) - 1)]
+        self.log = ObservationLog()
+        self._lambdas, self._raw, self._branches = [], [], []
+        self._t0 = None
+        self._A, self._B = syn.model.A, syn.model.B
+        self._P, self._F, self._K = syn.P, syn.F, syn.K
+        self._M = pseudo_inverse(self._B @ np.linalg.inv(syn.H)) @ self._B
+        self._c = np.zeros(syn.n)
+        self._num = 0.0
+        self._den = 0.0
+        self._prev_v = None
+        self._prev_b = None
+
+    def _learned_raw(self, t, x):
+        r_prev = self._A.dot(self.log.states[t - 1]) + self._B.dot(self.log.actions[t - 1]) - x
+        include = (t - 1) >= 1
+        self._c = self._F.dot(self._c) + (self._prev_b if include else 0.0)
+        self._num += float(r_prev.dot(self._P.dot(self._c)))
+        v = self._prev_v
+        self._den += float(v.dot(self._M.dot(v)))
+        if t < 2:
+            return None
+        if abs(self._den) < 1e-12:
+            return 0.0
+        return self._num / self._den
+
+    def act(self, t, x):
+        assert t == self.log.t
+        x = np.asarray(x, dtype=float).reshape(-1)
+        self.log.append_state(x)
+        raw = float("nan")
+        zero_state = np.linalg.norm(x) <= 0.0
+        if t == 0:
+            lam, branch = 1.0, "init"
+        elif zero_state:
+            lam, branch = self._lambdas[-1], "zero_state"
+            if self._external is None:
+                raw_opt = self._learned_raw(t, x)
+                raw = float("nan") if raw_opt is None else raw_opt
+        else:
+            prev = self._lambdas[-1]
+            if self._external is None:
+                raw_opt = self._learned_raw(t, x)
+            else:
+                raw_opt = float(self._external(t))
+            if raw_opt is None:
+                lam, branch = prev, "hold"
+            else:
+                raw = float(raw_opt)
+                clipped = min(max(raw, 0.0), 1.0)
+                if clipped > 0.0 and prev > self.alpha:
+                    lam, branch = min(clipped, prev - self.alpha), "decrease"
+                else:
+                    lam, branch = 0.0, "cutoff"
+        self._lambdas.append(lam)
+        self._raw.append(raw)
+        self._branches.append(branch)
+        if self._t0 is None and (lam == 0.0 or zero_state):
+            self._t0 = t
+        u_hat = np.asarray(self.blackbox.act(t, x), dtype=float).reshape(-1)
+        u_bar = np.asarray(self.advice.act(t, x), dtype=float).reshape(-1)
+        u = lam * u_hat + (1.0 - lam) * u_bar
+        self.log.append_step(u, u_hat)
+        self._prev_v = u_hat + self._K.dot(x)
+        self._prev_b = self._B.dot(self._prev_v)
+        return u
+
+
+@pytest.fixture(scope="module")
+def adaptive_cases(bench2_model, bench2_syn):
+    """name -> (model, residual, syn, black box, advice, alpha, source, x0, T)."""
+    from lqshield.environments import (
+        CartPoleParams,
+        ChargingConfig,
+        cartpole_linearization,
+        cartpole_residual,
+        ev_environment,
+        fit_demand_schedule,
+        generate_sessions,
+        line_limited,
+    )
+
+    params = CartPoleParams()
+    cp_model = cartpole_linearization(params)
+    cp_syn = lq.synthesize(cp_model, max_iter=20_000)
+    cp_true = lq.synthesize(
+        cartpole_linearization(params.with_true_masses_as_model()), max_iter=20_000
+    )
+    cp_bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(cp_true), 0.1, "rotation", 3)
+    cp_resid = cartpole_residual(params, params, lipschitz_samples=200)
+
+    syn = bench2_syn
+    rotation = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn), 0.3, "rotation", 7)
+    rng = np.random.default_rng(31)
+    w = [0.5 * rng.standard_normal(2) for _ in range(40)]
+    A, B = bench2_model.A, bench2_model.B
+
+    def cancel_at_10(t, x, u):
+        # the step from t = 10 lands exactly on x = 0; a disturbance otherwise
+        if t == 10:
+            return -(A.dot(x) + B.dot(u))
+        return w[t]
+
+    cancelling = lq.ResidualModel(eval=cancel_at_10, lipschitz=2.0, label="cancel-at-10")
+
+    ev_cfg = ChargingConfig()
+    n, T = ev_cfg.n_chargers, ev_cfg.horizon
+    env = ev_environment(ev_cfg, generate_sessions(1004, "post_covid", n, T))
+    ev_syn = lq.synthesize(env.model)
+    f_hat = fit_demand_schedule(
+        [generate_sessions(k, "pre_covid", n, T) for k in range(3)], T, n
+    )
+    ev_bb = line_limited(lq.parameterized_blackbox(ev_syn, f_hat), ev_cfg.line_limit)
+    ev_advice = line_limited(lq.lqr_policy(ev_syn), ev_cfg.line_limit)
+
+    return {
+        "cartpole-theta-0.4": (
+            cp_model, cp_resid, cp_syn, cp_bb, lq.lqr_policy(cp_syn), 0.01, "learned",
+            [0.0, 0.0, 0.4, 0.0], 600,
+        ),
+        "bench2-rotation": (
+            bench2_model, lq.disturbance_residual(w), syn, rotation, lq.lqr_policy(syn),
+            0.01, "learned", rng.standard_normal(2), 80,
+        ),
+        "ev-day": (env.model, env.residual, ev_syn, ev_bb, ev_advice, 1e-3, "learned", np.zeros(n), T),
+        "external": (
+            bench2_model, lq.disturbance_residual(w), syn, rotation, lq.lqr_policy(syn),
+            0.05, lambda t: 0.9 - 0.01 * t, rng.standard_normal(2), 60,
+        ),
+        "zero-state": (
+            bench2_model, cancelling, syn, lq.parameterized_blackbox(syn, w),
+            lq.lqr_policy(syn), 0.01, "learned", rng.standard_normal(2), 30,
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["cartpole-theta-0.4", "bench2-rotation", "ev-day", "external", "zero-state"]
+)
+def test_log_free_step_matches_reference_policy(adaptive_cases, case):
+    model, resid, syn, bb, advice, alpha, source, x0, T = adaptive_cases[case]
+    pol = lq.adaptive_policy(syn, bb, advice, alpha, source)
+    ref = _ReferenceAdaptivePolicy(syn, bb, advice, alpha, source)
+    traj = lq.simulate(model, resid, pol, x0, T)
+    ref_traj = lq.simulate(model, resid, ref, x0, T)
+    assert traj.states.tobytes() == ref_traj.states.tobytes()
+    assert traj.actions.tobytes() == ref_traj.actions.tobytes()
+    state = pol.trace()
+    assert state.lambdas == tuple(ref._lambdas)
+    assert np.array(state.lambda_prime_raw).tobytes() == np.array(ref._raw).tobytes()
+    assert state.branches == tuple(ref._branches)
+    assert state.t0 == ref._t0
+    # every case steps past the t = 1 hold into the rule itself
+    assert set(state.branches) & {"decrease", "cutoff"}
+    if case in ("ev-day", "zero-state"):
+        assert "zero_state" in state.branches

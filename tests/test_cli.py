@@ -159,6 +159,22 @@ def test_ev_compare_small(tmp_path):
     assert int(post["adaptive_wins"]) == 4
 
 
+@pytest.mark.parametrize(
+    "prices",
+    ["price\n0.5\nnot_a_number\n", "price\n", "price\n0.5\nnan\n0.5\n"],
+    ids=["non-numeric", "header-only", "nan"],
+)
+def test_ev_compare_bad_prices_is_config_error(tmp_path, capsys, prices):
+    path = tmp_path / "prices.csv"
+    path.write_text(prices)
+    cfg = tmp_path / "ev.cfg"
+    cfg.write_text(f"[experiment]\nseeds = 1\ntraining_days = 1\n[ev]\nprices_csv = {path}\n")
+    code, out = run(tmp_path, "ev-compare", "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "rows.csv").exists()
+
+
 def test_verify_bounds_small(tmp_path):
     cfg = tmp_path / "vb.cfg"
     cfg.write_text(

@@ -242,3 +242,151 @@ def test_zero_session_day_all_policies_agree(config):
         traj = lq.simulate(env.model, env.residual, pol, np.zeros(5), config.horizon)
         rewards.append(float(np.sum(env.rewards_for_trajectory(traj))))
     assert rewards[0] == rewards[1] == rewards[2] == 0.0
+
+
+class TestPricesValidation:
+    @pytest.mark.parametrize("prices", [[], [0.5, np.nan], [np.inf, 0.5]])
+    def test_rejects_empty_or_non_finite(self, prices):
+        with pytest.raises(ValueError, match="prices must"):
+            ChargingConfig(prices=np.array(prices, dtype=float))
+
+
+def _reference_closures(config, sessions):
+    """The residual, reward and line projection as they were before they
+    moved to Python floats: copies kept as the bit-level oracle."""
+    from lqshield.environments.ev_charging import _sessions_by_step
+
+    n = config.n_chargers
+    sessions = sorted(sessions, key=lambda s: (s.arrival, s.station))
+    arrivals, departures = _sessions_by_step(sessions, n)
+    tau, gamma = config.tau, config.line_limit
+    phi1, phi2, phi3, phi4 = config.phi
+    prices = config.prices
+
+    def residual_eval(t, x, u):
+        x = np.asarray(x, dtype=float).reshape(n)
+        u = np.asarray(u, dtype=float).reshape(n)
+        f = np.zeros(n)
+        arr = dict(arrivals.get(t, ()))
+        dep = dict(departures.get(t, ()))
+        total = float(np.sum(np.abs(u)))
+        over_limit = total > gamma
+        u_eff = u * (gamma / total) if over_limit else u
+        for i in range(n):
+            if i in arr:
+                f[i] = arr[i]
+            elif i in dep or x[i] - tau * u_eff[i] < 0:
+                f[i] = tau * u[i] - x[i]
+            elif over_limit:
+                f[i] = tau * (u[i] - u_eff[i])
+        return f
+
+    def reward(t, x, u):
+        x = np.asarray(x, dtype=float).reshape(n)
+        u = np.asarray(u, dtype=float).reshape(n)
+        p_t = float(prices[t]) if t < prices.shape[0] else float(prices[-1])
+        r = (
+            phi1 * tau * float(np.linalg.norm(u))
+            - phi2 * float(np.linalg.norm(x))
+            - phi3 * p_t * float(np.sum(np.abs(u)))
+        )
+        for i, energy in departures.get(t, ()):
+            r -= phi4 * x[i] / energy
+        return r
+
+    def limited(policy, gamma):
+        def act(t, x):
+            u = np.maximum(np.asarray(policy.act(t, x), dtype=float), 0.0)
+            total = float(np.sum(u))
+            if total > gamma:
+                u = u * (gamma / total)
+            return u
+
+        return act
+
+    return residual_eval, reward, limited
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def test_closures_match_reference_copies():
+    config = ChargingConfig()
+    n, T, gamma = config.n_chargers, config.horizon, config.line_limit
+    sessions = generate_sessions(1003, "post_covid", n, T)
+    env = ev_environment(config, sessions)
+    ref_residual, ref_reward, ref_limited = _reference_closures(config, sessions)
+    syn = lq.synthesize(env.model)
+    f_hat = fit_demand_schedule([generate_sessions(k, "pre_covid", n, T) for k in range(3)], T, n)
+    traj = lq.simulate(
+        env.model,
+        env.residual,
+        line_limited(lq.parameterized_blackbox(syn, f_hat), gamma),
+        np.zeros(n),
+        T,
+    )
+    arrival_steps = {s.arrival for s in sessions}
+    departure_steps = {s.departure for s in sessions}
+    rng = np.random.default_rng(17)
+    seen = dict(arrival=0, departure=0, over_limit=0, full_battery=0)
+    for t in range(T + 2):  # two steps past the price series
+        x = traj.states[min(t, T)]
+        probes = [
+            rng.uniform(0.0, 3.0, n),  # mostly over the line limit
+            rng.uniform(-1.0, 1.0, n),  # negative entries count in ||u||_1
+            np.full(n, gamma / n),  # exactly at the limit
+            np.zeros(n),
+        ]
+        if t < T:
+            probes.append(traj.actions[t])
+        xs = [x, np.full(n, 0.01), rng.uniform(0.0, 8.0, n)]  # 0.01 kWh: battery fills
+        for x_probe in xs:
+            for u in probes:
+                got = env.residual.eval(t, x_probe, u)
+                assert _bits(got) == _bits(ref_residual(t, x_probe, u)), (t, x_probe, u)
+                assert _bits(env.reward(t, x_probe, u)) == _bits(ref_reward(t, x_probe, u))
+                seen["over_limit"] += float(np.sum(np.abs(u))) > gamma
+                seen["full_battery"] += bool(np.any(x_probe - config.tau * u < 0))
+        seen["arrival"] += t in arrival_steps
+        seen["departure"] += t in departure_steps
+    assert min(seen.values()) > 0, seen
+    # the rollout's own per-step rewards and residuals
+    assert _bits(env.rewards_for_trajectory(traj)) == _bits(
+        [ref_reward(t, traj.states[t], traj.actions[t]) for t in range(T)]
+    )
+    assert _bits(traj.residuals) == _bits(
+        [ref_residual(t, traj.states[t], traj.actions[t]) for t in range(T)]
+    )
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [5.0, 5.0, -1.0, 0.0, 0.0],
+        [1.0, 1.2, 0.3, 2.0, 2.1],  # 6.6 exactly in decimal, not in binary
+        [0.1, 0.2, 0.3, 0.4, 0.5],
+        [-1.0, -2.0, 0.0, -0.0, -3.0],
+        [[3.0], [2.0], [1.0], [0.5], [0.25]],  # column output
+        (4.0, 4.0, 0.0, 0.0, 1e-300),  # tuple output
+    ],
+)
+def test_line_limited_matches_reference_copy(raw):
+    gamma = 6.6
+    inner = lq.Policy(act=lambda t, x: raw)
+    _, _, ref_limited = _reference_closures(ChargingConfig(), [])
+    got = line_limited(inner, gamma).act(0, np.zeros(5))
+    want = ref_limited(inner, gamma)(0, np.zeros(5))
+    assert got.shape == want.shape
+    assert _bits(got) == _bits(want)
+
+
+def test_line_limited_matches_reference_copy_on_random_actions():
+    gamma = 6.6
+    _, _, ref_limited = _reference_closures(ChargingConfig(), [])
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        raw = rng.uniform(-1.0, 3.0, 5) * rng.choice([0.1, 1.0, 10.0])
+        inner = lq.Policy(act=lambda t, x: raw)
+        got = line_limited(inner, gamma).act(0, np.zeros(5))
+        assert _bits(got) == _bits(ref_limited(inner, gamma)(0, np.zeros(5)))

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqshield as lq
 from lqshield.policies import _hashed_unit_vector
@@ -235,3 +239,71 @@ class TestWrappers:
     def test_nonnegative_projects(self):
         pol = lq.nonnegative(lq.Policy(act=lambda t, x: np.array([-1.0, 2.0])))
         assert np.allclose(pol.act(0, np.zeros(2)), [0.0, 2.0])
+
+
+def _reference_hashed_unit_vector(seed, x, m):
+    """The hashed direction as it was before its seeding moved to Python
+    ints and an explicit SeedSequence: a copy kept as the bit-level oracle."""
+    x = np.asarray(x, float)
+    scaled = x * 1e9
+    if not np.all(np.abs(scaled) < 2.0**63):
+        raise ValueError("cannot hash state")
+    q = np.round(scaled).astype(np.int64)
+    digest = hashlib.blake2b(
+        q.tobytes() + int(seed).to_bytes(8, "little", signed=True), digest_size=16
+    ).digest()
+    sub = np.random.default_rng(int.from_bytes(digest, "little"))
+    d = sub.standard_normal(m)
+    norm = np.linalg.norm(d)
+    if norm < 1e-12:
+        d = np.zeros(m)
+        d[0] = 1.0
+        return d
+    return d / norm
+
+
+def _half_way_ties(count):
+    """Coordinates x with x * 1e9 exactly k + 1/2, round half to even's
+    edge, found around (k + 1/2) / 1e9 for k = -count..count."""
+    ties = []
+    for k in range(-count, count + 1):
+        guess = (k + 0.5) / 1e9
+        for x in (np.nextafter(guess, -1.0), guess, np.nextafter(guess, 1.0)):
+            if x * 1e9 == k + 0.5:
+                ties.append(float(x))
+    return ties
+
+
+_TIES = _half_way_ties(6)
+
+_coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0] + _TIES),
+    st.builds(
+        lambda mantissa, scale: mantissa * scale,
+        st.floats(-1.0, 1.0),
+        st.sampled_from([1e-12, 1e-10, 1e-9, 1e-6, 1e-3, 1.0, 1e2, 1e3]),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.integers(-(2**40), 2**40),
+    st.lists(_coordinate, min_size=1, max_size=4),
+    st.integers(1, 3),
+)
+def test_hashed_unit_vector_matches_reference_copy(seed, coords, m):
+    x = np.array(coords)
+    got = _hashed_unit_vector(seed, x, m)
+    assert got.tobytes() == _reference_hashed_unit_vector(seed, x, m).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_hashed_unit_vector_on_zero_and_tie_states(m):
+    assert len(_TIES) >= 6
+    assert {int(abs(x) * 1e9) % 2 for x in _TIES} == {0, 1}  # both rounding directions
+    states = [np.zeros(3), np.array([-0.0, 0.0, -0.0]), np.array(_TIES), np.array(_TIES[::-1])]
+    for seed in range(20):
+        for x in states:
+            got = _hashed_unit_vector(seed, x, m)
+            assert got.tobytes() == _reference_hashed_unit_vector(seed, x, m).tobytes()

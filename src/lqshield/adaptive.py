@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InsufficientHistory, NotRun
-from .linalg_control import Synthesis, matrix_power_series, pseudo_inverse
+from .linalg_control import Synthesis, _eta_series, pseudo_inverse
 from .plant import write_csv
 from .policies import Policy
 
@@ -111,11 +111,11 @@ def learn_lambda_prime(
         A @ log.states[tau] + B @ log.actions[tau] - log.states[tau + 1]
         for tau in range(t)
     ]
+    etas = _eta_series(F, P, resid)
     num = 0.0
     for s in range(numerator_start, t):
-        eta = matrix_power_series(F, P, resid, s, t - 1)
         v = log.blackbox_actions[s] + K @ log.states[s]
-        num += float(eta @ (B @ v))
+        num += float(etas[s] @ (B @ v))
     den = 0.0
     for s in range(t):
         v = log.blackbox_actions[s] + K @ log.states[s]
@@ -141,14 +141,14 @@ def optimal_lambda(
 
     Returns 0 when the denominator is numerically zero.
     """
-    if len(f_star) < t + 1 or len(f_hat) < t + 1:
+    if t < 0 or len(f_star) < t + 1 or len(f_hat) < t + 1:
         raise ValueError("residual sequences must cover indices 0..t")
     F, P, H = syn.F, syn.P, syn.H
     num = 0.0
     den = 0.0
-    for s in range(t + 1):
-        eta_star = matrix_power_series(F, P, f_star, s, t)
-        eta_hat = matrix_power_series(F, P, f_hat, s, t)
+    for eta_star, eta_hat in zip(
+        _eta_series(F, P, f_star[: t + 1]), _eta_series(F, P, f_hat[: t + 1])
+    ):
         num += float(eta_star @ (H @ eta_hat))
         den += float(eta_hat @ (H @ eta_hat))
     if abs(den) < _DENOM_FLOOR:
@@ -309,10 +309,9 @@ def adaptive_policy(
     advice: Policy,
     alpha: float,
     lambda_source: Union[str, Sequence[float], Callable[[int], float]] = "learned",
-    **kwargs,
 ) -> AdaptivePolicy:
     """Construct an :class:`AdaptivePolicy` (one instance per simulation)."""
-    return AdaptivePolicy(syn, blackbox, advice, alpha, lambda_source, **kwargs)
+    return AdaptivePolicy(syn, blackbox, advice, alpha, lambda_source)
 
 
 def confidence_trace(policy: AdaptivePolicy) -> ConfidenceState:

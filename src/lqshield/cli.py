@@ -148,11 +148,6 @@ class RunConfig:
         self._effective[(section, key)] = raw
         return M
 
-    def get_str(self, section: str, key: str, default: str) -> str:
-        value = self._values.get((section, key), default)
-        self._effective[(section, key)] = value
-        return value
-
     def echo(self, out_dir: Path, extra: dict) -> None:
         lines = []
         for (section, key), value in sorted(self._effective.items()):
@@ -195,7 +190,7 @@ class _CartpoleBench:
         true_model = cartpole_linearization(self.params.with_true_masses_as_model())
         self.syn_true = synthesize(true_model, max_iter=20_000)
         self.epsilon = cfg.get("cartpole", "blackbox_epsilon", 0.0)
-        self.bias_mode = cfg.get_str("cartpole", "blackbox_bias_mode", "rotation")
+        self.bias_mode = cfg.get("cartpole", "blackbox_bias_mode", "rotation")
         self.naive_lambda = cfg.get("cartpole", "naive_lambda", 0.8)
         self.alpha = cfg.get("cartpole", "alpha", 0.01)
         # 0 disables clamping; the crude LQR cannot recover theta=0.4
@@ -264,7 +259,7 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     horizon = cfg.get("experiment", "horizon", 1200)
     blowup = cfg.get("experiment", "blowup", 50.0)
     jitter = cfg.get("experiment", "initial_angle_variation", 0.05)
-    roster = cfg.get_str("experiment", "policies", "lqr,blackbox,naive,adaptive").split(",")
+    roster = cfg.get("experiment", "policies", "lqr,blackbox,naive,adaptive").split(",")
     # building the bench here records the cartpole keys in the echoed
     # effective config; the tasks of this process then reuse it
     global _bench
@@ -309,7 +304,7 @@ def cmd_stability_trace(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     theta = cfg.get("experiment", "theta", 0.4)
     horizon = cfg.get("experiment", "horizon", 1200)
     blowup = cfg.get("experiment", "blowup", 50.0)
-    roster = cfg.get_str(
+    roster = cfg.get(
         "experiment", "policies", "lqr,adaptive-destabilizing,naive-destabilizing"
     ).split(",")
     bench = _CartpoleBench(cfg)
@@ -333,10 +328,7 @@ def cmd_stability_trace(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         else:
             lams = [""] * traj.horizon
             raws = [""] * traj.horizon
-        rows = [
-            (t, norms[t], lams[t] if t < len(lams) else "", raws[t] if t < len(raws) else "")
-            for t in range(traj.horizon)
-        ]
+        rows = [(t, norms[t], lams[t], raws[t]) for t in range(traj.horizon)]
         write_csv(
             out / f"trace_{label}.csv", ["t", "state_norm", "lambda_t", "lambda_prime_raw"], rows
         )
@@ -382,7 +374,7 @@ def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     n_seeds = cfg.get("experiment", "seeds", 20)
     alpha = cfg.get("experiment", "alpha", 1e-3)
     training_days = cfg.get("experiment", "training_days", 15)
-    prices_csv = cfg.get_str("ev", "prices_csv", "")
+    prices_csv = cfg.get("ev", "prices_csv", "")
     settings = dict(
         n_chargers=cfg.get("ev", "n_chargers", 5),
         line_limit=cfg.get("ev", "line_limit", 6.6),
@@ -453,9 +445,7 @@ def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
 
 
 def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
-    A = cfg.get_matrix("system", "A", "0.55,0.25;0,0.45")
-    B = cfg.get_matrix("system", "B", "1,0;0,1")
-    model = LinearModel(A=A, B=B, Q=np.eye(A.shape[0]), R=np.eye(B.shape[1]))
+    model = _system_model(cfg, "0.55,0.25;0,0.45", "1,0;0,1")
     syn = synthesize(model)
     ell_fracs = cfg.get_floats("grid", "c_ell_fractions", "0.1,0.5,0.9")
     eps_fracs = cfg.get_floats("grid", "epsilon_fractions", "0.1,0.5,0.9")
@@ -474,12 +464,7 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         for eps_frac in eps_fracs:
             eps = eps_frac * probe.eps_max_stability * 0.999
             consts = theorem_constants(syn, C_ell, eps)
-            precondition_ok = (
-                consts.applicable
-                and eps < consts.eps_max_stability
-                and C_ell < consts.C_ell_max
-                and consts.mu < consts.gamma
-            )
+            precondition_ok = not consts.violations() and consts.mu < consts.gamma
             for alpha in alphas:
                 if not precondition_ok:
                     rows.append(
@@ -560,7 +545,7 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
 
 
 def cmd_dare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
-    env_name = cfg.get_str("system", "environment", "custom")
+    env_name = cfg.get("system", "environment", "custom")
     if env_name == "cartpole":
         model = cartpole_linearization(_cartpole_params(cfg))
     elif env_name == "ev":

@@ -58,47 +58,28 @@ class CartPoleParams:
         return replace(self, model_m=self.m, model_M=self.M)
 
 
-def _euler_stepper(p: CartPoleParams):
-    """One explicit-Euler step of ``p``'s plant on Python floats, with the
-    parameters read once.  ``a * a`` rounds like ``a**2``, and
-    ``math.sin``/``math.cos`` give the bits of ``np.sin``/``np.cos`` on
-    NumPy scalars wherever NumPy calls the C library for them, so the step
-    matches its NumPy-scalar form there (``tests/test_cartpole.py``)."""
+def _euler_stepper(p: CartPoleParams, sin, cos):
+    """One explicit-Euler step of ``p``'s plant, with the parameters read
+    once: on Python floats with ``math.sin``/``math.cos``, or on the
+    columns of a batch of states with ``np.sin``/``np.cos``.  Returns the
+    four next-state components as a list.
+
+    On floats ``a * a`` rounds like ``a**2``, and ``math.sin``/``math.cos``
+    give the bits of ``np.sin``/``np.cos`` on NumPy scalars wherever NumPy
+    calls the C library for them, so the float step matches its
+    NumPy-scalar form there (``tests/test_cartpole.py``)."""
     g, m, l, tau = p.g, p.m, p.l, p.tau
     total = m + p.M
     ml = m * l
 
-    def step(y: float, yd: float, th: float, thd: float, u: float) -> list[float]:
-        sin, cos = math.sin(th), math.cos(th)
+    def step(y, yd, th, thd, u) -> list:
+        s, c = sin(th), cos(th)
         thd_sq = thd * thd
-        th_acc = (g * sin + cos * ((-u - ml * thd_sq * sin) / total)) / (
-            l * (4.0 / 3.0 - m * (cos * cos) / total)
+        th_acc = (g * s + c * ((-u - ml * thd_sq * s) / total)) / (
+            l * (4.0 / 3.0 - m * (c * c) / total)
         )
-        y_acc = (u + ml * (thd_sq * sin - th_acc * cos)) / total
+        y_acc = (u + ml * (thd_sq * s - th_acc * c)) / total
         return [y + tau * yd, yd + tau * y_acc, th + tau * thd, thd + tau * th_acc]
-
-    return step
-
-
-def _euler_batch_stepper(p: CartPoleParams):
-    """:func:`_euler_stepper` on the columns of states X [N, 4] and
-    actions U [N, 1], returning the next states [N, 4]."""
-    g, m, l, tau = p.g, p.m, p.l, p.tau
-    total = m + p.M
-    ml = m * l
-
-    def step(X: np.ndarray, U: np.ndarray) -> np.ndarray:
-        y, yd, th, thd = X.T
-        u = U[:, 0]
-        sin, cos = np.sin(th), np.cos(th)
-        thd_sq = thd * thd
-        th_acc = (g * sin + cos * ((-u - ml * thd_sq * sin) / total)) / (
-            l * (4.0 / 3.0 - m * (cos * cos) / total)
-        )
-        y_acc = (u + ml * (thd_sq * sin - th_acc * cos)) / total
-        return np.column_stack(
-            [y + tau * yd, yd + tau * y_acc, th + tau * thd, thd + tau * th_acc]
-        )
 
     return step
 
@@ -107,7 +88,7 @@ def cartpole_true_step(params: CartPoleParams, state, u) -> np.ndarray:
     """One explicit-Euler step of the frictionless nonlinear plant."""
     state = np.asarray(state, dtype=float).reshape(4)
     u = float(np.asarray(u, dtype=float).reshape(-1)[0])
-    return np.array(_euler_stepper(params)(*state.tolist(), u))
+    return np.array(_euler_stepper(params, math.sin, math.cos)(*state.tolist(), u))
 
 
 def cartpole_linearization(params: CartPoleParams) -> LinearModel:
@@ -160,8 +141,8 @@ def cartpole_residual(
     """
     model = cartpole_linearization(params_model)
     A, B = model.A, model.B
-    true_step = _euler_stepper(params_true)
-    true_step_batch = _euler_batch_stepper(params_true)
+    true_step = _euler_stepper(params_true, math.sin, math.cos)
+    true_step_batch = _euler_stepper(params_true, np.sin, np.cos)
 
     def f(t, x, u):
         x = np.asarray(x, dtype=float).reshape(4)
@@ -170,7 +151,7 @@ def cartpole_residual(
         return np.array(true_next) - (A.dot(x) + B.dot(uv))
 
     def f_batch(t, X, U):
-        return true_step_batch(X, U) - (X @ A.T + U @ B.T)
+        return np.column_stack(true_step_batch(*X.T, U[:, 0])) - (X @ A.T + U @ B.T)
 
     probe = ResidualModel(
         eval=f, lipschitz=0.0, kind="state_action", label="probe", eval_batch=f_batch

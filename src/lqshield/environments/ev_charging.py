@@ -127,19 +127,13 @@ def load_prices_csv(path) -> np.ndarray:
 
 @dataclass
 class EvEnvironment:
-    """Linear model + residual + reward for one day of sessions.
-
-    Iterating yields (model, residual, reward) for tuple unpacking.
-    """
+    """Linear model + residual + reward for one day of sessions."""
 
     model: LinearModel
     residual: ResidualModel
     reward: Callable[[int, np.ndarray, np.ndarray], float]
     config: ChargingConfig
     sessions: list
-
-    def __iter__(self):
-        return iter((self.model, self.residual, self.reward))
 
     def rewards_for_trajectory(self, traj: Trajectory) -> np.ndarray:
         """Recompute the per-step rewards of a recorded rollout."""

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateOPT, PreconditionViolated
-from .linalg_control import LinearModel, Synthesis
+from .linalg_control import LinearModel, Synthesis, _eta_series
 from .plant import ResidualModel, Trajectory, disturbance_residual, simulate
 from .policies import auxiliary_optimal_policy, lqr_policy
 
@@ -73,6 +73,18 @@ class TheoremConstants:
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
+
+    def violations(self) -> list[str]:
+        """The guarantee's hypotheses these constants break, one message
+        each; empty when all hold."""
+        found = []
+        if not self.applicable:
+            found.append("rho + C_ell(1+||K||) >= 1: envelope constants not applicable")
+        if self.epsilon >= self.eps_max_stability:
+            found.append(f"epsilon {self.epsilon:g} >= eps_max {self.eps_max_stability:g}")
+        if self.C_ell >= self.C_ell_max:
+            found.append(f"C_ell {self.C_ell:g} >= C_ell_max {self.C_ell_max:g}")
+        return found
 
 
 @dataclass(frozen=True)
@@ -311,9 +323,7 @@ def auxiliary_cost_closed_form(syn: Synthesis, disturbances, x0) -> float:
     B = syn.model.B
     T = len(w)
     BHB = B @ np.linalg.solve(H, B.T)
-    V = [np.zeros(syn.n)] * (T + 1)
-    for t in range(T - 1, -1, -1):
-        V[t] = P @ w[t] + F.T @ V[t + 1]
+    V = _eta_series(F, P, w) + [np.zeros(syn.n)]
     cost = float(x0 @ P @ x0 + 2.0 * x0 @ (F.T @ V[0]))
     for t in range(T):
         cost += float(w[t] @ P @ w[t] + 2.0 * w[t] @ (F.T @ V[t + 1]) - V[t] @ BHB @ V[t])
@@ -584,19 +594,7 @@ def verify_bounds(
     run).  Raises :class:`PreconditionViolated` outside the guarantee's
     hypotheses.
     """
-    violations = []
-    if not constants.applicable:
-        violations.append(
-            "rho + C_ell(1+||K||) >= 1: envelope constants not applicable"
-        )
-    if constants.epsilon >= constants.eps_max_stability:
-        violations.append(
-            f"epsilon {constants.epsilon:g} >= eps_max {constants.eps_max_stability:g}"
-        )
-    if constants.C_ell >= constants.C_ell_max:
-        violations.append(
-            f"C_ell {constants.C_ell:g} >= C_ell_max {constants.C_ell_max:g}"
-        )
+    violations = constants.violations()
     if violations:
         raise PreconditionViolated(violations)
     if c2 is None:

@@ -49,24 +49,31 @@ def pseudo_inverse(M) -> np.ndarray:
     return np.linalg.pinv(_as_matrix(M, "M"))
 
 
+def _eta_series(F, P, seq: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """eta_s = sum_{tau>=s} (F^T)^(tau-s) P seq[tau] for every s of ``seq``.
+
+    One backward pass from a zero tail, eta_s = P seq[s] + F^T eta_{s+1},
+    so no explicit matrix power is ever formed.
+    """
+    F = np.asarray(F, dtype=float)
+    P = np.asarray(P, dtype=float)
+    etas: list[np.ndarray] = [None] * len(seq)
+    eta = np.zeros(P.shape[0])
+    for s in range(len(seq) - 1, -1, -1):
+        eta = P @ np.asarray(seq[s], dtype=float) + F.T @ eta
+        etas[s] = eta
+    return etas
+
+
 def matrix_power_series(
     F: np.ndarray, P: np.ndarray, seq: Sequence[np.ndarray], s: int, t: int
 ) -> np.ndarray:
-    """Evaluate sum_{tau=s}^{t} (F^T)^(tau-s) P seq[tau].
-
-    Accumulated Horner-style from the top index down, so no explicit
-    matrix power is ever formed.
-    """
+    """Evaluate sum_{tau=s}^{t} (F^T)^(tau-s) P seq[tau]."""
     if s > t:
         raise IndexRange(f"series start {s} exceeds end {t}")
     if s < 0 or t >= len(seq):
         raise IndexRange(f"series range [{s}, {t}] outside sequence of length {len(seq)}")
-    Ft = np.asarray(F, dtype=float).T
-    P = np.asarray(P, dtype=float)
-    acc = P @ np.asarray(seq[t], dtype=float)
-    for tau in range(t - 1, s - 1, -1):
-        acc = P @ np.asarray(seq[tau], dtype=float) + Ft @ acc
-    return acc
+    return _eta_series(F, P, seq[s : t + 1])[0]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg_control import Synthesis
+from .linalg_control import Synthesis, _eta_series
 
 __all__ = [
     "Policy",
@@ -59,12 +59,7 @@ class EpsilonReport:
 
 def lqr_policy(syn: Synthesis) -> Policy:
     """The model-based advice u = -K x."""
-    neg_K = -syn.K
-
-    def act(t, x):
-        return neg_K.dot(x)
-
-    return Policy(act=act, descriptor="lqr")
+    return gain_policy(syn.K, "lqr")
 
 
 def gain_policy(K: np.ndarray, descriptor: str = "gain") -> Policy:
@@ -78,15 +73,9 @@ def gain_policy(K: np.ndarray, descriptor: str = "gain") -> Policy:
 
 
 def _feedforward_terms(syn: Synthesis, seq: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """g_t = -H^-1 B' sum_{tau=t} (F')^(tau-t) P seq_tau, computed backward."""
-    P, F, B, H = syn.P, syn.F, syn.model.B, syn.H
-    L = len(seq)
-    g: list[np.ndarray] = [np.zeros(syn.m)] * L
-    eta = np.zeros(syn.n)
-    for t in range(L - 1, -1, -1):
-        eta = P @ np.asarray(seq[t], dtype=float) + F.T @ eta
-        g[t] = -np.linalg.solve(H, B.T @ eta)
-    return g
+    """g_t = -H^-1 B' sum_{tau=t} (F')^(tau-t) P seq_tau."""
+    B, H = syn.model.B, syn.H
+    return [-np.linalg.solve(H, B.T @ eta) for eta in _eta_series(syn.F, syn.P, seq)]
 
 
 def parameterized_blackbox(

@@ -174,3 +174,37 @@ def test_residual_bit_identical_to_true_step_minus_model(params):
         assert np.array_equal(
             resid.eval(0, x, u), reference - (model.A @ x + model.B @ u)
         )
+
+
+def _reference_batch_stepper(p):
+    """The pre-change batch step on the columns of X [N, 4] and U [N, 1]."""
+    g, m, l, tau = p.g, p.m, p.l, p.tau
+    total = m + p.M
+    ml = m * l
+
+    def step(X, U):
+        y, yd, th, thd = X.T
+        u = U[:, 0]
+        sin, cos = np.sin(th), np.cos(th)
+        thd_sq = thd * thd
+        th_acc = (g * sin + cos * ((-u - ml * thd_sq * sin) / total)) / (
+            l * (4.0 / 3.0 - m * (cos * cos) / total)
+        )
+        y_acc = (u + ml * (thd_sq * sin - th_acc * cos)) / total
+        return np.column_stack(
+            [y + tau * yd, yd + tau * y_acc, th + tau * thd, thd + tau * th_acc]
+        )
+
+    return step
+
+
+@pytest.mark.parametrize("mass_error", [False, True])
+def test_batch_residual_bit_identical_to_reference_batch_step(params, mass_error):
+    model_params = params if mass_error else params.with_true_masses_as_model()
+    resid = cartpole_residual(params, model_params, lipschitz_samples=50)
+    model = cartpole_linearization(model_params)
+    rng = np.random.default_rng(29)
+    X = rng.uniform(-1.5, 1.5, (200, 4)) * rng.choice([1e-3, 1.0, 10.0], (200, 1))
+    U = rng.uniform(-20.0, 20.0, (200, 1))
+    reference = _reference_batch_stepper(params)(X, U)
+    assert np.array_equal(resid.batch(0, X, U), reference - (X @ model.A.T + U @ model.B.T))

@@ -254,7 +254,7 @@ def test_dare_sizes_default_costs_from_system(tmp_path):
 
 
 @pytest.mark.parametrize("B", ["1,0;0,1;1,1", ""])
-@pytest.mark.parametrize("command", ["dare", "adversarial"])
+@pytest.mark.parametrize("command", ["dare", "adversarial", "verify-bounds"])
 def test_mismatched_system_is_config_error(tmp_path, capsys, command, B):
     cfg = tmp_path / "mismatch.cfg"
     cfg.write_text(f"[system]\nA = 0.5,0.1;0,0.4\nB = {B}\n")

@@ -53,7 +53,7 @@ for eps in (0.0, 0.02, 0.05, 0.1, 0.2):
     print(f"  eps={eps:4.2f}: mean ratio {np.mean(ratios):.6f}")
 
 print("\nconfidence trace with a destabilizing black box (cut off fast):")
-bad = lq.gain_policy(-syn.K, "destabilizing")
+bad = lq.gain_policy(-syn.K)
 pol = lq.adaptive_policy(syn, bad, lq.lqr_policy(syn), 0.01, "learned")
 traj = lq.simulate(model, lq.disturbance_residual(w), pol, x0, 40)
 print("  lambda_t:", [round(l, 3) for l in pol.lambdas[:8]], "...")

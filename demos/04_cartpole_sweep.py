@@ -45,7 +45,7 @@ for theta in (0.1, 0.2, 0.3, 0.4):
     )
 
 print("\nworst case at theta = 0.4 with a destabilizing black box:")
-bad = lq.gain_policy(-syn.K, "destabilizing")
+bad = lq.gain_policy(-syn.K)
 x0 = np.array([0.0, 0.0, 0.4, 0.0])
 naive = lq.simulate(
     model, residual, lq.naive_convex_policy(bad, advice, 0.8), x0, T, blowup=50.0

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InsufficientHistory, NotRun
-from .linalg_control import Synthesis, _eta_series, pseudo_inverse
+from .linalg_control import Synthesis, _eta_series, _hindsight_weight, pseudo_inverse
 from .plant import write_csv
 from .policies import Policy
 
@@ -81,6 +81,12 @@ class ConfidenceState:
     branches: tuple = ()
 
 
+def _learned_weight(syn: Synthesis) -> np.ndarray:
+    """(B H^-1)^+ B, the m x m weight of the learned rule's denominator."""
+    B = syn.model.B
+    return pseudo_inverse(B @ np.linalg.inv(syn.H)) @ B
+
+
 def learn_lambda_prime(
     syn: Synthesis, log: ObservationLog, numerator_start: int = 1
 ) -> float:
@@ -105,8 +111,8 @@ def learn_lambda_prime(
     if t < 2:
         raise InsufficientHistory(f"need at least 2 recorded steps, have {t}")
     A, B = syn.model.A, syn.model.B
-    P, K, F, H = syn.P, syn.K, syn.F, syn.H
-    M = pseudo_inverse(B @ np.linalg.inv(H)) @ B
+    P, K, F = syn.P, syn.K, syn.F
+    M = _learned_weight(syn)
     resid = [
         A @ log.states[tau] + B @ log.actions[tau] - log.states[tau + 1]
         for tau in range(t)
@@ -135,22 +141,23 @@ def optimal_lambda(
 
     With eta(f; s, t) = sum_{tau=s}^{t} (F')^(tau-s) P f_tau:
 
-        sum_s eta(f*; s, t)' H eta(fhat; s, t)
-        --------------------------------------
-        sum_s eta(fhat; s, t)' H eta(fhat; s, t)
+        sum_s eta(f*; s, t)' B H^-1 B' eta(fhat; s, t)
+        ----------------------------------------------
+        sum_s eta(fhat; s, t)' B H^-1 B' eta(fhat; s, t)
 
     Returns 0 when the denominator is numerically zero.
     """
     if t < 0 or len(f_star) < t + 1 or len(f_hat) < t + 1:
         raise ValueError("residual sequences must cover indices 0..t")
-    F, P, H = syn.F, syn.P, syn.H
+    F, P = syn.F, syn.P
+    W = _hindsight_weight(syn)
     num = 0.0
     den = 0.0
     for eta_star, eta_hat in zip(
         _eta_series(F, P, f_star[: t + 1]), _eta_series(F, P, f_hat[: t + 1])
     ):
-        num += float(eta_star @ (H @ eta_hat))
-        den += float(eta_hat @ (H @ eta_hat))
+        num += float(eta_star @ (W @ eta_hat))
+        den += float(eta_hat @ (W @ eta_hat))
     if abs(den) < _DENOM_FLOOR:
         return 0.0
     return num / den
@@ -198,7 +205,6 @@ class AdaptivePolicy:
         else:
             seq = [float(v) for v in lambda_source]
             self._external = lambda t: seq[min(t, len(seq) - 1)]
-        self.descriptor = f"adaptive({'learned' if self._external is None else 'external'},a={alpha:g})"
         self._lambdas: list[float] = []
         self._raw: list[float] = []
         self._branches: list[str] = []
@@ -206,7 +212,7 @@ class AdaptivePolicy:
         # incremental learned-rule state
         self._A, self._B = syn.model.A, syn.model.B
         self._P, self._F, self._K = syn.P, syn.F, syn.K
-        self._M = pseudo_inverse(self._B @ np.linalg.inv(syn.H)) @ self._B
+        self._M = _learned_weight(syn)
         self._c = np.zeros(syn.n)
         self._num = 0.0
         self._den = 0.0

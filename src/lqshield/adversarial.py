@@ -259,14 +259,7 @@ def demonstrate_instability(
     """
     residual = zero_residual(cert.model.n)
     combined = simulate(
-        cert.model,
-        residual,
-        gain_policy(cert.combined_gain, "blended-gain"),
-        x0,
-        T,
-        blowup=blowup,
+        cert.model, residual, gain_policy(cert.combined_gain), x0, T, blowup=blowup
     )
-    alone = simulate(
-        cert.model, residual, gain_policy(cert.K2, "partner-gain"), x0, T, blowup=blowup
-    )
+    alone = simulate(cert.model, residual, gain_policy(cert.K2), x0, T, blowup=blowup)
     return combined, alone

@@ -72,7 +72,6 @@ from .policies import (
     lqr_policy,
     naive_convex_policy,
     parameterized_blackbox,
-    saturated,
 )
 
 EXIT_OK = 0
@@ -173,7 +172,6 @@ def _cartpole_params(cfg: RunConfig) -> CartPoleParams:
         M=cfg.get("cartpole", "cart_mass", 1.0),
         l=cfg.get("cartpole", "pole_length", 2.0),
         tau=cfg.get("cartpole", "tau", 0.02),
-        F_mag=cfg.get("cartpole", "force_mag", 10.0),
         model_m=cfg.get("cartpole", "model_pole_mass", 0.2),
         model_M=cfg.get("cartpole", "model_cart_mass", 2.0),
     )
@@ -190,26 +188,15 @@ class _CartpoleBench:
         true_model = cartpole_linearization(self.params.with_true_masses_as_model())
         self.syn_true = synthesize(true_model, max_iter=20_000)
         self.epsilon = cfg.get("cartpole", "blackbox_epsilon", 0.0)
-        self.bias_mode = cfg.get("cartpole", "blackbox_bias_mode", "rotation")
         self.naive_lambda = cfg.get("cartpole", "naive_lambda", 0.8)
         self.alpha = cfg.get("cartpole", "alpha", 0.01)
-        # 0 disables clamping; the crude LQR cannot recover theta=0.4
-        # under the +-10 force clamp, so sweeps default to unclamped
-        self.force_limit = cfg.get("cartpole", "force_limit", 0.0)
-
-    def _clamped(self, policy):
-        if self.force_limit > 0:
-            return saturated(policy, self.force_limit)
-        return policy
 
     def build(self, label: str, seed: int):
-        advice = self._clamped(lqr_policy(self.syn))
-        good_bb = self._clamped(
-            epsilon_consistent_blackbox(
-                lqr_policy(self.syn_true), self.epsilon, self.bias_mode, seed
-            )
+        advice = lqr_policy(self.syn)
+        good_bb = epsilon_consistent_blackbox(
+            lqr_policy(self.syn_true), self.epsilon, "rotation", seed
         )
-        bad_bb = self._clamped(gain_policy(-self.syn.K, "destabilizing"))
+        bad_bb = gain_policy(-self.syn.K)
         if label == "lqr":
             return advice
         if label == "blackbox":

@@ -40,12 +40,11 @@ class CartPoleParams:
     M: float = 1.0
     l: float = 2.0
     tau: float = 0.02
-    F_mag: float = 10.0
     model_m: float = 0.2
     model_M: float = 2.0
 
     def __post_init__(self):
-        for name in ("g", "m", "M", "l", "tau", "F_mag", "model_m", "model_M"):
+        for name in ("g", "m", "M", "l", "tau", "model_m", "model_M"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.eta(self.m, self.M) <= 0 or self.eta(self.model_m, self.model_M) <= 0:
@@ -131,7 +130,6 @@ def cartpole_residual(
     params_true: CartPoleParams,
     params_model: CartPoleParams,
     lipschitz_samples: int = 2000,
-    lipschitz_seed: int = 0,
 ) -> ResidualModel:
     """Model error f(t, x, u) = true_step(x, u) - (A x + B u).
 
@@ -153,16 +151,8 @@ def cartpole_residual(
     def f_batch(t, X, U):
         return np.column_stack(true_step_batch(*X.T, U[:, 0])) - (X @ A.T + U @ B.T)
 
-    probe = ResidualModel(
-        eval=f, lipschitz=0.0, kind="state_action", label="probe", eval_batch=f_batch
-    )
+    probe = ResidualModel(eval=f, lipschitz=0.0, eval_batch=f_batch)
     c_hat = estimate_lipschitz(
-        probe, samples=lipschitz_samples, radius=1.0, rng_seed=lipschitz_seed, n=4, m=1
+        probe, samples=lipschitz_samples, radius=1.0, rng_seed=0, n=4, m=1
     )
-    return ResidualModel(
-        eval=f,
-        lipschitz=float(c_hat),
-        kind="state_action",
-        label="cartpole-model-error",
-        eval_batch=f_batch,
-    )
+    return ResidualModel(eval=f, lipschitz=float(c_hat), eval_batch=f_batch)

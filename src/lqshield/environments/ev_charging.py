@@ -102,10 +102,10 @@ class ChargingConfig:
         return self.prices.shape[0]
 
 
-def default_prices(steps: int, base: float = 0.52, swing: float = 0.10) -> np.ndarray:
+def default_prices(steps: int) -> np.ndarray:
     """Smooth daily price curve with a morning dip and an evening peak."""
     t = np.arange(steps) / steps
-    return base + swing * np.sin(2.0 * np.pi * (t - 0.35)) + 0.03 * np.sin(
+    return 0.52 + 0.10 * np.sin(2.0 * np.pi * (t - 0.35)) + 0.03 * np.sin(
         4.0 * np.pi * t
     )
 
@@ -221,12 +221,7 @@ def ev_environment(
                 f.append(0.0)
         return np.array(f, dtype=float)
 
-    residual = ResidualModel(
-        eval=residual_eval,
-        lipschitz=1.0 + tau,
-        kind="state_action",
-        label="ev-charging",
-    )
+    residual = ResidualModel(eval=residual_eval, lipschitz=1.0 + tau)
     phi1, phi2, phi3, phi4 = config.phi
     prices = config.prices.tolist()
     horizon = len(prices)
@@ -289,7 +284,7 @@ def line_limited(policy: Policy, gamma: float) -> Policy:
             u = u * (gamma / total)
         return u
 
-    return Policy(act=act, descriptor=f"limited({gamma:g};{policy.descriptor})")
+    return Policy(act=act)
 
 
 _SESSION_COLUMNS = ("arrival", "departure", "energy_kwh", "station")
@@ -334,7 +329,6 @@ def generate_sessions(
     day_profile: str,
     n_chargers: int = 5,
     steps: int = 288,
-    sessions_per_station: int = 2,
 ) -> list[ChargingSession]:
     """Synthetic one-day session sets with two arrival regimes.
 
@@ -352,11 +346,8 @@ def generate_sessions(
     steps_per_hour = steps / 24.0
     out: list[ChargingSession] = []
     for station in range(1, n_chargers + 1):
-        slots = [7.2 + 0.45 * station, 13.0 + 0.5 * station][:sessions_per_station]
-        while len(slots) < sessions_per_station:
-            slots.append(slots[-1] + 4.0)
         cursor = 0
-        for slot_hour in slots:
+        for slot_hour in (7.2 + 0.45 * station, 13.0 + 0.5 * station):
             if day_profile == "pre_covid":
                 arrival = int(round(slot_hour * steps_per_hour)) + int(
                     rng.choice([-1, 0, 1], p=[0.15, 0.7, 0.15])

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateOPT, PreconditionViolated
-from .linalg_control import LinearModel, Synthesis, _eta_series
+from .linalg_control import LinearModel, Synthesis, _eta_series, _hindsight_weight
 from .plant import ResidualModel, Trajectory, disturbance_residual, simulate
 from .policies import auxiliary_optimal_policy, lqr_policy
 
@@ -234,13 +234,9 @@ class StabilityReport:
     decay_gamma_hat: float
     envelope_C_hat: float
     satisfied: Optional[bool]
-    t0: Optional[int] = None
     degenerate: bool = False
     predicted_gamma: Optional[float] = None
     predicted_C: Optional[float] = None
-
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
     def summary_text(self) -> str:
         lines = [
@@ -269,7 +265,6 @@ def fit_stability_envelope(
     traj: Trajectory,
     predicted: Optional[TheoremConstants] = None,
     threshold: float = 1e-12,
-    t0: Optional[int] = None,
 ) -> StabilityReport:
     """Fit a per-step decay to ||x_t|| and check the predicted envelope."""
     norms = traj.state_norms()
@@ -286,7 +281,6 @@ def fit_stability_envelope(
             decay_gamma_hat=0.0,
             envelope_C_hat=1.0,
             satisfied=True if predicted is not None else None,
-            t0=t0,
             degenerate=True,
             predicted_gamma=pred_gamma,
             predicted_C=pred_C,
@@ -304,7 +298,6 @@ def fit_stability_envelope(
         decay_gamma_hat=decay,
         envelope_C_hat=envelope_C,
         satisfied=satisfied,
-        t0=t0,
         degenerate=False,
         predicted_gamma=pred_gamma,
         predicted_C=pred_C,
@@ -319,10 +312,9 @@ def auxiliary_cost_closed_form(syn: Synthesis, disturbances, x0) -> float:
     """
     w = [np.asarray(v, dtype=float) for v in disturbances]
     x0 = np.asarray(x0, dtype=float)
-    P, F, H = syn.P, syn.F, syn.H
-    B = syn.model.B
+    P, F = syn.P, syn.F
     T = len(w)
-    BHB = B @ np.linalg.solve(H, B.T)
+    BHB = _hindsight_weight(syn)
     V = _eta_series(F, P, w) + [np.zeros(syn.n)]
     cost = float(x0 @ P @ x0 + 2.0 * x0 @ (F.T @ V[0]))
     for t in range(T):
@@ -511,9 +503,6 @@ class CompetitiveReport:
     opt_method: str
     bound_value: Optional[float] = None
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
     def summary_text(self) -> str:
         lines = [
             f"ALG cost : {self.alg_cost:.10g}",
@@ -562,9 +551,6 @@ class BoundCheck:
     model_term: float
     error_term: float
     nonlinear_term: float
-
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def default_c2(constants: TheoremConstants) -> float:

@@ -161,6 +161,14 @@ class Synthesis:
         return self.model.m
 
 
+def _hindsight_weight(syn: Synthesis) -> np.ndarray:
+    """B H^-1 B', the n x n weight that the disturbance-aware optimum puts
+    on the discounted residual series eta (``optimal_lambda`` and
+    ``auxiliary_cost_closed_form``)."""
+    B = syn.model.B
+    return B @ np.linalg.solve(syn.H, B.T)
+
+
 def dare_residual_norm(model: LinearModel, P: np.ndarray) -> float:
     """Operator norm of P - (Q + A'PA - A'PB (R+B'PB)^-1 B'PA)."""
     A, B, Q, R = model.A, model.B, model.Q, model.R

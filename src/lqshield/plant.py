@@ -35,8 +35,6 @@ __all__ = [
 class ResidualModel:
     """The unknown nonlinearity, evaluated as f(t, x, u) -> state vector.
 
-    ``kind`` is "time_only" for pure disturbance sequences w_t (exempt
-    from the f(t,0,0)=0 requirement) and "state_action" otherwise.
     ``lipschitz`` is the declared constant; it is model knowledge, not
     derived -- :func:`estimate_lipschitz` cross-checks it by sampling.
 
@@ -48,13 +46,9 @@ class ResidualModel:
 
     eval: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     lipschitz: float
-    kind: str = "state_action"
-    label: str = ""
     eval_batch: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.kind not in ("time_only", "state_action"):
-            raise ValueError(f"unknown residual kind {self.kind!r}")
         if self.lipschitz < 0:
             raise ValueError("Lipschitz constant must be nonnegative")
 
@@ -79,9 +73,7 @@ def zero_residual(n: int) -> ResidualModel:
     def f_batch(t, X, U):
         return np.zeros((X.shape[0], n))
 
-    return ResidualModel(
-        eval=f, lipschitz=0.0, kind="time_only", label="zero", eval_batch=f_batch
-    )
+    return ResidualModel(eval=f, lipschitz=0.0, eval_batch=f_batch)
 
 
 def disturbance_residual(w: Sequence[np.ndarray]) -> ResidualModel:
@@ -96,9 +88,7 @@ def disturbance_residual(w: Sequence[np.ndarray]) -> ResidualModel:
     def f_batch(t, X, U):
         return np.tile(w[t] if 0 <= t < len(w) else z, (X.shape[0], 1))
 
-    return ResidualModel(
-        eval=f, lipschitz=0.0, kind="time_only", label="disturbance", eval_batch=f_batch
-    )
+    return ResidualModel(eval=f, lipschitz=0.0, eval_batch=f_batch)
 
 
 def lipschitz_residual(
@@ -128,13 +118,7 @@ def lipschitz_residual(
         Z = np.concatenate([X, U], axis=1)
         return constant * saturation * (np.tanh((Z @ J.T) / saturation) @ G.T)
 
-    return ResidualModel(
-        eval=f,
-        lipschitz=constant,
-        kind="state_action",
-        label=f"tanh({constant})",
-        eval_batch=f_batch,
-    )
+    return ResidualModel(eval=f, lipschitz=constant, eval_batch=f_batch)
 
 
 @dataclass
@@ -153,7 +137,6 @@ class Trajectory:
     total_cost: float
     diverged: bool = False
     diverged_at: Optional[int] = None
-    policy_label: str = ""
 
     @property
     def horizon(self) -> int:
@@ -259,7 +242,6 @@ def simulate(
         total_cost=float(np.sum(step_costs)),
         diverged=diverged,
         diverged_at=diverged_at,
-        policy_label=getattr(policy, "descriptor", ""),
     )
 
 
@@ -270,9 +252,8 @@ def estimate_lipschitz(
     rng_seed: int,
     n: int = None,
     m: int = None,
-    t: int = 0,
 ) -> float:
-    """Sampled lower bound of the Lipschitz constant of f(t, ., .).
+    """Sampled lower bound of the Lipschitz constant of f(0, ., .).
 
     Draws ``samples`` pairs (z1, z2) of joint (x, u) points inside the
     ball of the given radius and returns the largest difference ratio.
@@ -302,7 +283,7 @@ def estimate_lipschitz(
         return 0.0
     # both points of every kept pair in one batch: first points, then second
     Z = np.concatenate([Z1[keep], Z2[keep]])
-    F = residual.batch(t, Z[:, :n], Z[:, n:])
+    F = residual.batch(0, Z[:, :n], Z[:, n:])
     half = F.shape[0] // 2
     ratios = np.linalg.norm(F[:half] - F[half:], axis=1) / dz[keep]
     # fmax skips NaN ratios, as the comparison of a per-pair loop would

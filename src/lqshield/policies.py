@@ -44,7 +44,6 @@ __all__ = [
 @dataclass
 class Policy:
     act: Callable[[int, np.ndarray], np.ndarray]
-    descriptor: str = ""
 
 
 @dataclass(frozen=True)
@@ -54,22 +53,21 @@ class EpsilonReport:
 
     epsilon_hat: float
     samples: int
-    states_tested: str
 
 
 def lqr_policy(syn: Synthesis) -> Policy:
     """The model-based advice u = -K x."""
-    return gain_policy(syn.K, "lqr")
+    return gain_policy(syn.K)
 
 
-def gain_policy(K: np.ndarray, descriptor: str = "gain") -> Policy:
+def gain_policy(K: np.ndarray) -> Policy:
     """Plain state feedback u = -K x for an arbitrary gain."""
     neg_K = -np.asarray(K, dtype=float)
 
     def act(t, x):
         return neg_K.dot(x)
 
-    return Policy(act=act, descriptor=descriptor)
+    return Policy(act=act)
 
 
 def _feedforward_terms(syn: Synthesis, seq: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -78,9 +76,7 @@ def _feedforward_terms(syn: Synthesis, seq: Sequence[np.ndarray]) -> list[np.nda
     return [-np.linalg.solve(H, B.T @ eta) for eta in _eta_series(syn.F, syn.P, seq)]
 
 
-def parameterized_blackbox(
-    syn: Synthesis, f_hat: Sequence[np.ndarray], descriptor: str = "parameterized"
-) -> Policy:
+def parameterized_blackbox(syn: Synthesis, f_hat: Sequence[np.ndarray]) -> Policy:
     """Linearly parameterized policy from residual estimates f_hat.
 
     u_t = -K x - H^-1 B' sum_{tau>=t} (F')^(tau-t) P f_hat_tau, with the
@@ -97,7 +93,7 @@ def parameterized_blackbox(
         ff = g[t] if 0 <= t < L else zero
         return neg_K.dot(x) + ff
 
-    return Policy(act=act, descriptor=descriptor)
+    return Policy(act=act)
 
 
 def auxiliary_optimal_policy(syn: Synthesis, disturbances: Sequence[np.ndarray]) -> Policy:
@@ -106,8 +102,7 @@ def auxiliary_optimal_policy(syn: Synthesis, disturbances: Sequence[np.ndarray])
     u_t = -H^-1 B' (P A x_t + sum_{tau=t}^{T} (F')^(tau-t) P w_tau); the
     tail past the sequence end is treated as zero.
     """
-    pol = parameterized_blackbox(syn, disturbances, descriptor="auxiliary-optimal")
-    return pol
+    return parameterized_blackbox(syn, disturbances)
 
 
 def naive_convex_policy(black: Policy, advice: Policy, lambda_fixed: float) -> Policy:
@@ -121,10 +116,7 @@ def naive_convex_policy(black: Policy, advice: Policy, lambda_fixed: float) -> P
             advice.act(t, x), float
         )
 
-    return Policy(
-        act=act,
-        descriptor=f"naive({lam:g};{black.descriptor}|{advice.descriptor})",
-    )
+    return Policy(act=act)
 
 
 def _hashed_unit_vector(seed: int, x: np.ndarray, m: int) -> np.ndarray:
@@ -212,10 +204,7 @@ def epsilon_consistent_blackbox(
             e = eps * state["D"] @ x
         return base + e
 
-    return Policy(
-        act=act,
-        descriptor=f"eps-consistent({eps:g},{bias_mode};{optimal.descriptor})",
-    )
+    return Policy(act=act)
 
 
 def gaussian_state_sampler(n: int, radius: float = 1.0):
@@ -233,9 +222,9 @@ def measure_epsilon(
     sampler,
     samples: int,
     rng_seed: int,
-    times: Sequence[int] = (0,),
 ) -> EpsilonReport:
-    """Empirical sup of ||blackbox(x) - optimal(x)|| / ||x|| over samples.
+    """Empirical sup of ||blackbox(x) - optimal(x)|| / ||x|| over samples,
+    with both policies queried at t = 0.
 
     The reference should be the best available stand-in for the
     hindsight-optimal policy: :func:`auxiliary_optimal_policy` is exact
@@ -252,18 +241,11 @@ def measure_epsilon(
         nx = np.linalg.norm(x)
         if nx < 1e-12:
             continue
-        for t in times:
-            diff = np.asarray(blackbox.act(t, x), float) - np.asarray(
-                optimal.act(t, x), float
-            )
-            ratio = np.linalg.norm(diff) / nx
-            if ratio > worst:
-                worst = float(ratio)
-    return EpsilonReport(
-        epsilon_hat=worst,
-        samples=samples,
-        states_tested=f"{samples} sampled states, times {tuple(times)}",
-    )
+        diff = np.asarray(blackbox.act(0, x), float) - np.asarray(optimal.act(0, x), float)
+        ratio = np.linalg.norm(diff) / nx
+        if ratio > worst:
+            worst = float(ratio)
+    return EpsilonReport(epsilon_hat=worst, samples=samples)
 
 
 def saturated(policy: Policy, limit: float) -> Policy:
@@ -272,7 +254,7 @@ def saturated(policy: Policy, limit: float) -> Policy:
     def act(t, x):
         return np.clip(np.asarray(policy.act(t, x), float), -limit, limit)
 
-    return Policy(act=act, descriptor=f"sat({limit:g};{policy.descriptor})")
+    return Policy(act=act)
 
 
 def nonnegative(policy: Policy) -> Policy:
@@ -281,4 +263,4 @@ def nonnegative(policy: Policy) -> Policy:
     def act(t, x):
         return np.maximum(np.asarray(policy.act(t, x), float), 0.0)
 
-    return Policy(act=act, descriptor=f"nonneg({policy.descriptor})")
+    return Policy(act=act)

@@ -220,7 +220,7 @@ def test_competitive_ratio_properties(bench):
 def test_cartpole_qualitative(cartpole):
     params, model, syn, resid, syn_true = cartpole
     advice = lq.lqr_policy(syn)
-    bad = lq.gain_policy(-syn.K, "destabilizing")
+    bad = lq.gain_policy(-syn.K)
     rng = np.random.default_rng(7)
     T = 1200
     naive_div = adaptive_div = 0

@@ -62,6 +62,22 @@ class TestOptimalLambda:
         z = [np.zeros(3)] * 5
         assert lq.optimal_lambda(syn3, f, z, 4) == 0.0
 
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 1), (4, 2)])
+    def test_equals_symmetric_learned_rule(self, n, m):
+        """On a disturbance-only plant driven by the parameterized black
+        box, the learned rule's observed residuals are -w and its offsets
+        uhat + K x are the feedforward terms -H^-1 B' eta(fhat), so the
+        symmetric learned coefficient is the hindsight weight."""
+        rng = np.random.default_rng(10 * n + m)
+        syn = lq.synthesize(random_stabilizable(rng, n, m))
+        T = 25
+        w = [rng.standard_normal(n) for _ in range(T)]
+        f_hat = [0.7 * v + 0.5 * rng.standard_normal(n) for v in w]
+        bb = lq.parameterized_blackbox(syn, f_hat)
+        traj = lq.simulate(syn.model, lq.disturbance_residual(w), bb, rng.standard_normal(n), T)
+        learned = lq.learn_lambda_prime(syn, run_log(traj, bb), numerator_start=0)
+        assert learned == pytest.approx(lq.optimal_lambda(syn, w, f_hat, T - 1), rel=1e-12)
+
 
 class TestLearnLambdaPrime:
     def test_requires_history(self, syn3):
@@ -211,7 +227,7 @@ class TestAdaptivePolicyBranches:
     def test_external_zeros_give_pure_lqr(self, bench2_model, bench2_syn):
         syn = bench2_syn
         rng = np.random.default_rng(10)
-        bad = lq.gain_policy(rng.standard_normal((2, 2)), "junk")
+        bad = lq.gain_policy(rng.standard_normal((2, 2)))
         pol = lq.adaptive_policy(syn, bad, lq.lqr_policy(syn), 0.1, lambda t: 0.0)
         traj = lq.simulate(bench2_model, lq.zero_residual(2), pol, np.ones(2), 30)
         lqr_traj = lq.simulate(
@@ -453,7 +469,7 @@ def adaptive_cases(bench2_model, bench2_syn):
             return -(A.dot(x) + B.dot(u))
         return w[t]
 
-    cancelling = lq.ResidualModel(eval=cancel_at_10, lipschitz=2.0, label="cancel-at-10")
+    cancelling = lq.ResidualModel(eval=cancel_at_10, lipschitz=2.0)
 
     ev_cfg = ChargingConfig()
     n, T = ev_cfg.n_chargers, ev_cfg.horizon

@@ -1,4 +1,5 @@
 import csv
+import re
 import shlex
 from pathlib import Path
 
@@ -277,6 +278,12 @@ def test_documented_invocation_runs(tmp_path, monkeypatch, command):
     argv[out + 1] = str(tmp_path / "out")
     monkeypatch.chdir(ROOT)
     assert main(argv) == EXIT_OK
+
+
+def test_readme_library_tour_runs(capsys):
+    (tour,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(tour, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_sweep_worker_builds_bench_once(tmp_path, monkeypatch):

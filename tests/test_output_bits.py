@@ -2,7 +2,9 @@
 
 Small ``ev-compare``, ``verify-bounds``, ``sweep-theta`` and
 ``stability-trace`` runs must write exactly the CSV texts recorded below
-(the two long traces by their SHA-256).  They cover the EV residual,
+(the two long traces by their SHA-256); the sweep must also echo the
+recorded effective configuration, so any change to the keys the harness
+reads is made on purpose.  They cover the EV residual,
 reward and line projection, the schedule black box, the adaptive rule in
 learned and external mode, the hashed rotation black box, the cart-pole
 plant step and the confidence trace rows.  A speed-up or a rewrite of any
@@ -74,6 +76,28 @@ SWEEP_SUMMARY = (
     '0.4,adaptive,926.2845255941104,0,2\n'
 )
 
+SWEEP_EFFECTIVE_CONFIG = (
+    'cartpole.alpha = 0.01\n'
+    'cartpole.blackbox_epsilon = 0.0\n'
+    'cartpole.cart_mass = 1.0\n'
+    'cartpole.g = 9.8\n'
+    'cartpole.model_cart_mass = 2.0\n'
+    'cartpole.model_pole_mass = 0.2\n'
+    'cartpole.naive_lambda = 0.8\n'
+    'cartpole.pole_length = 2.0\n'
+    'cartpole.pole_mass = 0.1\n'
+    'cartpole.tau = 0.02\n'
+    'experiment.blowup = 50.0\n'
+    'experiment.horizon = 200\n'
+    'experiment.initial_angle_variation = 0.05\n'
+    'experiment.monte_carlo = 2\n'
+    'experiment.policies = lqr,blackbox,naive,adaptive\n'
+    'sweep.thetas = 0.4\n'
+    'run.command = sweep-theta\n'
+    'run.jobs = 1\n'
+    'run.seed = 0\n'
+)
+
 TRACE_CONFIG = "[experiment]\nhorizon = 200\n"
 
 TRACE_STDOUT = (
@@ -122,6 +146,7 @@ def test_sweep_theta_output_bits(tmp_path):
     out = _run(tmp_path, "sweep-theta", SWEEP_CONFIG)
     assert (out / "rows.csv").read_text() == "".join(SWEEP_ROWS)
     assert (out / "summary.csv").read_text() == "".join(SWEEP_SUMMARY)
+    assert (out / "effective_config.txt").read_text() == "".join(SWEEP_EFFECTIVE_CONFIG)
 
 
 def test_stability_trace_output_bits(tmp_path, capsys):

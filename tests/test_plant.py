@@ -39,7 +39,7 @@ def test_long_horizon_cost_matches_value_function_random():
 
 def test_divergence_flag():
     model = lq.LinearModel(A=[[2.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
-    zero_policy = lq.Policy(act=lambda t, x: np.zeros(1), descriptor="zero")
+    zero_policy = lq.Policy(act=lambda t, x: np.zeros(1))
     traj = lq.simulate(model, None, zero_policy, [1.0], 200, blowup=1e6)
     assert traj.diverged
     assert traj.diverged_at is not None
@@ -264,7 +264,7 @@ def _oracle_cases():
     )
     cp_resid = cartpole_residual(params, params, lipschitz_samples=200)
     advice = lq.lqr_policy(cp_syn)
-    bad = lq.gain_policy(-cp_syn.K, "destabilizing")
+    bad = lq.gain_policy(-cp_syn.K)
     x_cp = [0.0, 0.0, 0.4, 0.0]
 
     rng = np.random.default_rng(21)

@@ -127,7 +127,7 @@ class TestParameterizedBlackbox:
 class TestNaiveConvex:
     def test_endpoints(self, syn3):
         rng = np.random.default_rng(5)
-        black = lq.gain_policy(rng.standard_normal((3, 3)), "black")
+        black = lq.gain_policy(rng.standard_normal((3, 3)))
         advice = lq.lqr_policy(syn3)
         x = rng.standard_normal(3)
         assert np.allclose(
@@ -146,7 +146,7 @@ class TestNaiveConvex:
 
     def test_affine_in_lambda(self, syn3):
         rng = np.random.default_rng(7)
-        black = lq.gain_policy(rng.standard_normal((3, 3)), "black")
+        black = lq.gain_policy(rng.standard_normal((3, 3)))
         advice = lq.lqr_policy(syn3)
         x = rng.standard_normal(3)
         u0 = advice.act(0, x)
@@ -214,7 +214,7 @@ class TestMeasureEpsilon:
         rng = np.random.default_rng(12)
         D = rng.standard_normal((syn3.m, 3))
         D *= 0.05 / np.linalg.norm(D, 2)
-        perturbed = lq.gain_policy(syn3.K + D, "offset")
+        perturbed = lq.gain_policy(syn3.K + D)
         base = lq.lqr_policy(syn3)
         # sampling along the top right-singular direction attains the bound
         _, _, Vt = np.linalg.svd(D)

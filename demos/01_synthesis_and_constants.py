@@ -47,7 +47,7 @@ for C_ell, eps in [(0.0, 0.0), (0.3 * cap, 0.02), (0.9 * cap, 0.05)]:
 # --- cart-pole ------------------------------------------------------------
 params = CartPoleParams()  # model masses deliberately 2x the true ones
 cp = cartpole_linearization(params)
-cp_syn = lq.synthesize(cp, max_iter=20_000)
+cp_syn = lq.synthesize(cp)
 print("\ncart-pole linearization (crude masses)")
 print("  A =\n", cp.A)
 print("  B =", cp.B.ravel())

@@ -17,10 +17,10 @@ from lqshield.environments import CartPoleParams, cartpole_linearization, cartpo
 
 params = CartPoleParams()
 model = cartpole_linearization(params)
-syn = lq.synthesize(model, max_iter=20_000)
+syn = lq.synthesize(model)
 residual = cartpole_residual(params, params)
 syn_true = lq.synthesize(
-    cartpole_linearization(params.with_true_masses_as_model()), max_iter=20_000
+    cartpole_linearization(params.with_true_masses_as_model())
 )
 
 advice = lq.lqr_policy(syn)

@@ -47,7 +47,6 @@ class AdversarialCertificate:
     K2: np.ndarray
     lam: float
     beta: float
-    F1: np.ndarray
     F2: np.ndarray
     rho_F1: float
     rho_F2: float
@@ -233,7 +232,6 @@ def construct_adversarial_K2(
         K2=K2,
         lam=float(lam),
         beta=float(used_beta),
-        F1=F1,
         F2=F2,
         rho_F1=rho_F1,
         rho_F2=spectral_radius(F2),

@@ -109,12 +109,8 @@ class RunConfig:
         if raw is None:
             value = default
         else:
-            caster = type(default)
             try:
-                if caster is bool:
-                    value = raw.strip().lower() in ("1", "true", "yes", "on")
-                else:
-                    value = caster(raw)
+                value = type(default)(raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
         self._effective[(section, key)] = _fmt(value)
@@ -156,6 +152,14 @@ class RunConfig:
         (out_dir / "effective_config.txt").write_text("\n".join(lines) + "\n")
 
 
+def _at_least(cfg: RunConfig, section: str, key: str, default: int, least: int) -> int:
+    """The integer ``[section] key``, rejected as a config error below ``least``."""
+    value = cfg.get(section, key, default)
+    if value < least:
+        raise ConfigError(f"[{section}] {key} = {value}: must be at least {least}")
+    return value
+
+
 def _seed_rng(*entropy) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))
 
@@ -183,10 +187,10 @@ class _CartpoleBench:
     def __init__(self, cfg: RunConfig):
         self.params = _cartpole_params(cfg)
         self.model = cartpole_linearization(self.params)
-        self.syn = synthesize(self.model, max_iter=20_000)
+        self.syn = synthesize(self.model)
         self.residual = cartpole_residual(self.params, self.params)
         true_model = cartpole_linearization(self.params.with_true_masses_as_model())
-        self.syn_true = synthesize(true_model, max_iter=20_000)
+        self.syn_true = synthesize(true_model)
         self.epsilon = cfg.get("cartpole", "blackbox_epsilon", 0.0)
         self.naive_lambda = cfg.get("cartpole", "naive_lambda", 0.8)
         self.alpha = cfg.get("cartpole", "alpha", 0.01)
@@ -242,8 +246,8 @@ def _sweep_task(task: tuple) -> list[tuple]:
 
 def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     thetas = cfg.get_floats("sweep", "thetas", "0.1,0.2,0.3,0.4")
-    monte_carlo = cfg.get("experiment", "monte_carlo", 10)
-    horizon = cfg.get("experiment", "horizon", 1200)
+    monte_carlo = _at_least(cfg, "experiment", "monte_carlo", 10, 1)
+    horizon = _at_least(cfg, "experiment", "horizon", 1200, 1)
     blowup = cfg.get("experiment", "blowup", 50.0)
     jitter = cfg.get("experiment", "initial_angle_variation", 0.05)
     roster = cfg.get("experiment", "policies", "lqr,blackbox,naive,adaptive").split(",")
@@ -289,7 +293,7 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
 
 def cmd_stability_trace(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     theta = cfg.get("experiment", "theta", 0.4)
-    horizon = cfg.get("experiment", "horizon", 1200)
+    horizon = _at_least(cfg, "experiment", "horizon", 1200, 1)
     blowup = cfg.get("experiment", "blowup", 50.0)
     roster = cfg.get(
         "experiment", "policies", "lqr,adaptive-destabilizing,naive-destabilizing"
@@ -343,7 +347,7 @@ def cmd_adversarial(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     model = _system_model(cfg, "0,1,0;0,0,1;0.2,0.1,0.3", "1,0,0;0,1,0;0,0,1")
     lam = cfg.get("adversarial", "lambda", 0.5)
     beta = cfg.get("adversarial", "beta", 0.5)
-    horizon = cfg.get("adversarial", "horizon", 60)
+    horizon = _at_least(cfg, "adversarial", "horizon", 60, 1)
     syn = synthesize(model)
     cert = construct_adversarial_K2(model, syn.K, lam, beta)
     (out / "certificate.txt").write_text(cert.summary_text() + "\n")
@@ -358,7 +362,7 @@ def cmd_adversarial(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
 
 
 def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
-    n_seeds = cfg.get("experiment", "seeds", 20)
+    n_seeds = _at_least(cfg, "experiment", "seeds", 20, 1)
     alpha = cfg.get("experiment", "alpha", 1e-3)
     training_days = cfg.get("experiment", "training_days", 15)
     prices_csv = cfg.get("ev", "prices_csv", "")
@@ -437,11 +441,10 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     ell_fracs = cfg.get_floats("grid", "c_ell_fractions", "0.1,0.5,0.9")
     eps_fracs = cfg.get_floats("grid", "epsilon_fractions", "0.1,0.5,0.9")
     alphas = cfg.get_floats("grid", "alphas", "0.01")
-    n_seeds = cfg.get("experiment", "seeds", 10)
-    horizon = cfg.get("experiment", "horizon", 120)
-    c2 = cfg.get("bounds", "c2", 0.0)
-    c3 = cfg.get("bounds", "c3", 1.0)
-    disturbance_T = cfg.get("experiment", "disturbance_steps", 50)
+    n_seeds = _at_least(cfg, "experiment", "seeds", 10, 1)
+    # the envelope fit needs the 10 states of at least 9 steps
+    horizon = _at_least(cfg, "experiment", "horizon", 120, 9)
+    disturbance_T = _at_least(cfg, "experiment", "disturbance_steps", 50, 1)
     ell_cap = admissible_lipschitz_cap(syn)
     n = model.n
     rows = []
@@ -497,8 +500,6 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
                     CompetitiveReport(cr_mean, 1.0, cr_mean, "exact_time_only"),
                     lambda_limit=0.0,
                     x0_norm=1.0,
-                    c2=None if c2 <= 0 else c2,
-                    c3=c3,
                 )
                 rows.append(
                     (
@@ -545,7 +546,7 @@ def cmd_dare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         model = _system_model(cfg, "0.55,0.25;0,0.45", "1,0;0,1")
     else:
         raise ConfigError(f"unknown environment {env_name!r}")
-    syn = synthesize(model, max_iter=20_000)
+    syn = synthesize(model)
     lines = [
         f"n = {model.n}, m = {model.m}",
         f"dare_residual = {syn.dare_residual!r}",
@@ -596,6 +597,8 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed {args.seed}: must be non-negative")
         cfg = RunConfig(args.config)
         args.out.mkdir(parents=True, exist_ok=True)
         code = _COMMANDS[args.command](cfg, args.out, args.seed, args.jobs)

@@ -132,8 +132,6 @@ class EvEnvironment:
     model: LinearModel
     residual: ResidualModel
     reward: Callable[[int, np.ndarray, np.ndarray], float]
-    config: ChargingConfig
-    sessions: list
 
     def rewards_for_trajectory(self, traj: Trajectory) -> np.ndarray:
         """Recompute the per-step rewards of a recorded rollout."""
@@ -240,13 +238,7 @@ def ev_environment(
             r -= phi4 * x[i] / energy
         return r
 
-    return EvEnvironment(
-        model=model,
-        residual=residual,
-        reward=reward,
-        config=config,
-        sessions=list(sessions),
-    )
+    return EvEnvironment(model=model, residual=residual, reward=reward)
 
 
 def fit_demand_schedule(

@@ -194,7 +194,7 @@ def _theorem_constants(
     )
 
 
-def admissible_lipschitz_cap(syn: Synthesis, tol: float = 1e-10) -> float:
+def admissible_lipschitz_cap(syn: Synthesis) -> float:
     """Largest self-consistent Lipschitz bound: the cap c* solving
     c = C_ell_max(c).
 
@@ -214,7 +214,7 @@ def admissible_lipschitz_cap(syn: Synthesis, tol: float = 1e-10) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * max(1.0, hi):
+        if hi - lo <= 1e-10 * max(1.0, hi):
             break
     return lo
 
@@ -262,9 +262,7 @@ def predicted_envelope_prefactor(constants: TheoremConstants) -> Optional[float]
 
 
 def fit_stability_envelope(
-    traj: Trajectory,
-    predicted: Optional[TheoremConstants] = None,
-    threshold: float = 1e-12,
+    traj: Trajectory, predicted: Optional[TheoremConstants] = None
 ) -> StabilityReport:
     """Fit a per-step decay to ||x_t|| and check the predicted envelope."""
     norms = traj.state_norms()
@@ -273,7 +271,7 @@ def fit_stability_envelope(
     x0n = norms[0]
     if x0n <= 0.0:
         raise ValueError("||x_0|| must be positive")
-    mask = norms > threshold
+    mask = norms > 1e-12
     pred_gamma = predicted.gamma if predicted is not None else None
     pred_C = predicted_envelope_prefactor(predicted) if predicted is not None else None
     if mask.sum() < 2:
@@ -357,7 +355,6 @@ def opt_cost_time_only(
     disturbances,
     x0,
     check: bool = True,
-    rtol: float = 1e-8,
 ) -> float:
     """Exact offline-optimal cost under known additive disturbances.
 
@@ -373,7 +370,7 @@ def opt_cost_time_only(
     cost = total_cost_with_tail(traj, syn)
     if check:
         closed = auxiliary_cost_closed_form(syn, w, x0)
-        if abs(cost - closed) > rtol * max(1.0, abs(closed)):
+        if abs(cost - closed) > 1e-8 * max(1.0, abs(closed)):
             raise RuntimeError(
                 f"optimal-cost cross-check failed: simulated {cost!r} vs closed form {closed!r}"
             )
@@ -390,9 +387,6 @@ class TrajOptResult:
     iterations_run: int
     cost_history: list
 
-    def __float__(self) -> float:
-        return self.cost
-
 
 def opt_cost_trajopt(
     model: LinearModel,
@@ -401,7 +395,6 @@ def opt_cost_trajopt(
     T: int,
     iterations: int = 40,
     syn: Optional[Synthesis] = None,
-    fd_step: float = 1e-6,
 ) -> TrajOptResult:
     """Approximate offline-optimal cost by shooting on u_0..u_{T-1}.
 
@@ -414,7 +407,7 @@ def opt_cost_trajopt(
     The objective rolls a batch of action sequences at once, with the
     residual evaluated through :meth:`ResidualModel.batch`: each descent
     iteration evaluates its 2·T·m central-difference probes (u ± h_j e_j,
-    h_j = fd_step max(1, |u_j|)) as one batch, and the initial cost and
+    h_j = 1e-6 max(1, |u_j|)) as one batch, and the initial cost and
     each line-search candidate as a batch of one.  A sequence whose state
     goes non-finite costs inf.
     """
@@ -462,7 +455,7 @@ def opt_cost_trajopt(
     D = u.shape[0]
     rows = np.arange(D)
     for _ in range(iterations):
-        h = fd_step * np.maximum(1.0, np.abs(u))
+        h = 1e-6 * np.maximum(1.0, np.abs(u))
         probes = np.tile(u, (2 * D, 1))
         probes[rows, rows] += h
         probes[D + rows, rows] -= h
@@ -547,7 +540,6 @@ def competitive_ratio(
 class BoundCheck:
     satisfied: bool
     bound: float
-    margin: float
     model_term: float
     error_term: float
     nonlinear_term: float
@@ -593,7 +585,6 @@ def verify_bounds(
     return BoundCheck(
         satisfied=report.ratio <= bound,
         bound=float(bound),
-        margin=float(bound - report.ratio),
         model_term=float(model_term),
         error_term=float(error_term),
         nonlinear_term=float(nonlinear_term),

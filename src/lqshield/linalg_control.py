@@ -178,9 +178,10 @@ def dare_residual_norm(model: LinearModel, P: np.ndarray) -> float:
     return float(np.linalg.norm(P - rhs, 2))
 
 
-def _dare_fixed_point(
-    model: LinearModel, tol: float, max_iter: int
-) -> tuple[np.ndarray, int]:
+_DARE_TOL = 1e-12
+
+
+def _dare_fixed_point(model: LinearModel, max_iter: int) -> tuple[np.ndarray, int]:
     """The Riccati fixed point of :func:`solve_dare` and its iteration count."""
     A, B, Q, R = model.A, model.B, model.Q, model.R
     P = Q.copy()
@@ -198,7 +199,7 @@ def _dare_fixed_point(
             raise NonStabilizable(
                 f"Riccati iteration diverged after {it} iterations"
             )
-        if delta <= tol * (1.0 + np.max(np.abs(P))):
+        if delta <= _DARE_TOL * (1.0 + np.max(np.abs(P))):
             return P, it
     raise NonStabilizable(
         f"Riccati iteration did not converge within {max_iter} iterations: "
@@ -207,26 +208,22 @@ def _dare_fixed_point(
     )
 
 
-def solve_dare(
-    model: LinearModel,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> np.ndarray:
+def solve_dare(model: LinearModel, max_iter: int = 20_000) -> np.ndarray:
     """Fixed-point solution of P = Q + A'PA - A'PB (R+B'PB)^-1 B'PA.
 
-    Iterates from P0 = Q until the sup-norm update drops below
-    ``tol * (1 + ||P||)``.  Divergence or non-convergence raises
-    :class:`NonStabilizable`; on non-convergence its message gives the
-    last sup-norm update and the DARE residual of the last iterate.
+    Iterates from P0 = Q until the sup-norm update drops to
+    ``1e-12 * (1 + ||P||)``, for at most ``max_iter`` iterations.
+    Divergence or non-convergence raises :class:`NonStabilizable`; on
+    non-convergence its message gives the last sup-norm update and the
+    DARE residual of the last iterate.
     """
-    return _dare_fixed_point(model, tol, max_iter)[0]
+    return _dare_fixed_point(model, max_iter)[0]
 
 
 def synthesize(
     model: LinearModel,
     T_check: int = 500,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
+    max_iter: int = 20_000,
 ) -> Synthesis:
     """Full LQR synthesis: P, K, F, H plus the decay-envelope constants.
 
@@ -238,7 +235,7 @@ def synthesize(
     Raises :class:`NonStabilizable` if the Riccati iteration fails or if
     the synthesized closed loop is not contracting.
     """
-    P, iterations = _dare_fixed_point(model, tol, max_iter)
+    P, iterations = _dare_fixed_point(model, max_iter)
     A, B, Q, R = model.A, model.B, model.Q, model.R
     H = R + B.T @ P @ B
     H = 0.5 * (H + H.T)

@@ -52,9 +52,6 @@ class ResidualModel:
         if self.lipschitz < 0:
             raise ValueError("Lipschitz constant must be nonnegative")
 
-    def __call__(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.eval(t, x, u)
-
     def batch(self, t: int, X: np.ndarray, U: np.ndarray) -> np.ndarray:
         """f(t, X[k], U[k]) for every row k, as an [N, n] array."""
         if self.eval_batch is not None:
@@ -250,8 +247,8 @@ def estimate_lipschitz(
     samples: int,
     radius: float,
     rng_seed: int,
-    n: int = None,
-    m: int = None,
+    n: int,
+    m: int,
 ) -> float:
     """Sampled lower bound of the Lipschitz constant of f(0, ., .).
 
@@ -262,8 +259,6 @@ def estimate_lipschitz(
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if n is None or m is None:
-        raise ValueError("state and action dimensions are required")
     rng = np.random.default_rng(rng_seed)
     Z1 = np.empty((samples, n + m))
     Z2 = np.empty((samples, n + m))

@@ -52,7 +52,6 @@ class EpsilonReport:
     ||blackbox(x) - reference(x)|| / ||x||."""
 
     epsilon_hat: float
-    samples: int
 
 
 def lqr_policy(syn: Synthesis) -> Policy:
@@ -207,11 +206,11 @@ def epsilon_consistent_blackbox(
     return Policy(act=act)
 
 
-def gaussian_state_sampler(n: int, radius: float = 1.0):
-    """Sampler drawing states from radius * N(0, I_n)."""
+def gaussian_state_sampler(n: int):
+    """Sampler drawing states from N(0, I_n)."""
 
     def sample(rng: np.random.Generator) -> np.ndarray:
-        return radius * rng.standard_normal(n)
+        return rng.standard_normal(n)
 
     return sample
 
@@ -245,7 +244,7 @@ def measure_epsilon(
         ratio = np.linalg.norm(diff) / nx
         if ratio > worst:
             worst = float(ratio)
-    return EpsilonReport(epsilon_hat=worst, samples=samples)
+    return EpsilonReport(epsilon_hat=worst)
 
 
 def saturated(policy: Policy, limit: float) -> Policy:

@@ -42,10 +42,10 @@ def bench():
 def cartpole():
     params = CartPoleParams()
     model = cartpole_linearization(params)
-    syn = lq.synthesize(model, max_iter=20_000)
+    syn = lq.synthesize(model)
     resid = cartpole_residual(params, params)
     syn_true = lq.synthesize(
-        cartpole_linearization(params.with_true_masses_as_model()), max_iter=20_000
+        cartpole_linearization(params.with_true_masses_as_model())
     )
     return params, model, syn, resid, syn_true
 

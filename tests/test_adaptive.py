@@ -450,9 +450,9 @@ def adaptive_cases(bench2_model, bench2_syn):
 
     params = CartPoleParams()
     cp_model = cartpole_linearization(params)
-    cp_syn = lq.synthesize(cp_model, max_iter=20_000)
+    cp_syn = lq.synthesize(cp_model)
     cp_true = lq.synthesize(
-        cartpole_linearization(params.with_true_masses_as_model()), max_iter=20_000
+        cartpole_linearization(params.with_true_masses_as_model())
     )
     cp_bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(cp_true), 0.1, "rotation", 3)
     cp_resid = cartpole_residual(params, params, lipschitz_samples=200)

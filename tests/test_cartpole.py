@@ -140,7 +140,7 @@ def test_rejects_bad_parameters():
 
 def test_crude_lqr_stabilizes_true_plant(params):
     model = cartpole_linearization(params)
-    syn = lq.synthesize(model, max_iter=20_000)
+    syn = lq.synthesize(model)
     assert syn.rho_F < 1.0
     resid = cartpole_residual(params, params, lipschitz_samples=50)
     traj = lq.simulate(model, resid, lq.lqr_policy(syn), [0, 0, 0.3, 0], 800, blowup=50.0)

@@ -311,3 +311,45 @@ def test_sweep_worker_builds_bench_once(tmp_path, monkeypatch):
     cli._init_worker(cfg)
     assert cli._bench is present
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["sweep-theta", "stability-trace", "adversarial", "ev-compare", "verify-bounds", "dare"],
+)
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    code, _ = run(tmp_path, command, "--seed", "-1")
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("verify-bounds", "[experiment]\nseeds = 0\n"),
+        ("verify-bounds", "[experiment]\nhorizon = 8\n"),
+        ("verify-bounds", "[experiment]\ndisturbance_steps = 0\n"),
+        ("sweep-theta", "[experiment]\nhorizon = 0\n"),
+        ("stability-trace", "[experiment]\nhorizon = 0\n"),
+        ("adversarial", "[adversarial]\nhorizon = 0\n"),
+        ("ev-compare", "[experiment]\nseeds = 0\n"),
+        ("sweep-theta", "[experiment]\nmonte_carlo = 0\n"),
+    ],
+    ids=[
+        "verify-bounds-seeds",
+        "verify-bounds-horizon",
+        "verify-bounds-disturbance_steps",
+        "sweep-theta-horizon",
+        "stability-trace-horizon",
+        "adversarial-horizon",
+        "ev-compare-seeds",
+        "sweep-theta-monte_carlo",
+    ],
+)
+def test_degenerate_count_is_config_error(tmp_path, capsys, command, config):
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(config)
+    code, out = run(tmp_path, command, "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))

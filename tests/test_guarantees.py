@@ -250,7 +250,7 @@ class TestHoistedNorms:
         n = int(rng.integers(1, 5))
         m = n if rng.random() < 0.5 else int(rng.integers(1, n + 1))
         try:
-            syn = lq.synthesize(random_stabilizable(rng, n, m), max_iter=20_000)
+            syn = lq.synthesize(random_stabilizable(rng, n, m))
         except lq.NonStabilizable:
             return
         cap = admissible_lipschitz_cap(syn)
@@ -331,7 +331,7 @@ def _trajopt_cases(bench2_model, bench2_syn):
 
     params = CartPoleParams()
     cp_model = cartpole_linearization(params)
-    cp_syn = lq.synthesize(cp_model, max_iter=20_000)
+    cp_syn = lq.synthesize(cp_model)
     cp_resid = cartpole_residual(params, params, lipschitz_samples=200)
     cases = {
         f"cartpole-{angle}": (cp_model, cp_resid, [0.0, 0.0, angle, 0.0], 12, 40, cp_syn)

@@ -258,9 +258,9 @@ def _oracle_cases():
 
     params = CartPoleParams()
     cp_model = cartpole_linearization(params)
-    cp_syn = lq.synthesize(cp_model, max_iter=20_000)
+    cp_syn = lq.synthesize(cp_model)
     cp_true = lq.synthesize(
-        cartpole_linearization(params.with_true_masses_as_model()), max_iter=20_000
+        cartpole_linearization(params.with_true_masses_as_model())
     )
     cp_resid = cartpole_residual(params, params, lipschitz_samples=200)
     advice = lq.lqr_policy(cp_syn)

@@ -13,7 +13,6 @@ from .adaptive import (
     ConfidenceState,
     ObservationLog,
     adaptive_policy,
-    confidence_trace,
     learn_lambda_prime,
     optimal_lambda,
     write_confidence_csv,
@@ -26,7 +25,6 @@ from .adversarial import (
 from .errors import (
     ConfigError,
     DegenerateOPT,
-    IndexRange,
     InsufficientHistory,
     NonStabilizable,
     NotApplicable,
@@ -50,13 +48,11 @@ from .guarantees import (
     opt_cost_trajopt,
     theorem_constants,
     total_cost_with_tail,
-    truncation_tail_bound,
     verify_bounds,
 )
 from .linalg_control import (
     LinearModel,
     Synthesis,
-    matrix_power_series,
     pseudo_inverse,
     solve_dare,
     spectral_radius,
@@ -65,7 +61,6 @@ from .linalg_control import (
 from .plant import (
     ResidualModel,
     Trajectory,
-    cost_of,
     disturbance_residual,
     estimate_lipschitz,
     lipschitz_residual,

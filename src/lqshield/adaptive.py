@@ -32,7 +32,6 @@ __all__ = [
     "optimal_lambda",
     "AdaptivePolicy",
     "adaptive_policy",
-    "confidence_trace",
     "write_confidence_csv",
 ]
 
@@ -50,13 +49,6 @@ class ObservationLog:
     states: list = field(default_factory=list)
     actions: list = field(default_factory=list)
     blackbox_actions: list = field(default_factory=list)
-
-    def append_state(self, x) -> None:
-        self.states.append(np.asarray(x, dtype=float).copy())
-
-    def append_step(self, u, u_hat) -> None:
-        self.actions.append(np.asarray(u, dtype=float).copy())
-        self.blackbox_actions.append(np.asarray(u_hat, dtype=float).copy())
 
     @property
     def t(self) -> int:
@@ -318,11 +310,6 @@ def adaptive_policy(
 ) -> AdaptivePolicy:
     """Construct an :class:`AdaptivePolicy` (one instance per simulation)."""
     return AdaptivePolicy(syn, blackbox, advice, alpha, lambda_source)
-
-
-def confidence_trace(policy: AdaptivePolicy) -> ConfidenceState:
-    """The recorded lambda sequence; raises :class:`NotRun` before any step."""
-    return policy.trace()
 
 
 def write_confidence_csv(policy: AdaptivePolicy, path) -> None:

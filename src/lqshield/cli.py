@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
+import operator
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,6 @@ from .guarantees import (
     fit_stability_envelope,
     opt_cost_time_only,
     theorem_constants,
-    truncation_tail_bound,
     verify_bounds,
 )
 from .linalg_control import LinearModel, synthesize
@@ -124,6 +124,8 @@ class RunConfig:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
         if not values:
             raise ConfigError(f"[{section}] {key}: grid must be non-empty")
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"[{section}] {key} = {raw!r}: entries must be finite")
         self._effective[(section, key)] = ",".join(repr(v) for v in values)
         return values
 
@@ -152,12 +154,24 @@ class RunConfig:
         (out_dir / "effective_config.txt").write_text("\n".join(lines) + "\n")
 
 
-def _at_least(cfg: RunConfig, section: str, key: str, default: int, least: int) -> int:
-    """The integer ``[section] key``, rejected as a config error below ``least``."""
-    value = cfg.get(section, key, default)
-    if value < least:
-        raise ConfigError(f"[{section}] {key} = {value}: must be at least {least}")
-    return value
+def _bounded(cfg: RunConfig, section: str, key: str, default, *, least=None, above=None,
+             most=None, below=None):
+    """``[section] key``, rejected as a config error outside its bounds.
+
+    ``least`` and ``most`` are inclusive, ``above`` and ``below``
+    exclusive, and each test fails on NaN.  A string default reads a
+    comma list through :meth:`RunConfig.get_floats` and bounds every
+    entry.
+    """
+    listed = isinstance(default, str)
+    values = cfg.get_floats(section, key, default) if listed else [cfg.get(section, key, default)]
+    bounds = ((least, operator.ge, "at least"), (above, operator.gt, "above"),
+              (most, operator.le, "at most"), (below, operator.lt, "below"))
+    for v in values:
+        for bound, holds, text in bounds:
+            if bound is not None and not holds(v, bound):
+                raise ConfigError(f"[{section}] {key} = {v}: must be {text} {bound}")
+    return values if listed else values[0]
 
 
 def _seed_rng(*entropy) -> np.random.Generator:
@@ -170,7 +184,7 @@ def _seed_rng(*entropy) -> np.random.Generator:
 
 
 def _cartpole_params(cfg: RunConfig) -> CartPoleParams:
-    return CartPoleParams(
+    settings = dict(
         g=cfg.get("cartpole", "g", 9.8),
         m=cfg.get("cartpole", "pole_mass", 0.1),
         M=cfg.get("cartpole", "cart_mass", 1.0),
@@ -179,6 +193,10 @@ def _cartpole_params(cfg: RunConfig) -> CartPoleParams:
         model_m=cfg.get("cartpole", "model_pole_mass", 0.2),
         model_M=cfg.get("cartpole", "model_cart_mass", 2.0),
     )
+    try:
+        return CartPoleParams(**settings)
+    except ValueError as exc:
+        raise ConfigError(f"[cartpole] {exc}") from exc
 
 
 class _CartpoleBench:
@@ -191,9 +209,9 @@ class _CartpoleBench:
         self.residual = cartpole_residual(self.params, self.params)
         true_model = cartpole_linearization(self.params.with_true_masses_as_model())
         self.syn_true = synthesize(true_model)
-        self.epsilon = cfg.get("cartpole", "blackbox_epsilon", 0.0)
-        self.naive_lambda = cfg.get("cartpole", "naive_lambda", 0.8)
-        self.alpha = cfg.get("cartpole", "alpha", 0.01)
+        self.epsilon = _bounded(cfg, "cartpole", "blackbox_epsilon", 0.0, least=0.0)
+        self.naive_lambda = _bounded(cfg, "cartpole", "naive_lambda", 0.8, least=0.0, most=1.0)
+        self.alpha = _bounded(cfg, "cartpole", "alpha", 0.01, above=0.0)
 
     def build(self, label: str, seed: int):
         advice = lqr_policy(self.syn)
@@ -246,10 +264,10 @@ def _sweep_task(task: tuple) -> list[tuple]:
 
 def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     thetas = cfg.get_floats("sweep", "thetas", "0.1,0.2,0.3,0.4")
-    monte_carlo = _at_least(cfg, "experiment", "monte_carlo", 10, 1)
-    horizon = _at_least(cfg, "experiment", "horizon", 1200, 1)
-    blowup = cfg.get("experiment", "blowup", 50.0)
-    jitter = cfg.get("experiment", "initial_angle_variation", 0.05)
+    monte_carlo = _bounded(cfg, "experiment", "monte_carlo", 10, least=1)
+    horizon = _bounded(cfg, "experiment", "horizon", 1200, least=1)
+    blowup = _bounded(cfg, "experiment", "blowup", 50.0, above=0.0)
+    jitter = _bounded(cfg, "experiment", "initial_angle_variation", 0.05, least=0.0)
     roster = cfg.get("experiment", "policies", "lqr,blackbox,naive,adaptive").split(",")
     # building the bench here records the cartpole keys in the echoed
     # effective config; the tasks of this process then reuse it
@@ -261,6 +279,9 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         for label in roster
     ]
     if jobs > 1:
+        # imported here: the pool pulls in multiprocessing, which no other run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(cfg,)
         ) as pool:
@@ -293,24 +314,18 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
 
 def cmd_stability_trace(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     theta = cfg.get("experiment", "theta", 0.4)
-    horizon = _at_least(cfg, "experiment", "horizon", 1200, 1)
-    blowup = cfg.get("experiment", "blowup", 50.0)
+    horizon = _bounded(cfg, "experiment", "horizon", 1200, least=1)
+    blowup = _bounded(cfg, "experiment", "blowup", 50.0, above=0.0)
     roster = cfg.get(
         "experiment", "policies", "lqr,adaptive-destabilizing,naive-destabilizing"
     ).split(",")
     bench = _CartpoleBench(cfg)
     x0 = np.array([0.0, 0.0, theta, 0.0])
-    consts = theorem_constants(bench.syn, bench.residual.lipschitz, 0.0)
     for label in roster:
         label = label.strip()
         policy = bench.build(label, seed=seed)
         traj = simulate(bench.model, bench.residual, policy, x0, horizon, blowup=blowup)
-        if not traj.diverged and consts.gamma < 1.0:
-            tail = truncation_tail_bound(traj, bench.syn, consts.gamma)
-            print(f"{label}: final ||x|| = {np.linalg.norm(traj.states[-1]):.3e}, "
-                  f"truncation tail bound {tail:.3e}")
-        else:
-            print(f"{label}: diverged={traj.diverged}")
+        print(f"{label}: diverged={traj.diverged}")
         norms = traj.state_norms()
         if hasattr(policy, "trace"):
             state = policy.trace()
@@ -345,9 +360,9 @@ def _system_model(cfg: RunConfig, A_default: str, B_default: str) -> LinearModel
 
 def cmd_adversarial(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     model = _system_model(cfg, "0,1,0;0,0,1;0.2,0.1,0.3", "1,0,0;0,1,0;0,0,1")
-    lam = cfg.get("adversarial", "lambda", 0.5)
-    beta = cfg.get("adversarial", "beta", 0.5)
-    horizon = _at_least(cfg, "adversarial", "horizon", 60, 1)
+    lam = _bounded(cfg, "adversarial", "lambda", 0.5, above=0.0, below=1.0)
+    beta = _bounded(cfg, "adversarial", "beta", 0.5, above=0.0, below=1.0)
+    horizon = _bounded(cfg, "adversarial", "horizon", 60, least=1)
     syn = synthesize(model)
     cert = construct_adversarial_K2(model, syn.K, lam, beta)
     (out / "certificate.txt").write_text(cert.summary_text() + "\n")
@@ -362,9 +377,9 @@ def cmd_adversarial(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
 
 
 def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
-    n_seeds = _at_least(cfg, "experiment", "seeds", 20, 1)
-    alpha = cfg.get("experiment", "alpha", 1e-3)
-    training_days = cfg.get("experiment", "training_days", 15)
+    n_seeds = _bounded(cfg, "experiment", "seeds", 20, least=1)
+    alpha = _bounded(cfg, "experiment", "alpha", 1e-3, above=0.0)
+    training_days = _bounded(cfg, "experiment", "training_days", 15, least=1)
     prices_csv = cfg.get("ev", "prices_csv", "")
     settings = dict(
         n_chargers=cfg.get("ev", "n_chargers", 5),
@@ -438,13 +453,13 @@ def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
 def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     model = _system_model(cfg, "0.55,0.25;0,0.45", "1,0;0,1")
     syn = synthesize(model)
-    ell_fracs = cfg.get_floats("grid", "c_ell_fractions", "0.1,0.5,0.9")
-    eps_fracs = cfg.get_floats("grid", "epsilon_fractions", "0.1,0.5,0.9")
-    alphas = cfg.get_floats("grid", "alphas", "0.01")
-    n_seeds = _at_least(cfg, "experiment", "seeds", 10, 1)
+    ell_fracs = _bounded(cfg, "grid", "c_ell_fractions", "0.1,0.5,0.9", least=0.0)
+    eps_fracs = _bounded(cfg, "grid", "epsilon_fractions", "0.1,0.5,0.9", least=0.0)
+    alphas = _bounded(cfg, "grid", "alphas", "0.01", above=0.0)
+    n_seeds = _bounded(cfg, "experiment", "seeds", 10, least=1)
     # the envelope fit needs the 10 states of at least 9 steps
-    horizon = _at_least(cfg, "experiment", "horizon", 120, 9)
-    disturbance_T = _at_least(cfg, "experiment", "disturbance_steps", 50, 1)
+    horizon = _bounded(cfg, "experiment", "horizon", 120, least=9)
+    disturbance_T = _bounded(cfg, "experiment", "disturbance_steps", 50, least=1)
     ell_cap = admissible_lipschitz_cap(syn)
     n = model.n
     rows = []
@@ -537,10 +552,12 @@ def cmd_dare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     if env_name == "cartpole":
         model = cartpole_linearization(_cartpole_params(cfg))
     elif env_name == "ev":
-        config = ChargingConfig(
-            n_chargers=cfg.get("ev", "n_chargers", 5),
-            tau=cfg.get("ev", "tau_minutes", 5.0) / 60.0,
-        )
+        n_chargers = cfg.get("ev", "n_chargers", 5)
+        tau = cfg.get("ev", "tau_minutes", 5.0) / 60.0
+        try:
+            config = ChargingConfig(n_chargers=n_chargers, tau=tau)
+        except ValueError as exc:
+            raise ConfigError(f"[ev] {exc}") from exc
         model = ev_environment(config, []).model
     elif env_name == "custom":
         model = _system_model(cfg, "0.55,0.25;0,0.45", "1,0;0,1")

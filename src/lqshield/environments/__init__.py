@@ -4,7 +4,6 @@ from .cartpole import (
     CartPoleParams,
     cartpole_linearization,
     cartpole_residual,
-    cartpole_true_step,
 )
 from .ev_charging import (
     ChargingConfig,
@@ -16,13 +15,10 @@ from .ev_charging import (
     generate_sessions,
     line_limited,
     load_prices_csv,
-    load_sessions_csv,
-    write_sessions_csv,
 )
 
 __all__ = [
     "CartPoleParams",
-    "cartpole_true_step",
     "cartpole_linearization",
     "cartpole_residual",
     "ChargingSession",
@@ -31,8 +27,6 @@ __all__ = [
     "ev_environment",
     "fit_demand_schedule",
     "generate_sessions",
-    "load_sessions_csv",
-    "write_sessions_csv",
     "load_prices_csv",
     "default_prices",
     "line_limited",

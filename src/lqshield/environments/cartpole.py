@@ -20,7 +20,6 @@ from ..plant import ResidualModel, estimate_lipschitz
 
 __all__ = [
     "CartPoleParams",
-    "cartpole_true_step",
     "cartpole_linearization",
     "cartpole_residual",
 ]
@@ -44,10 +43,11 @@ class CartPoleParams:
     model_M: float = 2.0
 
     def __post_init__(self):
+        # written as `not > 0` so that NaN fails too
         for name in ("g", "m", "M", "l", "tau", "model_m", "model_M"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.eta(self.m, self.M) <= 0 or self.eta(self.model_m, self.model_M) <= 0:
+        if not (self.eta(self.m, self.M) > 0 and self.eta(self.model_m, self.model_M) > 0):
             raise ValueError("effective length (4/3) l - m l / (m + M) must be positive")
 
     def eta(self, m: float, M: float) -> float:
@@ -81,13 +81,6 @@ def _euler_stepper(p: CartPoleParams, sin, cos):
         return [y + tau * yd, yd + tau * y_acc, th + tau * thd, thd + tau * th_acc]
 
     return step
-
-
-def cartpole_true_step(params: CartPoleParams, state, u) -> np.ndarray:
-    """One explicit-Euler step of the frictionless nonlinear plant."""
-    state = np.asarray(state, dtype=float).reshape(4)
-    u = float(np.asarray(u, dtype=float).reshape(-1)[0])
-    return np.array(_euler_stepper(params, math.sin, math.cos)(*state.tolist(), u))
 
 
 def cartpole_linearization(params: CartPoleParams) -> LinearModel:

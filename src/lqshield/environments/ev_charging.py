@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import SessionConflict, SessionParseError, ValidationError
 from ..linalg_control import LinearModel
-from ..plant import ResidualModel, Trajectory, write_csv
+from ..plant import ResidualModel, Trajectory
 from ..policies import Policy
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "ev_environment",
     "default_prices",
     "load_prices_csv",
-    "load_sessions_csv",
-    "write_sessions_csv",
     "generate_sessions",
     "line_limited",
 ]
@@ -84,9 +82,10 @@ class ChargingConfig:
     def __post_init__(self):
         if self.n_chargers < 1:
             raise ValueError("need at least one charger")
-        if self.line_limit <= 0:
+        # written as `not > 0` so that NaN fails too
+        if not self.line_limit > 0:
             raise ValueError("line limit must be positive")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("step duration must be positive")
         prices = np.asarray(self.prices, dtype=float)
         if prices.ndim != 1 or prices.shape[0] == 0:
@@ -277,43 +276,6 @@ def line_limited(policy: Policy, gamma: float) -> Policy:
         return u
 
     return Policy(act=act)
-
-
-_SESSION_COLUMNS = ("arrival", "departure", "energy_kwh", "station")
-
-
-def load_sessions_csv(path) -> list[ChargingSession]:
-    """Read sessions from CSV columns arrival,departure,energy_kwh,station."""
-    out: list[ChargingSession] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != _SESSION_COLUMNS:
-            raise SessionParseError(
-                1, f"expected header {','.join(_SESSION_COLUMNS)}, got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                arrival = int(row["arrival"])
-                departure = int(row["departure"])
-                energy = float(row["energy_kwh"])
-                station = int(row["station"])
-            except (TypeError, ValueError) as exc:
-                raise SessionParseError(lineno, f"unparsable row {row!r}") from exc
-            out.append(
-                ChargingSession(
-                    arrival=arrival, departure=departure, energy=energy, station=station
-                )
-            )
-    return out
-
-
-def write_sessions_csv(sessions: Sequence[ChargingSession], path) -> None:
-    """Write sessions in the column layout :func:`load_sessions_csv` reads."""
-    write_csv(
-        path,
-        _SESSION_COLUMNS,
-        [(s.arrival, s.departure, s.energy, s.station) for s in sessions],
-    )
 
 
 def generate_sessions(

@@ -5,10 +5,6 @@ class NonStabilizable(RuntimeError):
     """Riccati iteration diverged or failed to converge: (A, B) is not stabilizable."""
 
 
-class IndexRange(ValueError):
-    """A series was requested over an empty or inverted index range."""
-
-
 class InsufficientHistory(ValueError):
     """The observation log is too short to evaluate the learning rule."""
 
@@ -30,7 +26,7 @@ class SessionConflict(ValueError):
 
 
 class SessionParseError(ValueError):
-    """A session CSV row could not be parsed; carries the 1-based line number."""
+    """A price CSV row could not be parsed; carries the 1-based line number."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")

@@ -238,20 +238,6 @@ class StabilityReport:
     predicted_gamma: Optional[float] = None
     predicted_C: Optional[float] = None
 
-    def summary_text(self) -> str:
-        lines = [
-            f"fitted decay     : {self.decay_gamma_hat:.10g}",
-            f"fitted prefactor : {self.envelope_C_hat:.10g}",
-        ]
-        if self.predicted_gamma is not None:
-            lines.append(
-                f"predicted bound  : {self.predicted_C!r} * {self.predicted_gamma:.10g}^t"
-            )
-            lines.append(f"satisfied        : {self.satisfied}")
-        if self.degenerate:
-            lines.append("(degenerate: all states below threshold)")
-        return "\n".join(lines)
-
 
 def predicted_envelope_prefactor(constants: TheoremConstants) -> Optional[float]:
     """(C_F + mu/gamma) / (1 - mu/gamma), or None when mu >= gamma."""
@@ -328,26 +314,6 @@ def total_cost_with_tail(traj: Trajectory, syn: Synthesis) -> float:
     """
     xT = traj.states[-1]
     return traj.total_cost + float(xT @ syn.P @ xT)
-
-
-def truncation_tail_bound(traj: Trajectory, syn: Synthesis, gamma: float) -> float:
-    """Bound on the cost ignored by truncating at the recorded horizon.
-
-    For a policy decaying as ||x_t|| <= C_F gamma^(t-T) ||x_T|| past the
-    horizon, the remaining quadratic cost is at most
-
-        ||x_T||^2 ||Q + K'RK|| C_F^2 gamma^2 / (1 - gamma^2).
-
-    Returns inf when gamma >= 1 (no decay certificate).
-    """
-    if gamma >= 1.0:
-        return math.inf
-    xT = traj.states[-1]
-    Q, R, K = syn.model.Q, syn.model.R, syn.K
-    stage = _opnorm(Q + K.T @ R @ K)
-    return float(
-        np.dot(xT, xT) * stage * syn.C_F**2 * gamma**2 / (1.0 - gamma**2)
-    )
 
 
 def opt_cost_time_only(
@@ -495,16 +461,6 @@ class CompetitiveReport:
     ratio: float
     opt_method: str
     bound_value: Optional[float] = None
-
-    def summary_text(self) -> str:
-        lines = [
-            f"ALG cost : {self.alg_cost:.10g}",
-            f"OPT cost : {self.opt_cost:.10g} ({self.opt_method})",
-            f"ratio    : {self.ratio:.10g}",
-        ]
-        if self.bound_value is not None:
-            lines.append(f"bound    : {self.bound_value:.10g}")
-        return "\n".join(lines)
 
 
 def competitive_ratio(

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IndexRange, NonStabilizable
+from .errors import NonStabilizable
 
 __all__ = [
     "LinearModel",
@@ -24,7 +24,6 @@ __all__ = [
     "solve_dare",
     "synthesize",
     "spectral_radius",
-    "matrix_power_series",
     "pseudo_inverse",
 ]
 
@@ -63,17 +62,6 @@ def _eta_series(F, P, seq: Sequence[np.ndarray]) -> list[np.ndarray]:
         eta = P @ np.asarray(seq[s], dtype=float) + F.T @ eta
         etas[s] = eta
     return etas
-
-
-def matrix_power_series(
-    F: np.ndarray, P: np.ndarray, seq: Sequence[np.ndarray], s: int, t: int
-) -> np.ndarray:
-    """Evaluate sum_{tau=s}^{t} (F^T)^(tau-s) P seq[tau]."""
-    if s > t:
-        raise IndexRange(f"series start {s} exceeds end {t}")
-    if s < 0 or t >= len(seq):
-        raise IndexRange(f"series range [{s}, {t}] outside sequence of length {len(seq)}")
-    return _eta_series(F, P, seq[s : t + 1])[0]
 
 
 @dataclass(frozen=True)

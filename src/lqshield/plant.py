@@ -22,7 +22,6 @@ __all__ = [
     "ResidualModel",
     "Trajectory",
     "simulate",
-    "cost_of",
     "estimate_lipschitz",
     "zero_residual",
     "disturbance_residual",
@@ -142,24 +141,6 @@ class Trajectory:
     def state_norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
 
-    def replay_errors(self, model: LinearModel) -> np.ndarray:
-        """Max-norm defect of x_{t+1} = A x_t + B u_t + f_t per step.
-
-        Recomputed with the same per-step expression the simulator uses,
-        so an untampered trajectory replays exactly.
-        """
-        out = np.empty(self.horizon)
-        for t in range(self.horizon):
-            pred = model.A @ self.states[t] + model.B @ self.actions[t] + self.residuals[t]
-            out[t] = np.max(np.abs(pred - self.states[t + 1]))
-        return out
-
-
-def cost_of(traj: Trajectory, Q: np.ndarray, R: np.ndarray) -> float:
-    """Sum of x'Qx + u'Ru over the recorded steps (terminal state uncosted)."""
-    xs = traj.states[:-1]
-    us = traj.actions
-    return float(np.einsum("ti,ij,tj->", xs, Q, xs) + np.einsum("ti,ij,tj->", us, R, us))
 
 
 def simulate(
@@ -177,9 +158,9 @@ def simulate(
     the partial trajectory is returned with ``diverged`` set.
 
     Each step evaluates x_{t+1} = A x_t + B u_t + f_t and the stage cost
-    x_t'Q x_t + u_t'R u_t with the operations of
-    :meth:`Trajectory.replay_errors`, in the same order, so a rollout
-    replays without defect; ``ndarray.dot`` stands in for ``@`` only for
+    x_t'Q x_t + u_t'R u_t with the operations of the replay check in
+    ``tests/test_plant.py``, in the same order, so a rollout replays
+    without defect; ``ndarray.dot`` stands in for ``@`` only for
     its lower call overhead.  The records are preallocated for the full
     horizon and trimmed when the rollout stops early.
     """

@@ -244,7 +244,7 @@ class TestAdaptivePolicyBranches:
     def test_trace_before_run_raises(self, syn3):
         pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, [1.0])
         with pytest.raises(NotRun):
-            lq.confidence_trace(pol)
+            pol.trace()
 
 
 class TestAdaptiveInvariants:
@@ -395,7 +395,7 @@ class _ReferenceAdaptivePolicy:
     def act(self, t, x):
         assert t == self.log.t
         x = np.asarray(x, dtype=float).reshape(-1)
-        self.log.append_state(x)
+        self.log.states.append(x.copy())
         raw = float("nan")
         zero_state = np.linalg.norm(x) <= 0.0
         if t == 0:
@@ -428,7 +428,8 @@ class _ReferenceAdaptivePolicy:
         u_hat = np.asarray(self.blackbox.act(t, x), dtype=float).reshape(-1)
         u_bar = np.asarray(self.advice.act(t, x), dtype=float).reshape(-1)
         u = lam * u_hat + (1.0 - lam) * u_bar
-        self.log.append_step(u, u_hat)
+        self.log.actions.append(u.copy())
+        self.log.blackbox_actions.append(u_hat.copy())
         self._prev_v = u_hat + self._K.dot(x)
         self._prev_b = self._B.dot(self._prev_v)
         return u

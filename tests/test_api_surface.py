@@ -36,9 +36,7 @@ API_SURFACE = (
     'lqshield.auxiliary_cost_closed_form(syn, disturbances, x0)\n'
     'lqshield.auxiliary_optimal_policy(syn, disturbances)\n'
     'lqshield.competitive_ratio(alg_traj, opt_cost, opt_method, syn, bound_value)\n'
-    'lqshield.confidence_trace(policy)\n'
     'lqshield.construct_adversarial_K2(model, K1, lam, beta)\n'
-    'lqshield.cost_of(traj, Q, R)\n'
     'lqshield.demonstrate_instability(cert, x0, T, blowup)\n'
     'lqshield.disturbance_residual(w)\n'
     'lqshield.epsilon_consistent_blackbox(optimal, epsilon, bias_mode, rng_seed)\n'
@@ -49,7 +47,6 @@ API_SURFACE = (
     'lqshield.learn_lambda_prime(syn, log, numerator_start)\n'
     'lqshield.lipschitz_residual(n, m, constant, seed, saturation)\n'
     'lqshield.lqr_policy(syn)\n'
-    'lqshield.matrix_power_series(F, P, seq, s, t)\n'
     'lqshield.measure_epsilon(blackbox, optimal, sampler, samples, rng_seed)\n'
     'lqshield.naive_convex_policy(black, advice, lambda_fixed)\n'
     'lqshield.nonnegative(policy)\n'
@@ -65,7 +62,6 @@ API_SURFACE = (
     'lqshield.synthesize(model, T_check, max_iter)\n'
     'lqshield.theorem_constants(syn, C_ell, epsilon)\n'
     'lqshield.total_cost_with_tail(traj, syn)\n'
-    'lqshield.truncation_tail_bound(traj, syn, gamma)\n'
     'lqshield.verify_bounds(constants, report, lambda_limit, x0_norm, c2, c3)\n'
     'lqshield.write_confidence_csv(policy, path)\n'
     'lqshield.write_trajectory_csv(traj, path)\n'
@@ -76,15 +72,12 @@ API_SURFACE = (
     'lqshield.environments.EvEnvironment(model, residual, reward)\n'
     'lqshield.environments.cartpole_linearization(params)\n'
     'lqshield.environments.cartpole_residual(params_true, params_model, lipschitz_samples)\n'
-    'lqshield.environments.cartpole_true_step(params, state, u)\n'
     'lqshield.environments.default_prices(steps)\n'
     'lqshield.environments.ev_environment(config, sessions)\n'
     'lqshield.environments.fit_demand_schedule(session_sets, steps, n_chargers)\n'
     'lqshield.environments.generate_sessions(seed, day_profile, n_chargers, steps)\n'
     'lqshield.environments.line_limited(policy, gamma)\n'
     'lqshield.environments.load_prices_csv(path)\n'
-    'lqshield.environments.load_sessions_csv(path)\n'
-    'lqshield.environments.write_sessions_csv(sessions, path)\n'
 )
 
 VERIFY_BOUNDS_CONFIG = (

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,15 @@ from lqshield.environments import (
     CartPoleParams,
     cartpole_linearization,
     cartpole_residual,
-    cartpole_true_step,
 )
+from lqshield.environments.cartpole import _euler_stepper
+
+
+def _cartpole_true_step(params, state, u):
+    """One explicit-Euler step of the frictionless nonlinear plant."""
+    state = np.asarray(state, dtype=float).reshape(4)
+    u = float(np.asarray(u, dtype=float).reshape(-1)[0])
+    return np.array(_euler_stepper(params, math.sin, math.cos)(*state.tolist(), u))
 
 
 @pytest.fixture(scope="module")
@@ -17,12 +26,12 @@ def params():
 
 def test_upright_equilibrium(params):
     state = np.zeros(4)
-    assert np.allclose(cartpole_true_step(params, state, 0.0), 0.0)
+    assert np.allclose(_cartpole_true_step(params, state, 0.0), 0.0)
 
 
 def test_horizontal_pole_acceleration(params):
     # cos(pi/2) = 0 kills the coupling: theta_acc = g / (l * 4/3) = 3.675
-    nxt = cartpole_true_step(params, [0.0, 0.0, np.pi / 2, 0.0], 0.0)
+    nxt = _cartpole_true_step(params, [0.0, 0.0, np.pi / 2, 0.0], 0.0)
     assert nxt[3] == pytest.approx(params.tau * 3.675, rel=1e-12)
 
 
@@ -83,7 +92,7 @@ def test_linearization_agrees_with_true_step_in_linear_regime(params):
     model = cartpole_linearization(p)
     x = np.array([0.0, 0.0, 1e-6, 0.0])
     u = 1e-6
-    true_next = cartpole_true_step(p, x, u)
+    true_next = _cartpole_true_step(p, x, u)
     lin_next = model.A @ x + model.B @ np.array([u])
     assert np.max(np.abs(true_next - lin_next)) < 1e-15
 
@@ -117,7 +126,7 @@ def test_linearization_error_is_cubic_in_angle(params):
 
     def err(theta):
         x = np.array([0.0, 0.0, theta, 0.0])
-        true_next = cartpole_true_step(p, x, 0.0)
+        true_next = _cartpole_true_step(p, x, 0.0)
         lin_next = model.A @ x
         return np.linalg.norm(true_next - lin_next)
 
@@ -170,7 +179,7 @@ def test_residual_bit_identical_to_true_step_minus_model(params):
         x = rng.uniform(-1.5, 1.5, 4) * rng.choice([1e-3, 1.0, 10.0])
         u = rng.uniform(-20.0, 20.0, 1)
         reference = _numpy_scalar_true_step(params, x, float(u[0]))
-        assert np.array_equal(cartpole_true_step(params, x, u), reference)
+        assert np.array_equal(_cartpole_true_step(params, x, u), reference)
         assert np.array_equal(
             resid.eval(0, x, u), reference - (model.A @ x + model.B @ u)
         )

@@ -334,6 +334,26 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command):
         ("adversarial", "[adversarial]\nhorizon = 0\n"),
         ("ev-compare", "[experiment]\nseeds = 0\n"),
         ("sweep-theta", "[experiment]\nmonte_carlo = 0\n"),
+        ("verify-bounds", "[grid]\nalphas = -1\n"),
+        ("ev-compare", "[experiment]\nalpha = 0\n"),
+        ("sweep-theta", "[cartpole]\nalpha = 0\n"),
+        ("ev-compare", "[experiment]\nseeds = 1\ntraining_days = 0\n"),
+        ("ev-compare", "[experiment]\nseeds = 1\ntraining_days = -3\n"),
+        ("sweep-theta", "[experiment]\nblowup = -1\n"),
+        ("stability-trace", "[experiment]\nblowup = 0\n"),
+        ("sweep-theta", "[cartpole]\nnaive_lambda = 2\n"),
+        ("sweep-theta", "[cartpole]\nblackbox_epsilon = -1\n"),
+        ("sweep-theta", "[cartpole]\npole_mass = 0\n"),
+        ("sweep-theta", "[cartpole]\ntau = nan\n"),
+        ("sweep-theta", "[sweep]\nthetas = nan\n"),
+        ("sweep-theta", "[experiment]\ninitial_angle_variation = nan\n"),
+        ("adversarial", "[adversarial]\nlambda = 2\n"),
+        ("adversarial", "[adversarial]\nbeta = -1\n"),
+        ("dare", "[system]\nenvironment = ev\n[ev]\nn_chargers = 0\n"),
+        ("dare", "[system]\nenvironment = ev\n[ev]\ntau_minutes = nan\n"),
+        ("verify-bounds", "[grid]\nc_ell_fractions = -0.5\n"),
+        ("verify-bounds", "[grid]\nepsilon_fractions = -0.5\n"),
+        ("verify-bounds", "[grid]\nepsilon_fractions = nan\n"),
     ],
     ids=[
         "verify-bounds-seeds",
@@ -344,6 +364,26 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command):
         "adversarial-horizon",
         "ev-compare-seeds",
         "sweep-theta-monte_carlo",
+        "verify-bounds-alphas",
+        "ev-compare-alpha",
+        "sweep-theta-alpha",
+        "ev-compare-training_days-0",
+        "ev-compare-training_days-negative",
+        "sweep-theta-blowup",
+        "stability-trace-blowup",
+        "sweep-theta-naive_lambda",
+        "sweep-theta-blackbox_epsilon",
+        "sweep-theta-pole_mass",
+        "sweep-theta-tau-nan",
+        "sweep-theta-thetas-nan",
+        "sweep-theta-initial_angle_variation-nan",
+        "adversarial-lambda",
+        "adversarial-beta",
+        "dare-ev-n_chargers",
+        "dare-ev-tau_minutes-nan",
+        "verify-bounds-c_ell_fractions",
+        "verify-bounds-epsilon_fractions",
+        "verify-bounds-epsilon_fractions-nan",
     ],
 )
 def test_degenerate_count_is_config_error(tmp_path, capsys, command, config):

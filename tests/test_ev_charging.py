@@ -11,8 +11,6 @@ from lqshield.environments import (
     generate_sessions,
     line_limited,
     load_prices_csv,
-    load_sessions_csv,
-    write_sessions_csv,
 )
 from lqshield.errors import SessionConflict, SessionParseError, ValidationError
 
@@ -131,48 +129,6 @@ class TestReward:
         assert np.array_equal(r1, np.array(manual))
 
 
-class TestSessionsCsv:
-    def test_round_trip(self, tmp_path):
-        # a NumPy scalar energy is written as the float it holds
-        late = ChargingSession(arrival=280, departure=287, energy=np.float64(5.25), station=1)
-        sessions = generate_sessions(5, "pre_covid") + [late]
-        path = tmp_path / "sessions.csv"
-        write_sessions_csv(sessions, path)
-        loaded = load_sessions_csv(path)
-        assert loaded == sessions
-
-    def test_header_only_gives_empty(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("arrival,departure,energy_kwh,station\n")
-        assert load_sessions_csv(path) == []
-
-    def test_single_row(self, tmp_path):
-        path = tmp_path / "one.csv"
-        path.write_text("arrival,departure,energy_kwh,station\n0,10,5.0,1\n")
-        assert load_sessions_csv(path) == [
-            ChargingSession(arrival=0, departure=10, energy=5.0, station=1)
-        ]
-
-    def test_parse_error_carries_line_number(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("arrival,departure,energy_kwh,station\n0,10,5.0,1\nx,2,3,4\n")
-        with pytest.raises(SessionParseError) as exc:
-            load_sessions_csv(path)
-        assert exc.value.line == 3
-
-    def test_validation_error_on_bad_interval(self, tmp_path):
-        path = tmp_path / "order.csv"
-        path.write_text("arrival,departure,energy_kwh,station\n10,5,1.0,1\n")
-        with pytest.raises(ValidationError):
-            load_sessions_csv(path)
-
-    def test_wrong_header_rejected(self, tmp_path):
-        path = tmp_path / "hdr.csv"
-        path.write_text("a,b,c,d\n")
-        with pytest.raises(SessionParseError):
-            load_sessions_csv(path)
-
-
 def test_prices_csv(tmp_path):
     path = tmp_path / "prices.csv"
     path.write_text("price\n0.5\n0.25\n")
@@ -181,6 +137,15 @@ def test_prices_csv(tmp_path):
     bad.write_text("price\nnot_a_number\n")
     with pytest.raises(SessionParseError):
         load_prices_csv(bad)
+
+
+def test_prices_csv_parse_error_carries_line_number(tmp_path):
+    # the error carries the 1-based line of the bad row, header included
+    late = tmp_path / "late.csv"
+    late.write_text("price\n0.5\nx\n")
+    with pytest.raises(SessionParseError) as exc:
+        load_prices_csv(late)
+    assert exc.value.line == 3
 
 
 class TestGenerator:

@@ -465,13 +465,6 @@ class TestCompetitiveRatio:
         with pytest.raises(DegenerateOPT):
             lq.competitive_ratio(_manual_trajectory([1.0, 0.0]), 0.0)
 
-    def test_summary_text(self):
-        traj = _manual_trajectory([1.0, 0.0])
-        traj.total_cost = 2.0
-        rep = lq.competitive_ratio(traj, 1.0, "exact_time_only", bound_value=5.0)
-        text = rep.summary_text()
-        assert "ratio" in text and "bound" in text
-
 
 class TestVerifyBounds:
     def _report(self, ratio):
@@ -509,20 +502,3 @@ class TestVerifyBounds:
     def test_default_c2_positive(self, bench2_syn):
         consts = lq.theorem_constants(bench2_syn, 0.0, 0.0)
         assert default_c2(consts) > 1.0
-
-
-class TestTruncationTailBound:
-    def test_bounds_actual_tail(self, bench2_model, bench2_syn):
-        # truncate an LQR rollout early; the bound must cover the cost
-        # accrued after the cut
-        rng = np.random.default_rng(11)
-        x0 = rng.standard_normal(2)
-        full = lq.simulate(bench2_model, None, lq.lqr_policy(bench2_syn), x0, 400)
-        short = lq.simulate(bench2_model, None, lq.lqr_policy(bench2_syn), x0, 40)
-        actual_tail = full.total_cost - short.total_cost
-        bound = lq.truncation_tail_bound(short, bench2_syn, bench2_syn.rho)
-        assert 0 <= actual_tail <= bound
-
-    def test_infinite_without_decay(self, bench2_model, bench2_syn):
-        traj = lq.simulate(bench2_model, None, lq.lqr_policy(bench2_syn), [1.0, 0.0], 20)
-        assert lq.truncation_tail_bound(traj, bench2_syn, 1.0) == math.inf

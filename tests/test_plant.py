@@ -2,10 +2,31 @@ import numpy as np
 import pytest
 
 import lqshield as lq
+from lqshield.plant import write_csv
 
 from conftest import random_stabilizable
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+def _replay_errors(traj, model):
+    """Max-norm defect of x_{t+1} = A x_t + B u_t + f_t per step.
+
+    Recomputed with the same per-step expression ``simulate`` uses, so an
+    untampered trajectory replays exactly.
+    """
+    out = np.empty(traj.horizon)
+    for t in range(traj.horizon):
+        pred = model.A @ traj.states[t] + model.B @ traj.actions[t] + traj.residuals[t]
+        out[t] = np.max(np.abs(pred - traj.states[t + 1]))
+    return out
+
+
+def _cost_of(traj, Q, R):
+    """Sum of x'Qx + u'Ru over the recorded steps (terminal state uncosted)."""
+    xs = traj.states[:-1]
+    us = traj.actions
+    return float(np.einsum("ti,ij,tj->", xs, Q, xs) + np.einsum("ti,ij,tj->", us, R, us))
 
 
 def test_zero_A_two_steps():
@@ -45,7 +66,7 @@ def test_divergence_flag():
     assert traj.diverged_at is not None
     # partial trajectory still consistent
     assert traj.states.shape[0] == traj.actions.shape[0] + 1
-    assert np.max(traj.replay_errors(model)) == 0.0
+    assert np.max(_replay_errors(traj, model)) == 0.0
 
 
 def test_replay_invariant_and_lengths():
@@ -56,7 +77,7 @@ def test_replay_invariant_and_lengths():
     traj = lq.simulate(model, resid, lq.lqr_policy(syn), rng.standard_normal(3), 50)
     assert traj.states.shape == (51, 3)
     assert traj.actions.shape == (50, 3)
-    assert np.max(traj.replay_errors(model)) == 0.0
+    assert np.max(_replay_errors(traj, model)) == 0.0
     assert traj.total_cost == pytest.approx(np.sum(traj.step_costs), abs=0)
 
 
@@ -79,13 +100,13 @@ def test_cost_of_matches_recorded():
     model = random_stabilizable(rng, 2)
     syn = lq.synthesize(model)
     traj = lq.simulate(model, None, lq.lqr_policy(syn), [1.0, -1.0], 30)
-    assert lq.cost_of(traj, model.Q, model.R) == pytest.approx(traj.total_cost, rel=1e-12)
+    assert _cost_of(traj, model.Q, model.R) == pytest.approx(traj.total_cost, rel=1e-12)
 
 
 def test_cost_of_trivial_cases():
     model = lq.LinearModel(A=np.zeros((2, 2)), B=np.eye(2), Q=np.eye(2), R=np.eye(2))
     zero = lq.simulate(model, None, lq.Policy(act=lambda t, x: np.zeros(2)), [0.0, 0.0], 3)
-    assert lq.cost_of(zero, model.Q, model.R) == 0.0
+    assert _cost_of(zero, model.Q, model.R) == 0.0
     one = lq.Trajectory(
         states=np.array([[1.0, 0.0], [0.0, 0.0]]),
         actions=np.array([[1.0, 0.0]]),
@@ -93,7 +114,7 @@ def test_cost_of_trivial_cases():
         step_costs=np.array([2.0]),
         total_cost=2.0,
     )
-    assert lq.cost_of(one, np.eye(2), np.eye(2)) == pytest.approx(2.0)
+    assert _cost_of(one, np.eye(2), np.eye(2)) == pytest.approx(2.0)
 
 
 class TestEstimateLipschitz:
@@ -440,3 +461,9 @@ def test_estimate_lipschitz_matches_pairwise_loop():
     est = lq.estimate_lipschitz(resid, 300, 2.0, 8, n=3, m=2)
     assert est == pytest.approx(best, rel=1e-12)
     assert lq.estimate_lipschitz(resid, 10, 0.0, 8, n=3, m=2) == 0.0
+
+
+def test_write_csv_writes_numpy_scalars_as_python_values(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["a", "b", "c"], [(np.float64(5.25), np.int64(3), np.bool_(True))])
+    assert path.read_text() == "a,b,c\n5.25,3,True\n"

@@ -49,7 +49,7 @@ for eps in (0.0, 0.02, 0.05, 0.1, 0.2):
         )
         pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
         traj = lq.simulate(model, lq.disturbance_residual(w), pol, x0, T_w + 200)
-        ratios.append(lq.competitive_ratio(traj, opt, "exact_time_only", syn=syn).ratio)
+        ratios.append(lq.competitive_ratio(traj, opt, syn=syn))
     print(f"  eps={eps:4.2f}: mean ratio {np.mean(ratios):.6f}")
 
 print("\nconfidence trace with a destabilizing black box (cut off fast):")

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .guarantees import (
     BoundCheck,
-    CompetitiveReport,
     StabilityReport,
     TheoremConstants,
     TrajOptResult,
@@ -69,7 +68,6 @@ from .plant import (
     zero_residual,
 )
 from .policies import (
-    EpsilonReport,
     Policy,
     auxiliary_optimal_policy,
     epsilon_consistent_blackbox,

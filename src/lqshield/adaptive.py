@@ -66,9 +66,7 @@ class ConfidenceState:
     """Recorded lambda trajectory of one adaptive-policy run."""
 
     lambdas: tuple
-    alpha: float
     t0: Optional[int]
-    lambda_limit: float
     lambda_prime_raw: tuple = ()
     branches: tuple = ()
 
@@ -161,7 +159,7 @@ class AdaptivePolicy:
     lambda_0 = 1.  At t >= 1, when ||x_t|| is zero the previous weight
     is kept; otherwise a coefficient lambda' is obtained (learned from
     the states and actions seen so far, or read from an external
-    sequence), clamped to [0, 1], and
+    function of t), clamped to [0, 1], and
 
         lambda_t = min(lambda', lambda_{t-1} - alpha)   if lambda' > 0
                                                         and lambda_{t-1} > alpha
@@ -180,7 +178,7 @@ class AdaptivePolicy:
         blackbox: Policy,
         advice: Policy,
         alpha: float,
-        lambda_source: Union[str, Sequence[float], Callable[[int], float]] = "learned",
+        lambda_source: Union[str, Callable[[int], float]] = "learned",
     ):
         if alpha <= 0:
             raise ValueError("step size alpha must be positive")
@@ -188,15 +186,12 @@ class AdaptivePolicy:
         self.blackbox = blackbox
         self.advice = advice
         self.alpha = float(alpha)
-        if isinstance(lambda_source, str):
-            if lambda_source != "learned":
-                raise ValueError("lambda_source must be 'learned', a sequence, or a callable")
-            self._external = None
-        elif callable(lambda_source):
+        if callable(lambda_source):
             self._external = lambda_source
+        elif lambda_source == "learned":
+            self._external = None
         else:
-            seq = [float(v) for v in lambda_source]
-            self._external = lambda t: seq[min(t, len(seq) - 1)]
+            raise ValueError("lambda_source must be 'learned' or a callable")
         self._lambdas: list[float] = []
         self._raw: list[float] = []
         self._branches: list[str] = []
@@ -293,9 +288,7 @@ class AdaptivePolicy:
             raise NotRun("adaptive policy has not been stepped yet")
         return ConfidenceState(
             lambdas=tuple(self._lambdas),
-            alpha=self.alpha,
             t0=self._t0,
-            lambda_limit=self._lambdas[-1],
             lambda_prime_raw=tuple(self._raw),
             branches=tuple(self._branches),
         )
@@ -306,7 +299,7 @@ def adaptive_policy(
     blackbox: Policy,
     advice: Policy,
     alpha: float,
-    lambda_source: Union[str, Sequence[float], Callable[[int], float]] = "learned",
+    lambda_source: Union[str, Callable[[int], float]] = "learned",
 ) -> AdaptivePolicy:
     """Construct an :class:`AdaptivePolicy` (one instance per simulation)."""
     return AdaptivePolicy(syn, blackbox, advice, alpha, lambda_source)

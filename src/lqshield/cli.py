@@ -48,7 +48,6 @@ from .errors import (
     SingularB,
 )
 from .guarantees import (
-    CompetitiveReport,
     admissible_lipschitz_cap,
     competitive_ratio,
     fit_stability_envelope,
@@ -183,7 +182,9 @@ def _seed_rng(*entropy) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _cartpole_params(cfg: RunConfig) -> CartPoleParams:
+def _cartpole_models(cfg: RunConfig) -> tuple[CartPoleParams, LinearModel, LinearModel]:
+    """The [cartpole] parameters and their linearizations at the model's
+    masses and at the true masses."""
     settings = dict(
         g=cfg.get("cartpole", "g", 9.8),
         m=cfg.get("cartpole", "pole_mass", 0.1),
@@ -194,7 +195,9 @@ def _cartpole_params(cfg: RunConfig) -> CartPoleParams:
         model_M=cfg.get("cartpole", "model_cart_mass", 2.0),
     )
     try:
-        return CartPoleParams(**settings)
+        params = CartPoleParams(**settings)
+        true_params = params.with_true_masses_as_model()
+        return params, cartpole_linearization(params), cartpole_linearization(true_params)
     except ValueError as exc:
         raise ConfigError(f"[cartpole] {exc}") from exc
 
@@ -203,11 +206,9 @@ class _CartpoleBench:
     """Builds the plant and the policy roster for one configuration."""
 
     def __init__(self, cfg: RunConfig):
-        self.params = _cartpole_params(cfg)
-        self.model = cartpole_linearization(self.params)
+        self.params, self.model, true_model = _cartpole_models(cfg)
         self.syn = synthesize(self.model)
         self.residual = cartpole_residual(self.params, self.params)
-        true_model = cartpole_linearization(self.params.with_true_masses_as_model())
         self.syn_true = synthesize(true_model)
         self.epsilon = _bounded(cfg, "cartpole", "blackbox_epsilon", 0.0, least=0.0)
         self.naive_lambda = _bounded(cfg, "cartpole", "naive_lambda", 0.8, least=0.0, most=1.0)
@@ -219,21 +220,36 @@ class _CartpoleBench:
             lqr_policy(self.syn_true), self.epsilon, "rotation", seed
         )
         bad_bb = gain_policy(-self.syn.K)
-        if label == "lqr":
-            return advice
-        if label == "blackbox":
-            return good_bb
-        if label == "destabilizing":
-            return bad_bb
-        if label == "naive":
-            return naive_convex_policy(good_bb, advice, self.naive_lambda)
-        if label == "naive-destabilizing":
-            return naive_convex_policy(bad_bb, advice, self.naive_lambda)
-        if label == "adaptive":
-            return adaptive_policy(self.syn, good_bb, advice, self.alpha, "learned")
-        if label == "adaptive-destabilizing":
-            return adaptive_policy(self.syn, bad_bb, advice, self.alpha, "learned")
-        raise ConfigError(f"unknown policy label {label!r}")
+        source, blend = _ROSTER[label]
+        policy = {"advice": advice, "good": good_bb, "bad": bad_bb}[source]
+        if blend == "naive":
+            return naive_convex_policy(policy, advice, self.naive_lambda)
+        if blend == "adaptive":
+            return adaptive_policy(self.syn, policy, advice, self.alpha, "learned")
+        return policy
+
+
+# each roster label's policy: a black box ("advice" is the LQR itself,
+# "good" the epsilon-consistent rotation of the true-mass LQR, "bad" the
+# destabilizing gain -K) and its blend with the LQR advice, if any
+_ROSTER = {
+    "lqr": ("advice", None),
+    "blackbox": ("good", None),
+    "destabilizing": ("bad", None),
+    "naive": ("good", "naive"),
+    "naive-destabilizing": ("bad", "naive"),
+    "adaptive": ("good", "adaptive"),
+    "adaptive-destabilizing": ("bad", "adaptive"),
+}
+
+
+def _roster(cfg: RunConfig, default: str) -> list[str]:
+    """The ``[experiment] policies`` labels, each checked before any work."""
+    labels = [label.strip() for label in cfg.get("experiment", "policies", default).split(",")]
+    for label in labels:
+        if label not in _ROSTER:
+            raise ConfigError(f"unknown policy label {label!r}")
+    return labels
 
 
 # the sweep's bench in this process: cmd_sweep_theta sets it, forked
@@ -268,13 +284,13 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     horizon = _bounded(cfg, "experiment", "horizon", 1200, least=1)
     blowup = _bounded(cfg, "experiment", "blowup", 50.0, above=0.0)
     jitter = _bounded(cfg, "experiment", "initial_angle_variation", 0.05, least=0.0)
-    roster = cfg.get("experiment", "policies", "lqr,blackbox,naive,adaptive").split(",")
+    roster = _roster(cfg, "lqr,blackbox,naive,adaptive")
     # building the bench here records the cartpole keys in the echoed
     # effective config; the tasks of this process then reuse it
     global _bench
     _bench = _CartpoleBench(cfg)
     tasks = [
-        (seed, ti, theta, label.strip(), monte_carlo, horizon, blowup, jitter)
+        (seed, ti, theta, label, monte_carlo, horizon, blowup, jitter)
         for ti, theta in enumerate(thetas)
         for label in roster
     ]
@@ -299,7 +315,6 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     summary = []
     for theta in thetas:
         for label in roster:
-            label = label.strip()
             cell = [r for r in rows if r[0] == theta and r[1] == label]
             finished = [r[3] for r in cell if not r[4]]
             mean_cost = float(np.mean(finished)) if finished else float("nan")
@@ -313,16 +328,14 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
 
 
 def cmd_stability_trace(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
-    theta = cfg.get("experiment", "theta", 0.4)
+    # any finite angle: the strict bounds reject NaN too
+    theta = _bounded(cfg, "experiment", "theta", 0.4, above=-math.inf, below=math.inf)
     horizon = _bounded(cfg, "experiment", "horizon", 1200, least=1)
     blowup = _bounded(cfg, "experiment", "blowup", 50.0, above=0.0)
-    roster = cfg.get(
-        "experiment", "policies", "lqr,adaptive-destabilizing,naive-destabilizing"
-    ).split(",")
+    roster = _roster(cfg, "lqr,adaptive-destabilizing,naive-destabilizing")
     bench = _CartpoleBench(cfg)
     x0 = np.array([0.0, 0.0, theta, 0.0])
     for label in roster:
-        label = label.strip()
         policy = bench.build(label, seed=seed)
         traj = simulate(bench.model, bench.residual, policy, x0, horizon, blowup=blowup)
         print(f"{label}: diverged={traj.diverged}")
@@ -506,16 +519,9 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
                     traj = simulate(
                         model, disturbance_residual(w), pol, x0, disturbance_T + 200
                     )
-                    ratios.append(
-                        competitive_ratio(traj, opt, "exact_time_only", syn=syn).ratio
-                    )
+                    ratios.append(competitive_ratio(traj, opt, syn=syn))
                 cr_mean = float(np.mean(ratios))
-                check = verify_bounds(
-                    consts,
-                    CompetitiveReport(cr_mean, 1.0, cr_mean, "exact_time_only"),
-                    lambda_limit=0.0,
-                    x0_norm=1.0,
-                )
+                check = verify_bounds(consts, cr_mean, lambda_limit=0.0, x0_norm=1.0)
                 rows.append(
                     (
                         C_ell,
@@ -550,7 +556,7 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
 def cmd_dare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     env_name = cfg.get("system", "environment", "custom")
     if env_name == "cartpole":
-        model = cartpole_linearization(_cartpole_params(cfg))
+        model = _cartpole_models(cfg)[1]
     elif env_name == "ev":
         n_chargers = cfg.get("ev", "n_chargers", 5)
         tau = cfg.get("ev", "tau_minutes", 5.0) / 60.0

@@ -43,10 +43,10 @@ class CartPoleParams:
     model_M: float = 2.0
 
     def __post_init__(self):
-        # written as `not > 0` so that NaN fails too
+        # written as `not 0 < v < inf` so that NaN fails too
         for name in ("g", "m", "M", "l", "tau", "model_m", "model_M"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not (self.eta(self.m, self.M) > 0 and self.eta(self.model_m, self.model_M) > 0):
             raise ValueError("effective length (4/3) l - m l / (m + M) must be positive")
 
@@ -122,13 +122,12 @@ def cartpole_linearization(params: CartPoleParams) -> LinearModel:
 def cartpole_residual(
     params_true: CartPoleParams,
     params_model: CartPoleParams,
-    lipschitz_samples: int = 2000,
 ) -> ResidualModel:
     """Model error f(t, x, u) = true_step(x, u) - (A x + B u).
 
-    The declared Lipschitz constant is a sampled estimate over the
-    operating box ||(x, u)|| <= 1.  The batch form applies the same Euler
-    formulas to columns of stacked states and actions.
+    The declared Lipschitz constant is a sampled estimate (2000 samples)
+    over the operating box ||(x, u)|| <= 1.  The batch form applies the
+    same Euler formulas to columns of stacked states and actions.
     """
     model = cartpole_linearization(params_model)
     A, B = model.A, model.B
@@ -145,7 +144,5 @@ def cartpole_residual(
         return np.column_stack(true_step_batch(*X.T, U[:, 0])) - (X @ A.T + U @ B.T)
 
     probe = ResidualModel(eval=f, lipschitz=0.0, eval_batch=f_batch)
-    c_hat = estimate_lipschitz(
-        probe, samples=lipschitz_samples, radius=1.0, rng_seed=0, n=4, m=1
-    )
+    c_hat = estimate_lipschitz(probe, samples=2000, radius=1.0, rng_seed=0, n=4, m=1)
     return ResidualModel(eval=f, lipschitz=float(c_hat), eval_batch=f_batch)

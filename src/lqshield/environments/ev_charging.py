@@ -85,8 +85,10 @@ class ChargingConfig:
         # written as `not > 0` so that NaN fails too
         if not self.line_limit > 0:
             raise ValueError("line limit must be positive")
-        if not self.tau > 0:
-            raise ValueError("step duration must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("step duration must be positive and finite")
+        if not np.all(np.isfinite(self.phi)):
+            raise ValueError("reward weights phi must be finite")
         prices = np.asarray(self.prices, dtype=float)
         if prices.ndim != 1 or prices.shape[0] == 0:
             raise ValueError(f"prices must be a non-empty series, got shape {prices.shape}")

@@ -23,7 +23,6 @@ from .policies import auxiliary_optimal_policy, lqr_policy
 __all__ = [
     "TheoremConstants",
     "StabilityReport",
-    "CompetitiveReport",
     "TrajOptResult",
     "theorem_constants",
     "fit_stability_envelope",
@@ -235,8 +234,6 @@ class StabilityReport:
     envelope_C_hat: float
     satisfied: Optional[bool]
     degenerate: bool = False
-    predicted_gamma: Optional[float] = None
-    predicted_C: Optional[float] = None
 
 
 def predicted_envelope_prefactor(constants: TheoremConstants) -> Optional[float]:
@@ -258,16 +255,12 @@ def fit_stability_envelope(
     if x0n <= 0.0:
         raise ValueError("||x_0|| must be positive")
     mask = norms > 1e-12
-    pred_gamma = predicted.gamma if predicted is not None else None
-    pred_C = predicted_envelope_prefactor(predicted) if predicted is not None else None
     if mask.sum() < 2:
         return StabilityReport(
             decay_gamma_hat=0.0,
             envelope_C_hat=1.0,
             satisfied=True if predicted is not None else None,
             degenerate=True,
-            predicted_gamma=pred_gamma,
-            predicted_C=pred_C,
         )
     ts = np.nonzero(mask)[0].astype(float)
     slope = np.polyfit(ts, np.log(norms[mask]), 1)[0]
@@ -275,16 +268,14 @@ def fit_stability_envelope(
     ratios = norms[mask] / (decay ** ts * x0n)
     envelope_C = float(np.max(ratios))
     satisfied: Optional[bool] = None
-    if predicted is not None and pred_C is not None:
-        bound = pred_C * pred_gamma ** np.arange(norms.shape[0]) * x0n
+    pred_C = predicted_envelope_prefactor(predicted) if predicted is not None else None
+    if pred_C is not None:
+        bound = pred_C * predicted.gamma ** np.arange(norms.shape[0]) * x0n
         satisfied = bool(np.all(norms <= bound * (1.0 + 1e-9)))
     return StabilityReport(
         decay_gamma_hat=decay,
         envelope_C_hat=envelope_C,
         satisfied=satisfied,
-        degenerate=False,
-        predicted_gamma=pred_gamma,
-        predicted_C=pred_C,
     )
 
 
@@ -452,25 +443,12 @@ def opt_cost_trajopt(
     )
 
 
-@dataclass(frozen=True)
-class CompetitiveReport:
-    """Measured cost ratio against an offline-optimal reference."""
-
-    alg_cost: float
-    opt_cost: float
-    ratio: float
-    opt_method: str
-    bound_value: Optional[float] = None
-
-
 def competitive_ratio(
     alg_traj: Trajectory,
     opt_cost: float,
-    opt_method: str = "exact_time_only",
     syn: Optional[Synthesis] = None,
-    bound_value: Optional[float] = None,
-) -> CompetitiveReport:
-    """ALG / OPT with method metadata.
+) -> float:
+    """ALG / OPT: the algorithm's cost over an offline-optimal reference cost.
 
     When ``syn`` is supplied the algorithm cost includes the exact LQR
     tail value at the terminal state (matching how the exact OPT is
@@ -478,18 +456,10 @@ def competitive_ratio(
     """
     if opt_cost <= 1e-15:
         raise DegenerateOPT(f"optimal cost {opt_cost!r} is numerically zero")
-    if opt_method not in ("exact_time_only", "trajopt_approx"):
-        raise ValueError(f"unknown opt_method {opt_method!r}")
     alg_cost = (
         total_cost_with_tail(alg_traj, syn) if syn is not None else alg_traj.total_cost
     )
-    return CompetitiveReport(
-        alg_cost=float(alg_cost),
-        opt_cost=float(opt_cost),
-        ratio=float(alg_cost / opt_cost),
-        opt_method=opt_method,
-        bound_value=bound_value,
-    )
+    return float(alg_cost / opt_cost)
 
 
 @dataclass(frozen=True)
@@ -512,13 +482,13 @@ def default_c2(constants: TheoremConstants) -> float:
 
 def verify_bounds(
     constants: TheoremConstants,
-    report: CompetitiveReport,
+    ratio: float,
     lambda_limit: float,
     x0_norm: float = 0.0,
     c2: Optional[float] = None,
     c3: float = 1.0,
 ) -> BoundCheck:
-    """Check the measured ratio against the structural guarantee bound
+    """Check the measured competitive ratio against the structural guarantee bound
 
         (1 - lambda) CR_model_bar + c2 / (1 - (2||H||/sigma) eps)
         + c3 C_ell ||x0||.
@@ -539,7 +509,7 @@ def verify_bounds(
     nonlinear_term = c3 * constants.C_ell * x0_norm
     bound = model_term + error_term + nonlinear_term
     return BoundCheck(
-        satisfied=report.ratio <= bound,
+        satisfied=ratio <= bound,
         bound=float(bound),
         model_term=float(model_term),
         error_term=float(error_term),

@@ -68,9 +68,10 @@ def _eta_series(F, P, seq: Sequence[np.ndarray]) -> list[np.ndarray]:
 class LinearModel:
     """The crude plant model: x_{t+1} = A x_t + B u_t (+ residual).
 
-    Q and R are the quadratic stage-cost weights and must be symmetric
-    positive definite.  Stabilizability of (A, B) is not checked here;
-    it surfaces as :class:`NonStabilizable` from :func:`solve_dare`.
+    Every entry must be finite.  Q and R are the quadratic stage-cost
+    weights and must be symmetric positive definite.  Stabilizability
+    of (A, B) is not checked here; it surfaces as
+    :class:`NonStabilizable` from :func:`solve_dare`.
     """
 
     A: np.ndarray
@@ -93,6 +94,9 @@ class LinearModel:
             raise ValueError(f"Q must be {n}x{n}, got {Q.shape}")
         if R.shape != (m, m):
             raise ValueError(f"R must be {m}x{m}, got {R.shape}")
+        for name, M in (("A", A), ("B", B), ("Q", Q), ("R", R)):
+            if not np.all(np.isfinite(M)):
+                raise ValueError(f"{name} must be finite")
         for name, M in (("Q", Q), ("R", R)):
             if not np.allclose(M, M.T, atol=1e-12):
                 raise ValueError(f"{name} must be symmetric")

@@ -92,11 +92,10 @@ def lipschitz_residual(
     m: int,
     constant: float,
     seed: int = 0,
-    saturation: float = 1.0,
 ) -> ResidualModel:
     """Smooth synthetic state-action residual with a known Lipschitz bound.
 
-    f(x, u) = constant * G tanh(J [x; u] / saturation) * saturation with
+    f(x, u) = constant * G tanh(J [x; u]) with
     ||G||_2 = ||J||_2 = 1, so the Jacobian norm never exceeds ``constant``
     and f(0, 0) = 0.
     """
@@ -108,11 +107,11 @@ def lipschitz_residual(
 
     def f(t, x, u):
         z = np.concatenate([np.asarray(x, float), np.asarray(u, float)])
-        return constant * saturation * (G @ np.tanh((J @ z) / saturation))
+        return constant * (G @ np.tanh(J @ z))
 
     def f_batch(t, X, U):
         Z = np.concatenate([X, U], axis=1)
-        return constant * saturation * (np.tanh((Z @ J.T) / saturation) @ G.T)
+        return constant * (np.tanh(Z @ J.T) @ G.T)
 
     return ResidualModel(eval=f, lipschitz=constant, eval_batch=f_batch)
 

@@ -27,7 +27,6 @@ from .linalg_control import Synthesis, _eta_series
 
 __all__ = [
     "Policy",
-    "EpsilonReport",
     "lqr_policy",
     "gain_policy",
     "auxiliary_optimal_policy",
@@ -44,14 +43,6 @@ __all__ = [
 @dataclass
 class Policy:
     act: Callable[[int, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class EpsilonReport:
-    """Empirical consistency error: sup over sampled states of
-    ||blackbox(x) - reference(x)|| / ||x||."""
-
-    epsilon_hat: float
 
 
 def lqr_policy(syn: Synthesis) -> Policy:
@@ -221,9 +212,9 @@ def measure_epsilon(
     sampler,
     samples: int,
     rng_seed: int,
-) -> EpsilonReport:
-    """Empirical sup of ||blackbox(x) - optimal(x)|| / ||x|| over samples,
-    with both policies queried at t = 0.
+) -> float:
+    """Empirical consistency error: sup of ||blackbox(x) - optimal(x)|| / ||x||
+    over samples, with both policies queried at t = 0.
 
     The reference should be the best available stand-in for the
     hindsight-optimal policy: :func:`auxiliary_optimal_policy` is exact
@@ -244,7 +235,7 @@ def measure_epsilon(
         ratio = np.linalg.norm(diff) / nx
         if ratio > worst:
             worst = float(ratio)
-    return EpsilonReport(epsilon_hat=worst)
+    return worst
 
 
 def saturated(policy: Policy, limit: float) -> Policy:

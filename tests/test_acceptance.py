@@ -198,7 +198,7 @@ def test_competitive_ratio_properties(bench):
         )
         pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
         traj = lq.simulate(model, lq.disturbance_residual(w), pol, x0, T_w + 200)
-        return lq.competitive_ratio(traj, opt, "exact_time_only", syn=syn).ratio
+        return lq.competitive_ratio(traj, opt, syn=syn)
 
     grid = (0.0, 0.02, 0.05, 0.1)
     means = []
@@ -303,7 +303,7 @@ def test_confidence_rule_invariants():
         if rng.uniform() < 0.5:
             source = "learned"
         else:
-            source = list(rng.uniform(-0.2, 1.2, size=25))
+            source = list(rng.uniform(-0.2, 1.2, size=25)).__getitem__
         bb = lq.epsilon_consistent_blackbox(
             lq.lqr_policy(syn), float(rng.uniform(0, 0.3)), "rotation", runs
         )

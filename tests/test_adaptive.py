@@ -181,12 +181,12 @@ class TestLearnLambdaPrime:
 
 class TestAdaptivePolicyBranches:
     def test_lambda_starts_at_one(self, syn3):
-        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.2, [0.9, 0.9])
+        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.2, lambda t: 0.9)
         pol.act(0, np.ones(3))
         assert pol.lambdas == [1.0]
 
     def test_decrease_branch(self, syn3):
-        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.2, [0.9, 0.9])
+        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.2, lambda t: 0.9)
         pol.act(0, np.ones(3))
         pol.act(1, np.ones(3))
         assert pol.lambdas[1] == pytest.approx(min(0.9, 1.0 - 0.2), abs=0)
@@ -236,13 +236,13 @@ class TestAdaptivePolicyBranches:
         assert np.allclose(traj.states[1:], lqr_traj.states, atol=1e-12)
 
     def test_requires_time_order(self, syn3):
-        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, [1.0])
+        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: 1.0)
         pol.act(0, np.ones(3))
         with pytest.raises(ValueError):
             pol.act(2, np.ones(3))
 
     def test_trace_before_run_raises(self, syn3):
-        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, [1.0])
+        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: 1.0)
         with pytest.raises(NotRun):
             pol.trace()
 
@@ -260,7 +260,10 @@ class TestAdaptiveInvariants:
             except lq.NonStabilizable:
                 continue
             runs += 1
-            source = "learned" if rng.uniform() < 0.5 else list(rng.uniform(-0.2, 1.2, size=30))
+            if rng.uniform() < 0.5:
+                source = "learned"
+            else:
+                source = list(rng.uniform(-0.2, 1.2, size=30)).__getitem__
             bb = lq.epsilon_consistent_blackbox(
                 lq.lqr_policy(syn), rng.uniform(0, 0.3), "rotation", int(rng.integers(1e6))
             )
@@ -283,11 +286,11 @@ class TestAdaptiveInvariants:
     def test_t0_records_first_zero(self, bench2_model, bench2_syn):
         syn = bench2_syn
         seq = [1.0, 0.9, 0.8, 0.0, 0.0, 0.0]
-        pol = lq.adaptive_policy(syn, lq.lqr_policy(syn), lq.lqr_policy(syn), 0.01, seq)
+        pol = lq.adaptive_policy(syn, lq.lqr_policy(syn), lq.lqr_policy(syn), 0.01, lambda t: seq[t])
         lq.simulate(bench2_model, lq.zero_residual(2), pol, np.ones(2), 6)
         state = pol.trace()
         assert state.t0 == 3
-        assert state.lambda_limit == 0.0
+        assert state.lambdas[-1] == 0.0
 
 
 def test_confidence_csv_round_trip(tmp_path, bench2_model, bench2_syn):
@@ -364,9 +367,6 @@ class _ReferenceAdaptivePolicy:
             self._external = None
         elif callable(lambda_source):
             self._external = lambda_source
-        else:
-            seq = [float(v) for v in lambda_source]
-            self._external = lambda t: seq[min(t, len(seq) - 1)]
         self.log = ObservationLog()
         self._lambdas, self._raw, self._branches = [], [], []
         self._t0 = None
@@ -456,7 +456,7 @@ def adaptive_cases(bench2_model, bench2_syn):
         cartpole_linearization(params.with_true_masses_as_model())
     )
     cp_bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(cp_true), 0.1, "rotation", 3)
-    cp_resid = cartpole_residual(params, params, lipschitz_samples=200)
+    cp_resid = cartpole_residual(params, params)
 
     syn = bench2_syn
     rotation = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn), 0.3, "rotation", 7)

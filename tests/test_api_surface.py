@@ -20,14 +20,12 @@ API_SURFACE = (
     'lqshield.AdaptivePolicy(syn, blackbox, advice, alpha, lambda_source)\n'
     'lqshield.AdversarialCertificate(model, K1, K2, lam, beta, F2, rho_F1, rho_F2, rho_combined, construction_case, combined_gain, det_combined)\n'
     'lqshield.BoundCheck(satisfied, bound, model_term, error_term, nonlinear_term)\n'
-    'lqshield.CompetitiveReport(alg_cost, opt_cost, ratio, opt_method, bound_value)\n'
-    'lqshield.ConfidenceState(lambdas, alpha, t0, lambda_limit, lambda_prime_raw, branches)\n'
-    'lqshield.EpsilonReport(epsilon_hat)\n'
+    'lqshield.ConfidenceState(lambdas, t0, lambda_prime_raw, branches)\n'
     'lqshield.LinearModel(A, B, Q, R)\n'
     'lqshield.ObservationLog(states, actions, blackbox_actions)\n'
     'lqshield.Policy(act)\n'
     'lqshield.ResidualModel(eval, lipschitz, eval_batch)\n'
-    'lqshield.StabilityReport(decay_gamma_hat, envelope_C_hat, satisfied, degenerate, predicted_gamma, predicted_C)\n'
+    'lqshield.StabilityReport(decay_gamma_hat, envelope_C_hat, satisfied, degenerate)\n'
     'lqshield.Synthesis(model, P, K, F, H, C_F, rho, rho_F, kappa, sigma, T_check, dare_residual, iterations)\n'
     'lqshield.TheoremConstants(C_ell, epsilon, gamma, mu, C_a_sys, C_b_sys, C_c_sys, CR_model_bar, eps_max_stability, C_ell_max, applicable, C_F, rho, sigma, kappa, norm_H, norm_B, norm_K, norm_P)\n'
     'lqshield.TrajOptResult(cost, initial_cost, improved, iterations_run, cost_history)\n'
@@ -35,7 +33,7 @@ API_SURFACE = (
     'lqshield.adaptive_policy(syn, blackbox, advice, alpha, lambda_source)\n'
     'lqshield.auxiliary_cost_closed_form(syn, disturbances, x0)\n'
     'lqshield.auxiliary_optimal_policy(syn, disturbances)\n'
-    'lqshield.competitive_ratio(alg_traj, opt_cost, opt_method, syn, bound_value)\n'
+    'lqshield.competitive_ratio(alg_traj, opt_cost, syn)\n'
     'lqshield.construct_adversarial_K2(model, K1, lam, beta)\n'
     'lqshield.demonstrate_instability(cert, x0, T, blowup)\n'
     'lqshield.disturbance_residual(w)\n'
@@ -45,7 +43,7 @@ API_SURFACE = (
     'lqshield.gain_policy(K)\n'
     'lqshield.gaussian_state_sampler(n)\n'
     'lqshield.learn_lambda_prime(syn, log, numerator_start)\n'
-    'lqshield.lipschitz_residual(n, m, constant, seed, saturation)\n'
+    'lqshield.lipschitz_residual(n, m, constant, seed)\n'
     'lqshield.lqr_policy(syn)\n'
     'lqshield.measure_epsilon(blackbox, optimal, sampler, samples, rng_seed)\n'
     'lqshield.naive_convex_policy(black, advice, lambda_fixed)\n'
@@ -62,7 +60,7 @@ API_SURFACE = (
     'lqshield.synthesize(model, T_check, max_iter)\n'
     'lqshield.theorem_constants(syn, C_ell, epsilon)\n'
     'lqshield.total_cost_with_tail(traj, syn)\n'
-    'lqshield.verify_bounds(constants, report, lambda_limit, x0_norm, c2, c3)\n'
+    'lqshield.verify_bounds(constants, ratio, lambda_limit, x0_norm, c2, c3)\n'
     'lqshield.write_confidence_csv(policy, path)\n'
     'lqshield.write_trajectory_csv(traj, path)\n'
     'lqshield.zero_residual(n)\n'
@@ -71,7 +69,7 @@ API_SURFACE = (
     'lqshield.environments.ChargingSession(arrival, departure, energy, station)\n'
     'lqshield.environments.EvEnvironment(model, residual, reward)\n'
     'lqshield.environments.cartpole_linearization(params)\n'
-    'lqshield.environments.cartpole_residual(params_true, params_model, lipschitz_samples)\n'
+    'lqshield.environments.cartpole_residual(params_true, params_model)\n'
     'lqshield.environments.default_prices(steps)\n'
     'lqshield.environments.ev_environment(config, sessions)\n'
     'lqshield.environments.fit_demand_schedule(session_sets, steps, n_chargers)\n'

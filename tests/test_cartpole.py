@@ -98,19 +98,19 @@ def test_linearization_agrees_with_true_step_in_linear_regime(params):
 
 
 def test_residual_zero_at_origin(params):
-    resid = cartpole_residual(params, params, lipschitz_samples=50)
+    resid = cartpole_residual(params, params)
     assert np.allclose(resid.eval(0, np.zeros(4), np.zeros(1)), 0.0)
 
 
 def test_residual_nonzero_with_mass_mismatch(params):
-    resid = cartpole_residual(params, params, lipschitz_samples=50)
+    resid = cartpole_residual(params, params)
     x = np.array([0.0, 0.0, 0.05, 0.0])
     assert np.linalg.norm(resid.eval(0, x, np.zeros(1))) > 0
 
 
 def test_residual_grows_with_angle(params):
     p = params.with_true_masses_as_model()
-    resid = cartpole_residual(p, p, lipschitz_samples=50)
+    resid = cartpole_residual(p, p)
     norms = [
         np.linalg.norm(resid.eval(0, np.array([0, 0, th, 0.0]), np.zeros(1)))
         for th in (0.05, 0.1, 0.2, 0.3, 0.4)
@@ -151,7 +151,7 @@ def test_crude_lqr_stabilizes_true_plant(params):
     model = cartpole_linearization(params)
     syn = lq.synthesize(model)
     assert syn.rho_F < 1.0
-    resid = cartpole_residual(params, params, lipschitz_samples=50)
+    resid = cartpole_residual(params, params)
     traj = lq.simulate(model, resid, lq.lqr_policy(syn), [0, 0, 0.3, 0], 800, blowup=50.0)
     assert not traj.diverged
     assert np.linalg.norm(traj.states[-1]) < 1e-6
@@ -172,7 +172,7 @@ def _numpy_scalar_true_step(p, state, u):
 
 
 def test_residual_bit_identical_to_true_step_minus_model(params):
-    resid = cartpole_residual(params, params, lipschitz_samples=50)
+    resid = cartpole_residual(params, params)
     model = cartpole_linearization(params)
     rng = np.random.default_rng(17)
     for _ in range(5000):
@@ -210,7 +210,7 @@ def _reference_batch_stepper(p):
 @pytest.mark.parametrize("mass_error", [False, True])
 def test_batch_residual_bit_identical_to_reference_batch_step(params, mass_error):
     model_params = params if mass_error else params.with_true_masses_as_model()
-    resid = cartpole_residual(params, model_params, lipschitz_samples=50)
+    resid = cartpole_residual(params, model_params)
     model = cartpole_linearization(model_params)
     rng = np.random.default_rng(29)
     X = rng.uniform(-1.5, 1.5, (200, 4)) * rng.choice([1e-3, 1.0, 10.0], (200, 1))

@@ -354,6 +354,22 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command):
         ("verify-bounds", "[grid]\nc_ell_fractions = -0.5\n"),
         ("verify-bounds", "[grid]\nepsilon_fractions = -0.5\n"),
         ("verify-bounds", "[grid]\nepsilon_fractions = nan\n"),
+        ("stability-trace", "[experiment]\ntheta = nan\n"),
+        ("stability-trace", "[experiment]\ntheta = inf\n"),
+        ("stability-trace", "[experiment]\ntheta = -inf\n"),
+        ("ev-compare", "[experiment]\nseeds = 1\ntraining_days = 1\n[ev]\nphi1 = nan\n"),
+        ("ev-compare", "[experiment]\nseeds = 1\ntraining_days = 1\n[ev]\nphi4 = inf\n"),
+        ("verify-bounds", "[system]\nA = nan,0.25;0,0.45\n"),
+        ("verify-bounds", "[system]\nB = 1,0;0,inf\n"),
+        ("dare", "[system]\nA = nan,0.25;0,0.45\n"),
+        ("dare", "[system]\nB = 1,0;0,inf\n"),
+        ("dare", "[system]\nQ = inf,0;0,1\n"),
+        ("dare", "[system]\nR = inf,0;0,1\n"),
+        ("dare", "[system]\nenvironment = cartpole\n[cartpole]\ng = inf\n"),
+        ("dare", "[system]\nenvironment = cartpole\n[cartpole]\ntau = 1e308\n"),
+        ("dare", "[system]\nenvironment = ev\n[ev]\ntau_minutes = inf\n"),
+        ("stability-trace", "[experiment]\npolicies = lqr,bogus\n"),
+        ("sweep-theta", "[experiment]\npolicies = lqr,bogus\n"),
     ],
     ids=[
         "verify-bounds-seeds",
@@ -384,6 +400,22 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command):
         "verify-bounds-c_ell_fractions",
         "verify-bounds-epsilon_fractions",
         "verify-bounds-epsilon_fractions-nan",
+        "stability-trace-theta-nan",
+        "stability-trace-theta-inf",
+        "stability-trace-theta-minus-inf",
+        "ev-compare-phi1-nan",
+        "ev-compare-phi4-inf",
+        "verify-bounds-A-nan",
+        "verify-bounds-B-inf",
+        "dare-A-nan",
+        "dare-B-inf",
+        "dare-Q-inf",
+        "dare-R-inf",
+        "dare-cartpole-g-inf",
+        "dare-cartpole-tau-overflow",
+        "dare-ev-tau_minutes-inf",
+        "stability-trace-unknown-policy",
+        "sweep-theta-unknown-policy",
     ],
 )
 def test_degenerate_count_is_config_error(tmp_path, capsys, command, config):

@@ -332,7 +332,7 @@ def _trajopt_cases(bench2_model, bench2_syn):
     params = CartPoleParams()
     cp_model = cartpole_linearization(params)
     cp_syn = lq.synthesize(cp_model)
-    cp_resid = cartpole_residual(params, params, lipschitz_samples=200)
+    cp_resid = cartpole_residual(params, params)
     cases = {
         f"cartpole-{angle}": (cp_model, cp_resid, [0.0, 0.0, angle, 0.0], 12, 40, cp_syn)
         for angle in (0.05, 0.17, 0.3)
@@ -452,14 +452,13 @@ class TestCompetitiveRatio:
             x0,
             230,
         )
-        rep = lq.competitive_ratio(traj, opt, "exact_time_only", syn=bench2_syn)
-        assert rep.ratio == pytest.approx(1.0, abs=1e-9)
+        ratio = lq.competitive_ratio(traj, opt, syn=bench2_syn)
+        assert ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_plain_division(self):
         traj = _manual_trajectory([1.0, 0.0])
         traj.total_cost = 2.0
-        rep = lq.competitive_ratio(traj, 1.0, "exact_time_only")
-        assert rep.ratio == 2.0
+        assert lq.competitive_ratio(traj, 1.0) == 2.0
 
     def test_degenerate_opt_raises(self):
         with pytest.raises(DegenerateOPT):
@@ -467,12 +466,9 @@ class TestCompetitiveRatio:
 
 
 class TestVerifyBounds:
-    def _report(self, ratio):
-        return lq.CompetitiveReport(ratio, 1.0, ratio, "exact_time_only")
-
     def test_reduces_to_c2_term(self, bench2_syn):
         consts = lq.theorem_constants(bench2_syn, 0.0, 0.0)
-        check = lq.verify_bounds(consts, self._report(1.0), lambda_limit=1.0, c2=1.0)
+        check = lq.verify_bounds(consts, 1.0, lambda_limit=1.0, c2=1.0)
         assert check.bound == pytest.approx(1.0)
         assert check.model_term == 0.0
         assert check.nonlinear_term == 0.0
@@ -483,7 +479,7 @@ class TestVerifyBounds:
         sigma_over_2H = consts.sigma / (2 * consts.norm_H)
         bad = lq.theorem_constants(bench2_syn, 0.0, sigma_over_2H * 1.01)
         with pytest.raises(PreconditionViolated):
-            lq.verify_bounds(bad, self._report(1.0), lambda_limit=1.0)
+            lq.verify_bounds(bad, 1.0, lambda_limit=1.0)
 
     def test_monotone_in_eps_and_cl(self, bench2_syn):
         base = lq.theorem_constants(bench2_syn, 0.0, 0.0)
@@ -491,12 +487,12 @@ class TestVerifyBounds:
         bounds = []
         for frac in eps_grid:
             c = lq.theorem_constants(bench2_syn, 0.001, frac * base.eps_max_stability * 0.9)
-            bounds.append(lq.verify_bounds(c, self._report(1.0), 0.5, x0_norm=1.0).bound)
+            bounds.append(lq.verify_bounds(c, 1.0, 0.5, x0_norm=1.0).bound)
         assert all(b > a for a, b in zip(bounds, bounds[1:]))
         cl_bounds = []
         for cl in (0.0, 0.002, 0.004):
             c = lq.theorem_constants(bench2_syn, cl, 0.01)
-            cl_bounds.append(lq.verify_bounds(c, self._report(1.0), 0.5, x0_norm=1.0).bound)
+            cl_bounds.append(lq.verify_bounds(c, 1.0, 0.5, x0_norm=1.0).bound)
         assert all(b > a for a, b in zip(cl_bounds, cl_bounds[1:]))
 
     def test_default_c2_positive(self, bench2_syn):

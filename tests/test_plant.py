@@ -283,7 +283,7 @@ def _oracle_cases():
     cp_true = lq.synthesize(
         cartpole_linearization(params.with_true_masses_as_model())
     )
-    cp_resid = cartpole_residual(params, params, lipschitz_samples=200)
+    cp_resid = cartpole_residual(params, params)
     advice = lq.lqr_policy(cp_syn)
     bad = lq.gain_policy(-cp_syn.K)
     x_cp = [0.0, 0.0, 0.4, 0.0]
@@ -411,10 +411,10 @@ def _batch_cases():
         "zero": (lq.zero_residual(3), 3, 2, 0),
         "disturbance": (lq.disturbance_residual(w), 3, 2, 2),
         "disturbance-past-end": (lq.disturbance_residual(w), 3, 2, 9),
-        "tanh": (lq.lipschitz_residual(3, 2, 0.3, seed=1, saturation=0.5), 3, 2, 0),
-        "cartpole": (cartpole_residual(params, params, lipschitz_samples=50), 4, 1, 0),
+        "tanh": (lq.lipschitz_residual(3, 2, 0.3, seed=1), 3, 2, 0),
+        "cartpole": (cartpole_residual(params, params), 4, 1, 0),
         "cartpole-mismatch": (
-            cartpole_residual(params, params.with_true_masses_as_model(), lipschitz_samples=50),
+            cartpole_residual(params, params.with_true_masses_as_model()),
             4,
             1,
             0,

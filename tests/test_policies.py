@@ -190,9 +190,9 @@ class TestEpsilonConsistent:
     def test_measured_epsilon_within_declared(self, syn3):
         base = lq.lqr_policy(syn3)
         bb = lq.epsilon_consistent_blackbox(base, 0.2, "rotation", 11)
-        rep = lq.measure_epsilon(bb, base, lq.gaussian_state_sampler(3), 2000, 17)
-        assert rep.epsilon_hat <= 0.2 * (1 + 1e-9)
-        assert rep.epsilon_hat > 0.19  # rotation mode is tight
+        eps_hat = lq.measure_epsilon(bb, base, lq.gaussian_state_sampler(3), 2000, 17)
+        assert eps_hat <= 0.2 * (1 + 1e-9)
+        assert eps_hat > 0.19  # rotation mode is tight
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e10, -1e10])
     def test_rotation_rejects_unhashable_state(self, syn3, bad):
@@ -207,8 +207,8 @@ class TestEpsilonConsistent:
 class TestMeasureEpsilon:
     def test_identical_policies(self, syn3):
         pol = lq.lqr_policy(syn3)
-        rep = lq.measure_epsilon(pol, pol, lq.gaussian_state_sampler(3), 100, 0)
-        assert rep.epsilon_hat == 0.0
+        eps_hat = lq.measure_epsilon(pol, pol, lq.gaussian_state_sampler(3), 100, 0)
+        assert eps_hat == 0.0
 
     def test_gain_offset_svd_tight(self, syn3):
         rng = np.random.default_rng(12)
@@ -225,9 +225,9 @@ class TestMeasureEpsilon:
                 return top * rng_.uniform(0.5, 2.0)
             return rng_.standard_normal(3)
 
-        rep = lq.measure_epsilon(perturbed, base, sampler, 500, 3)
-        assert rep.epsilon_hat <= 0.05 * (1 + 1e-9)
-        assert rep.epsilon_hat == pytest.approx(0.05, rel=1e-6)
+        eps_hat = lq.measure_epsilon(perturbed, base, sampler, 500, 3)
+        assert eps_hat <= 0.05 * (1 + 1e-9)
+        assert eps_hat == pytest.approx(0.05, rel=1e-6)
 
 
 class TestWrappers:

@@ -244,11 +244,14 @@ _ROSTER = {
 
 
 def _roster(cfg: RunConfig, default: str) -> list[str]:
-    """The ``[experiment] policies`` labels, each checked before any work."""
+    """The ``[experiment] policies`` labels, each checked before any work:
+    known, and listed once."""
     labels = [label.strip() for label in cfg.get("experiment", "policies", default).split(",")]
-    for label in labels:
+    for k, label in enumerate(labels):
         if label not in _ROSTER:
             raise ConfigError(f"unknown policy label {label!r}")
+        if label in labels[:k]:
+            raise ConfigError(f"policy label {label!r} listed twice")
     return labels
 
 
@@ -284,6 +287,13 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     horizon = _bounded(cfg, "experiment", "horizon", 1200, least=1)
     blowup = _bounded(cfg, "experiment", "blowup", 50.0, above=0.0)
     jitter = _bounded(cfg, "experiment", "initial_angle_variation", 0.05, least=0.0)
+    # a sweep's initial states have norms up to |theta| + jitter
+    for theta in thetas:
+        if not abs(theta) + jitter < blowup:
+            raise ConfigError(
+                f"[sweep] thetas = {theta}: |theta| + initial_angle_variation "
+                f"must be below blowup {blowup}"
+            )
     roster = _roster(cfg, "lqr,blackbox,naive,adaptive")
     # building the bench here records the cartpole keys in the echoed
     # effective config; the tasks of this process then reuse it
@@ -332,6 +342,8 @@ def cmd_stability_trace(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     theta = _bounded(cfg, "experiment", "theta", 0.4, above=-math.inf, below=math.inf)
     horizon = _bounded(cfg, "experiment", "horizon", 1200, least=1)
     blowup = _bounded(cfg, "experiment", "blowup", 50.0, above=0.0)
+    if not abs(theta) < blowup:
+        raise ConfigError(f"[experiment] theta = {theta}: |theta| must be below blowup {blowup}")
     roster = _roster(cfg, "lqr,adaptive-destabilizing,naive-destabilizing")
     bench = _CartpoleBench(cfg)
     x0 = np.array([0.0, 0.0, theta, 0.0])

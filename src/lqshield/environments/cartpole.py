@@ -141,7 +141,12 @@ def cartpole_residual(
         return np.array(true_next) - (A.dot(x) + B.dot(uv))
 
     def f_batch(t, X, U):
-        return np.column_stack(true_step_batch(*X.T, U[:, 0])) - (X @ A.T + U @ B.T)
+        true_next = np.empty_like(X)
+        true_next[:, 0], true_next[:, 1], true_next[:, 2], true_next[:, 3] = true_step_batch(
+            *X.T, U[:, 0]
+        )
+        true_next -= X @ A.T + U @ B.T
+        return true_next
 
     probe = ResidualModel(eval=f, lipschitz=0.0, eval_batch=f_batch)
     c_hat = estimate_lipschitz(probe, samples=2000, radius=1.0, rng_seed=0, n=4, m=1)

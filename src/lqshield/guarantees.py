@@ -102,7 +102,17 @@ class _SystemNorms:
     BI: float  # ||B + I||, or ||B|| + 1 for a non-square B
 
 
+# the last synthesis whose norms were taken, and its norms: callers
+# evaluate the constants many times on one synthesis before the next, and
+# a Synthesis is not changed once built, so matching it by identity is enough
+_last_norms: tuple = (None, None)
+
+
 def _system_norms(syn: Synthesis) -> _SystemNorms:
+    global _last_norms
+    seen, norms = _last_norms
+    if seen is syn:
+        return norms
     P, K, F, H = syn.P, syn.K, syn.F, syn.H
     B = syn.model.B
     Q, R = syn.model.Q, syn.model.R
@@ -111,7 +121,7 @@ def _system_norms(syn: Synthesis) -> _SystemNorms:
         nBI = _opnorm(B + np.eye(B.shape[0]))
     else:
         nBI = nB + 1.0
-    return _SystemNorms(
+    norms = _SystemNorms(
         P=_opnorm(P),
         K=_opnorm(K),
         B=nB,
@@ -122,6 +132,8 @@ def _system_norms(syn: Synthesis) -> _SystemNorms:
         QKRK=_opnorm(Q + K.T @ R @ K),
         BI=nBI,
     )
+    _last_norms = (syn, norms)
+    return norms
 
 
 def theorem_constants(syn: Synthesis, C_ell: float, epsilon: float) -> TheoremConstants:
@@ -362,11 +374,16 @@ def opt_cost_trajopt(
     (LQR rollout) cost.
 
     The objective rolls a batch of action sequences at once, with the
-    residual evaluated through :meth:`ResidualModel.batch`: each descent
-    iteration evaluates its 2·T·m central-difference probes (u ± h_j e_j,
-    h_j = 1e-6 max(1, |u_j|)) as one batch, and the initial cost and
-    each line-search candidate as a batch of one.  A sequence whose state
-    goes non-finite costs inf.
+    residual evaluated through :meth:`ResidualModel.batch`.  Each point
+    is evaluated together with its 2·T·m central-difference probes
+    (u ± h_j e_j, h_j = 1e-6 max(1, |u_j|)) as one batch: the initial
+    point, and each iteration's first line-search candidate, whose
+    probes give the next gradient once it is accepted (a gradient is
+    only formed at an accepted point).  The last iteration's candidate
+    and every backtracked candidate are a batch of one, and a point
+    accepted after backtracking has its probes evaluated at the start of
+    the next iteration.  A sequence whose state goes non-finite costs
+    inf.
     """
     from .linalg_control import synthesize
 
@@ -374,60 +391,75 @@ def opt_cost_trajopt(
         syn = synthesize(model)
     x0 = np.asarray(x0, dtype=float)
     A, B, Q, R, P = model.A, model.B, model.Q, model.R, syn.P
-    m = model.m
+    n, m = model.n, model.m
     At, Bt = A.T, B.T
 
     def batch_cost(u_rows: np.ndarray) -> np.ndarray:
         """Shooting cost of every row of u_rows [N, T*m]."""
         N = u_rows.shape[0]
         us = u_rows.reshape(N, T, m)
-        X = np.tile(x0, (N, 1))
-        cost = np.zeros(N)
+        # the states x_0..x_T of every row
+        X = np.empty((T + 1, N, n))
+        X[0] = x0
         dead = np.zeros(N, dtype=bool)
         with np.errstate(all="ignore"):
             for t in range(T):
                 U = us[:, t]
-                cost += np.einsum("ki,ij,kj->k", X, Q, X) + np.einsum("ki,ij,kj->k", U, R, U)
-                X = X @ At + U @ Bt + residual.batch(t, X, U)
-                bad = ~np.isfinite(X).all(axis=1)
-                if bad.any():
+                X[t + 1] = X[t] @ At + U @ Bt + residual.batch(t, X[t], U)
+                Xn = X[t + 1]
+                if not np.isfinite(Xn).all():
                     # a dead row rolls on from 0 so the residual never sees
                     # a non-finite state
+                    bad = ~np.isfinite(Xn).all(axis=1)
                     dead |= bad
-                    X[bad] = 0.0
-            cost += np.einsum("ki,ij,kj->k", X, P, X)
+                    Xn[bad] = 0.0
+            cost = (
+                np.einsum("tki,ij,tkj->k", X[:T], Q, X[:T])
+                + np.einsum("kti,ij,ktj->k", us, R, us)
+                + np.einsum("ki,ij,kj->k", X[T], P, X[T])
+            )
         cost[dead | ~np.isfinite(cost)] = math.inf
         return cost
-
-    def rollout_cost(u_flat: np.ndarray) -> float:
-        return float(batch_cost(u_flat[None])[0])
 
     traj = simulate(model, residual, lqr_policy(syn), x0, T)
     u = traj.actions.reshape(-1).copy()
     if u.shape[0] != T * m:
         u = np.resize(u, T * m)
-    best = rollout_cost(u)
-    initial = best
-    history = [best]
     D = u.shape[0]
     rows = np.arange(D)
-    for _ in range(iterations):
-        h = 1e-6 * np.maximum(1.0, np.abs(u))
-        probes = np.tile(u, (2 * D, 1))
-        probes[rows, rows] += h
-        probes[D + rows, rows] -= h
-        costs = batch_cost(probes)
+
+    def with_probes(v: np.ndarray) -> tuple[float, tuple]:
+        """The cost of v, and its probes' costs and steps, from one batch;
+        the caller differences the probes only once v is accepted."""
+        h = 1e-6 * np.maximum(1.0, np.abs(v))
+        batch = np.tile(v, (2 * D + 1, 1))
+        batch[1 + rows, rows] += h
+        batch[1 + D + rows, rows] -= h
+        costs = batch_cost(batch)
+        return float(costs[0]), (costs[1:], h)
+
+    best, probed = with_probes(u)
+    initial = best
+    history = [best]
+    for it in range(iterations):
+        if probed is None:
+            probed = with_probes(u)[1]
+        costs, h = probed
         grad = (costs[:D] - costs[D:]) / (2.0 * h)
         gnorm = np.linalg.norm(grad)
         if gnorm < 1e-14:
             break
         step = 1.0 / (1.0 + gnorm)
+        probed = None
         improved_this_iter = False
-        for _ in range(40):
+        for k in range(40):
             cand = u - step * grad
-            c = rollout_cost(cand)
+            if k == 0 and it + 1 < iterations:
+                c, cand_probed = with_probes(cand)
+            else:
+                c, cand_probed = float(batch_cost(cand[None])[0]), None
             if c < best - 1e-12 * max(1.0, abs(best)):
-                u, best = cand, c
+                u, best, probed = cand, c, cand_probed
                 improved_this_iter = True
                 break
             step *= 0.5

@@ -370,6 +370,19 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command):
         ("dare", "[system]\nenvironment = ev\n[ev]\ntau_minutes = inf\n"),
         ("stability-trace", "[experiment]\npolicies = lqr,bogus\n"),
         ("sweep-theta", "[experiment]\npolicies = lqr,bogus\n"),
+        ("stability-trace", "[experiment]\npolicies = lqr,lqr\nhorizon = 5\n"),
+        (
+            "sweep-theta",
+            "[experiment]\npolicies = lqr,lqr\nmonte_carlo = 1\nhorizon = 5\n"
+            "[sweep]\nthetas = 0.1\n",
+        ),
+        ("stability-trace", "[experiment]\ntheta = 1e300\nhorizon = 5\n"),
+        ("sweep-theta", "[experiment]\nmonte_carlo = 1\nhorizon = 5\n[sweep]\nthetas = 1e300\n"),
+        (
+            "sweep-theta",
+            "[experiment]\nmonte_carlo = 1\nhorizon = 5\nblowup = 1\n"
+            "initial_angle_variation = 0.5\n[sweep]\nthetas = 0.6\n",
+        ),
     ],
     ids=[
         "verify-bounds-seeds",
@@ -416,6 +429,11 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command):
         "dare-ev-tau_minutes-inf",
         "stability-trace-unknown-policy",
         "sweep-theta-unknown-policy",
+        "stability-trace-repeated-policy",
+        "sweep-theta-repeated-policy",
+        "stability-trace-theta-past-blowup",
+        "sweep-theta-thetas-past-blowup",
+        "sweep-theta-jitter-past-blowup",
     ],
 )
 def test_degenerate_count_is_config_error(tmp_path, capsys, command, config):

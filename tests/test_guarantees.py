@@ -260,6 +260,16 @@ class TestHoistedNorms:
             got = lq.theorem_constants(syn, C_ell, eps).as_dict()
             assert got == _reference_theorem_constants(syn, C_ell, eps)
 
+    def test_interleaved_syntheses(self, bench2_syn):
+        """Constants taken alternately on two syntheses use each one's own
+        norms."""
+        other = lq.synthesize(random_stabilizable(np.random.default_rng(8), 3, 1))
+        for syn in (bench2_syn, other, other, bench2_syn, other, bench2_syn):
+            for C_ell, eps in ((0.0, 0.0), (0.01, 0.02)):
+                got = lq.theorem_constants(syn, C_ell, eps).as_dict()
+                assert got == _reference_theorem_constants(syn, C_ell, eps)
+            assert admissible_lipschitz_cap(syn) == _reference_cap(syn)
+
 
 def _reference_trajopt(model, residual, x0, T, iterations=40, syn=None, fd_step=1e-6):
     """The scalar finite-difference shooting loop that ``opt_cost_trajopt``
@@ -371,6 +381,27 @@ class TestOptCostTrajopt:
         assert res.initial_cost == pytest.approx(ref.initial_cost, rel=1e-9)
         assert res.iterations_run == ref.iterations_run
         assert res.improved == ref.improved
+
+    def test_candidate_and_probes_share_a_batch(self, bench2_model, bench2_syn):
+        """Each accepted first candidate is evaluated with its own probes:
+        one objective batch per iteration plus the initial one."""
+        model, resid, x0, T, iterations, syn = _trajopt_cases(bench2_model, bench2_syn)[
+            "cartpole-0.17"
+        ]
+        calls = []
+
+        def counting(t, X, U):
+            calls.append((t, X.shape[0]))
+            return resid.eval_batch(t, X, U)
+
+        counted = lq.ResidualModel(eval=resid.eval, lipschitz=resid.lipschitz, eval_batch=counting)
+        res = lq.opt_cost_trajopt(model, counted, x0, T, iterations=iterations, syn=syn)
+        D = T * model.m
+        # every iteration accepts its first candidate; the last one needs
+        # no probes
+        assert res.iterations_run == iterations
+        assert len(calls) == (res.iterations_run + 1) * T
+        assert [N for t, N in calls if t == 0] == [2 * D + 1] * iterations + [1]
 
     @pytest.mark.parametrize("batch_form", [False, True])
     @pytest.mark.filterwarnings("error::RuntimeWarning")

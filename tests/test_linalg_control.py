@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
@@ -99,16 +99,31 @@ class TestSynthesize:
         n = int(rng.integers(1, 6))
         model = random_stabilizable(rng, n, int(rng.integers(1, n + 1)))
         syn = lq.synthesize(model, T_check=T_check)
-        # the one-SVD-per-power loop the batched norm must reproduce exactly
-        C_F = 1.0
-        Ft = np.eye(n)
-        for t in range(1, T_check + 1):
-            Ft = syn.F @ Ft
-            ratio = np.linalg.norm(Ft, 2) / syn.rho**t
-            if ratio > C_F:
-                C_F = ratio
-        assert syn.C_F == float(C_F)
+        assert syn.C_F == _per_power_envelope(syn, T_check)[0]
         assert np.array_equal(lq.solve_dare(model), syn.P)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(0, 500))
+    @example(seed=0, T_check=0)
+    @example(seed=1, T_check=1)
+    def test_envelope_screen_on_non_normal_loops(self, seed, T_check):
+        """Closed loops of two Jordan-type blocks with large off-diagonals:
+        ||F^t|| / rho^t peaks after t = 1, many powers' Frobenius ratios
+        sit near the max, and where the blocks' transients cross a power
+        has two equal singular values, so the largest Frobenius ratio need
+        not belong to the power that sets C_F.  The screened SVDs still
+        give the max over every power bit for bit."""
+        rng = np.random.default_rng(seed)
+        A = np.zeros((4, 4))
+        for i in (0, 2):
+            lam = rng.uniform(0.7, 0.95)
+            A[i : i + 2, i : i + 2] = [[lam, rng.uniform(2.0, 6.0)], [0.0, lam]]
+        B = 1e-3 * rng.standard_normal((4, 1))
+        syn = lq.synthesize(lq.LinearModel(A=A, B=B, Q=np.eye(4), R=np.eye(1)), T_check=T_check)
+        C_F, peak = _per_power_envelope(syn, T_check)
+        assert syn.C_F == C_F
+        if T_check >= 2:
+            assert peak > 1
 
     def test_sigma_and_kappa(self):
         model = lq.LinearModel(
@@ -117,6 +132,20 @@ class TestSynthesize:
         syn = lq.synthesize(model)
         assert syn.sigma == 0.5
         assert syn.kappa == 2.0  # max{2, 0.3, 1}
+
+
+def _per_power_envelope(syn, T_check):
+    """C_F from one SVD per power F^1..F^T_check, the loop ``synthesize``
+    must reproduce exactly, and the power that sets it (0 for the t = 0
+    term)."""
+    C_F, peak = 1.0, 0
+    Ft = np.eye(syn.n)
+    for t in range(1, T_check + 1):
+        Ft = syn.F @ Ft
+        ratio = np.linalg.norm(Ft, 2) / syn.rho**t
+        if ratio > C_F:
+            C_F, peak = ratio, t
+    return float(C_F), peak
 
 
 class TestSpectralRadius:

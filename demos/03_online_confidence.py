@@ -28,7 +28,7 @@ x0 = rng.standard_normal(2)
 print("learned confidence vs hindsight weight (estimates scaled by c):")
 for c in (1.0, 1.25, 2.0, 4.0):
     bb = lq.parameterized_blackbox(syn, [c * v for v in w])
-    pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
+    pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
     traj = lq.simulate(model, lq.disturbance_residual(w), pol, x0, 100)
     # the black box is deterministic in (t, x): recompute its suggestions
     log = ObservationLog(
@@ -47,14 +47,14 @@ for eps in (0.0, 0.02, 0.05, 0.1, 0.2):
         bb = lq.epsilon_consistent_blackbox(
             lq.auxiliary_optimal_policy(syn, w), eps, "rotation", seed
         )
-        pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
+        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
         traj = lq.simulate(model, lq.disturbance_residual(w), pol, x0, T_w + 200)
         ratios.append(lq.competitive_ratio(traj, opt, syn=syn))
     print(f"  eps={eps:4.2f}: mean ratio {np.mean(ratios):.6f}")
 
 print("\nconfidence trace with a destabilizing black box (cut off fast):")
 bad = lq.gain_policy(-syn.K)
-pol = lq.adaptive_policy(syn, bad, lq.lqr_policy(syn), 0.01, "learned")
+pol = lq.AdaptivePolicy(syn, bad, lq.lqr_policy(syn), 0.01, "learned")
 traj = lq.simulate(model, lq.disturbance_residual(w), pol, x0, 40)
 print("  lambda_t:", [round(l, 3) for l in pol.lambdas[:8]], "...")
 print(f"  final state norm: {np.linalg.norm(traj.states[-1]):.2e}")

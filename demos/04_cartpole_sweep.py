@@ -37,7 +37,7 @@ for theta in (0.1, 0.2, 0.3, 0.4):
         x0 = np.array([0.0, 0.0, theta + jitters[theta][mc], 0.0])
         costs["lqr"].append(lq.simulate(model, residual, advice, x0, T).total_cost)
         costs["bb"].append(lq.simulate(model, residual, blackbox, x0, T).total_cost)
-        pol = lq.adaptive_policy(syn, blackbox, advice, 0.01, "learned")
+        pol = lq.AdaptivePolicy(syn, blackbox, advice, 0.01, "learned")
         costs["adaptive"].append(lq.simulate(model, residual, pol, x0, T).total_cost)
     print(
         f"{theta:6.1f} {np.mean(costs['lqr']):12.2f} {np.mean(costs['bb']):12.2f} "
@@ -50,7 +50,7 @@ x0 = np.array([0.0, 0.0, 0.4, 0.0])
 naive = lq.simulate(
     model, residual, lq.naive_convex_policy(bad, advice, 0.8), x0, T, blowup=50.0
 )
-pol = lq.adaptive_policy(syn, bad, advice, 0.01, "learned")
+pol = lq.AdaptivePolicy(syn, bad, advice, 0.01, "learned")
 adaptive = lq.simulate(model, residual, pol, x0, T, blowup=50.0)
 print(f"  fixed 0.8 blend : diverged={naive.diverged} (at step {naive.diverged_at})")
 print(

@@ -38,7 +38,7 @@ def run_day(seed, profile):
         traj = lq.simulate(env.model, env.residual, policy, np.zeros(n), T)
         return float(np.sum(env.rewards_for_trajectory(traj)))
 
-    adaptive = lq.adaptive_policy(syn, blackbox, advice, 1e-3, "learned")
+    adaptive = lq.AdaptivePolicy(syn, blackbox, advice, 1e-3, "learned")
     return reward_of(blackbox), reward_of(adaptive), reward_of(advice)
 
 

@@ -12,7 +12,6 @@ from .adaptive import (
     AdaptivePolicy,
     ConfidenceState,
     ObservationLog,
-    adaptive_policy,
     learn_lambda_prime,
     optimal_lambda,
     write_confidence_csv,

@@ -31,7 +31,6 @@ __all__ = [
     "learn_lambda_prime",
     "optimal_lambda",
     "AdaptivePolicy",
-    "adaptive_policy",
     "write_confidence_csv",
 ]
 
@@ -292,17 +291,6 @@ class AdaptivePolicy:
             lambda_prime_raw=tuple(self._raw),
             branches=tuple(self._branches),
         )
-
-
-def adaptive_policy(
-    syn: Synthesis,
-    blackbox: Policy,
-    advice: Policy,
-    alpha: float,
-    lambda_source: Union[str, Callable[[int], float]] = "learned",
-) -> AdaptivePolicy:
-    """Construct an :class:`AdaptivePolicy` (one instance per simulation)."""
-    return AdaptivePolicy(syn, blackbox, advice, alpha, lambda_source)
 
 
 def write_confidence_csv(policy: AdaptivePolicy, path) -> None:

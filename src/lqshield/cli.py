@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import adaptive_policy
+from .adaptive import AdaptivePolicy
 from .adversarial import construct_adversarial_K2, demonstrate_instability
 from .environments.cartpole import (
     CartPoleParams,
@@ -225,7 +225,7 @@ class _CartpoleBench:
         if blend == "naive":
             return naive_convex_policy(policy, advice, self.naive_lambda)
         if blend == "adaptive":
-            return adaptive_policy(self.syn, policy, advice, self.alpha, "learned")
+            return AdaptivePolicy(self.syn, policy, advice, self.alpha, "learned")
         return policy
 
 
@@ -304,12 +304,14 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         for ti, theta in enumerate(thetas)
         for label in roster
     ]
-    if jobs > 1:
+    # a fork-started pool starts all of its workers at once: no more than the cells
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # imported here: the pool pulls in multiprocessing, which no other run needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(cfg,)
+            max_workers=workers, initializer=_init_worker, initargs=(cfg,)
         ) as pool:
             results = list(pool.map(_sweep_task, tasks))
     else:
@@ -439,7 +441,7 @@ def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
             advice = line_limited(lqr_policy(syn), gamma)
             for label, policy in (
                 ("blackbox", blackbox),
-                ("adaptive", adaptive_policy(syn, blackbox, advice, alpha, "learned")),
+                ("adaptive", AdaptivePolicy(syn, blackbox, advice, alpha, "learned")),
                 ("lqr", advice),
             ):
                 traj = simulate(env.model, env.residual, policy, np.zeros(n), T)
@@ -511,7 +513,7 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
                     bb = epsilon_consistent_blackbox(
                         lqr_policy(syn), eps_tilde, "rotation", seed + s
                     )
-                    pol = adaptive_policy(syn, bb, lqr_policy(syn), alpha, "learned")
+                    pol = AdaptivePolicy(syn, bb, lqr_policy(syn), alpha, "learned")
                     traj = simulate(model, resid, pol, x0, horizon)
                     rep = fit_stability_envelope(traj, consts)
                     env_pass += bool(rep.satisfied)
@@ -525,7 +527,7 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
                     bb = epsilon_consistent_blackbox(
                         auxiliary_optimal_policy(syn, w), eps, "rotation", seed + s
                     )
-                    pol = adaptive_policy(
+                    pol = AdaptivePolicy(
                         syn, bb, lqr_policy(syn), 1e-6, lambda_source=lambda t: 1.0
                     )
                     traj = simulate(
@@ -634,8 +636,13 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed {args.seed}: must be non-negative")
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs {args.jobs}: must be at least 1")
         cfg = RunConfig(args.config)
-        args.out.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out {args.out}: {exc}") from exc
         code = _COMMANDS[args.command](cfg, args.out, args.seed, args.jobs)
         cfg.echo(
             args.out,

@@ -145,8 +145,11 @@ class EvEnvironment:
 
 
 def _sessions_by_step(sessions: Sequence[ChargingSession], n: int):
-    arrivals: dict[int, list] = {}
-    departures: dict[int, list] = {}
+    """The per-step ``{t: {station index: energy}}`` lookups of arrivals
+    and of departures, after checking that every station is in the
+    fleet and that no two sessions on one station overlap."""
+    arrivals: dict[int, dict] = {}
+    departures: dict[int, dict] = {}
     per_station: dict[int, list] = {}
     for s in sessions:
         if s.station > n:
@@ -163,8 +166,8 @@ def _sessions_by_step(sessions: Sequence[ChargingSession], n: int):
                     f"[{a.arrival}, {a.departure}] and [{b.arrival}, {b.departure}]"
                 )
         for s in group:
-            arrivals.setdefault(s.arrival, []).append((s.station - 1, s.energy))
-            departures.setdefault(s.departure, []).append((s.station - 1, s.energy))
+            arrivals.setdefault(s.arrival, {})[s.station - 1] = s.energy
+            departures.setdefault(s.departure, {})[s.station - 1] = s.energy
     return arrivals, departures
 
 
@@ -190,17 +193,14 @@ def ev_environment(
         A=np.eye(n), B=-tau * np.eye(n), Q=np.eye(n), R=1e-4 * np.eye(n)
     )
 
-    # per-step {station index: energy} lookups, built once
-    arrivals_at = {t: dict(v) for t, v in arrivals.items()}
-    departures_at = {t: dict(v) for t, v in departures.items()}
     no_events: dict = {}
 
     def residual_eval(t, x, u):
         u = np.asarray(u, dtype=float).reshape(n)
         xs = np.asarray(x, dtype=float).reshape(n).tolist()
         us = u.tolist()
-        arr = arrivals_at.get(t, no_events)
-        dep = departures_at.get(t, no_events)
+        arr = arrivals.get(t, no_events)
+        dep = departures.get(t, no_events)
         total = float(np.add.reduce(np.abs(u)))
         over_limit = total > gamma
         # effective allocation after the line projection, u_i * (gamma / total);
@@ -235,7 +235,7 @@ def ev_environment(
             - phi2 * math.sqrt(x.dot(x))
             - phi3 * p_t * float(np.add.reduce(np.abs(u)))
         )
-        for i, energy in departures.get(t, ()):
+        for i, energy in departures.get(t, no_events).items():
             r -= phi4 * x[i] / energy
         return r
 

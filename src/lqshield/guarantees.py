@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateOPT, PreconditionViolated
 from .linalg_control import LinearModel, Synthesis, _eta_series, _hindsight_weight
-from .plant import ResidualModel, Trajectory, disturbance_residual, simulate
+from .plant import ResidualModel, Trajectory, disturbance_residual, simulate, zero_residual
 from .policies import auxiliary_optimal_policy, lqr_policy
 
 __all__ = [
@@ -236,10 +236,9 @@ class StabilityReport:
 
     ``decay_gamma_hat`` is exp(least-squares slope of log||x_t||),
     ``envelope_C_hat`` the smallest prefactor making the fitted envelope
-    hold, and ``satisfied`` (when predicted constants were supplied)
-    whether ||x_t|| <= C_pred gamma_pred^t ||x_0|| held at every step
-    with C_pred = (C_F + mu/gamma) / (1 - mu/gamma); None when the
-    prediction is unavailable (mu >= gamma) or no prediction was given.
+    hold, and ``satisfied`` whether ||x_t|| <= C_pred gamma_pred^t ||x_0||
+    held at every step with C_pred = (C_F + mu/gamma) / (1 - mu/gamma);
+    None when the prediction is unavailable (mu >= gamma).
     """
 
     decay_gamma_hat: float
@@ -256,9 +255,7 @@ def predicted_envelope_prefactor(constants: TheoremConstants) -> Optional[float]
     return (constants.C_F + r) / (1.0 - r)
 
 
-def fit_stability_envelope(
-    traj: Trajectory, predicted: Optional[TheoremConstants] = None
-) -> StabilityReport:
+def fit_stability_envelope(traj: Trajectory, predicted: TheoremConstants) -> StabilityReport:
     """Fit a per-step decay to ||x_t|| and check the predicted envelope."""
     norms = traj.state_norms()
     if norms.shape[0] < 10:
@@ -271,7 +268,7 @@ def fit_stability_envelope(
         return StabilityReport(
             decay_gamma_hat=0.0,
             envelope_C_hat=1.0,
-            satisfied=True if predicted is not None else None,
+            satisfied=True,
             degenerate=True,
         )
     ts = np.nonzero(mask)[0].astype(float)
@@ -280,7 +277,7 @@ def fit_stability_envelope(
     ratios = norms[mask] / (decay ** ts * x0n)
     envelope_C = float(np.max(ratios))
     satisfied: Optional[bool] = None
-    pred_C = predicted_envelope_prefactor(predicted) if predicted is not None else None
+    pred_C = predicted_envelope_prefactor(predicted)
     if pred_C is not None:
         bound = pred_C * predicted.gamma ** np.arange(norms.shape[0]) * x0n
         satisfied = bool(np.all(norms <= bound * (1.0 + 1e-9)))
@@ -334,7 +331,7 @@ def opt_cost_time_only(
     w = [np.asarray(v, dtype=float) for v in disturbances]
     T = len(w)
     policy = auxiliary_optimal_policy(syn, w)
-    residual = disturbance_residual(w) if T else None
+    residual = disturbance_residual(w) if T else zero_residual(syn.n)
     traj = simulate(syn.model, residual, policy, x0, max(T, 1))
     cost = total_cost_with_tail(traj, syn)
     if check:
@@ -363,15 +360,16 @@ def opt_cost_trajopt(
     x0,
     T: int,
     iterations: int = 40,
-    syn: Optional[Synthesis] = None,
+    *,
+    syn: Synthesis,
 ) -> TrajOptResult:
     """Approximate offline-optimal cost by shooting on u_0..u_{T-1}.
 
     Finite-difference gradient descent with backtracking line search,
-    initialized from the LQR rollout; the objective adds the LQR value
-    x_T'P x_T as terminal cost.  The returned best cost is monotone
-    non-increasing across iterations and never exceeds the initial
-    (LQR rollout) cost.
+    initialized from the rollout of the LQR of ``syn`` (the synthesis of
+    ``model``); the objective adds its value x_T'P x_T as terminal cost.
+    The returned best cost is monotone non-increasing across iterations
+    and never exceeds the initial (LQR rollout) cost.
 
     The objective rolls a batch of action sequences at once, with the
     residual evaluated through :meth:`ResidualModel.batch`.  Each point
@@ -385,10 +383,6 @@ def opt_cost_trajopt(
     the next iteration.  A sequence whose state goes non-finite costs
     inf.
     """
-    from .linalg_control import synthesize
-
-    if syn is None:
-        syn = synthesize(model)
     x0 = np.asarray(x0, dtype=float)
     A, B, Q, R, P = model.A, model.B, model.Q, model.R, syn.P
     n, m = model.n, model.m
@@ -475,23 +469,16 @@ def opt_cost_trajopt(
     )
 
 
-def competitive_ratio(
-    alg_traj: Trajectory,
-    opt_cost: float,
-    syn: Optional[Synthesis] = None,
-) -> float:
+def competitive_ratio(alg_traj: Trajectory, opt_cost: float, syn: Synthesis) -> float:
     """ALG / OPT: the algorithm's cost over an offline-optimal reference cost.
 
-    When ``syn`` is supplied the algorithm cost includes the exact LQR
-    tail value at the terminal state (matching how the exact OPT is
-    accounted).  Raises :class:`DegenerateOPT` for opt_cost <= 1e-15.
+    The algorithm cost includes the exact LQR tail value at the terminal
+    state, matching how the exact OPT is accounted.  Raises
+    :class:`DegenerateOPT` for opt_cost <= 1e-15.
     """
     if opt_cost <= 1e-15:
         raise DegenerateOPT(f"optimal cost {opt_cost!r} is numerically zero")
-    alg_cost = (
-        total_cost_with_tail(alg_traj, syn) if syn is not None else alg_traj.total_cost
-    )
-    return float(alg_cost / opt_cost)
+    return float(total_cost_with_tail(alg_traj, syn) / opt_cost)
 
 
 @dataclass(frozen=True)

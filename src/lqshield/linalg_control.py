@@ -12,7 +12,7 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -125,8 +125,8 @@ class Synthesis:
 
     - ``rho``: midpoint decay rate (1 + spectral radius of F) / 2,
     - ``C_F``: empirical envelope constant with ||F^t|| <= C_F rho^t
-      for 0 <= t <= ``T_check`` (a finite-horizon lower bound of the
-      true envelope constant; T_check is reported alongside),
+      for 0 <= t <= ``T_check`` = 500 (a finite-horizon lower bound of
+      the true envelope constant; T_check is reported alongside),
     - ``kappa``: max{2, ||A||, ||B||},
     - ``sigma``: smallest eigenvalue across Q and R.
     """
@@ -143,7 +143,7 @@ class Synthesis:
     sigma: float
     T_check: int
     dare_residual: float
-    iterations: int = field(default=0)
+    iterations: int
 
     @property
     def n(self) -> int:
@@ -216,20 +216,47 @@ def solve_dare(model: LinearModel, max_iter: int = 20_000) -> np.ndarray:
     return _dare_fixed_point(model, max_iter)[0]
 
 
-def synthesize(
-    model: LinearModel,
-    T_check: int = 500,
-    max_iter: int = 20_000,
-) -> Synthesis:
+# the horizon of the C_F envelope: the max over the powers F^0..F^500
+_T_CHECK = 500
+
+
+def _envelope_constant(F: np.ndarray, rho: float, T_check: int) -> float:
+    """The max of ||F^t||_2 / rho^t over 0 <= t <= ``T_check``.
+
+    The powers F^1..F^T_check are stacked and screened by their
+    Frobenius norms, which bound the spectral norm within a factor
+    sqrt(n): only the powers that could set the max get an SVD, all in
+    one batched call, so the result equals the max over every power
+    bit for bit.
+    """
+    # the t=0 term makes C_F at least 1; the powers come from the F @ F^t
+    # recurrence of a per-power loop, so C_F matches that loop bit for bit
+    n = F.shape[0]
+    powers = np.empty((T_check, n, n))
+    Ft = np.eye(n)
+    for t in range(T_check):
+        Ft = np.matmul(F, Ft, out=powers[t])
+    # ||M||_2 <= ||M||_F <= sqrt(n) ||M||_2: a power whose Frobenius ratio
+    # is below the largest lower bound cannot set the max, so only the
+    # others get an SVD; the 1e-9 margins cover the rounding of both norms
+    upper = np.sqrt(np.einsum("tij,tij->t", powers, powers)) / rho ** np.arange(1, T_check + 1)
+    floor = max(1.0, upper.max(initial=0.0) / math.sqrt(n))
+    cand = np.flatnonzero(upper * (1.0 + 1e-9) >= floor * (1.0 - 1e-9))
+    C_F = 1.0
+    norms = np.linalg.svd(powers[cand], compute_uv=False)[:, 0]
+    for t, norm in zip((cand + 1).tolist(), norms):
+        ratio = norm / rho**t
+        if ratio > C_F:
+            C_F = ratio
+    return float(C_F)
+
+
+def synthesize(model: LinearModel, max_iter: int = 20_000) -> Synthesis:
     """Full LQR synthesis: P, K, F, H plus the decay-envelope constants.
 
     P is the fixed point of :func:`solve_dare` and ``iterations`` its
     iteration count.  ``C_F`` is the max of ||F^t||_2 / rho^t over
-    0 <= t <= ``T_check``.  The powers F^1..F^T_check are stacked and
-    screened by their Frobenius norms, which bound the spectral norm
-    within a factor sqrt(n): only the powers that could set the max get
-    an SVD, all in one batched call, so ``C_F`` equals the max over
-    every power bit for bit.
+    0 <= t <= 500 (``T_check``), from :func:`_envelope_constant`.
 
     Raises :class:`NonStabilizable` if the Riccati iteration fails or if
     the synthesized closed loop is not contracting.
@@ -248,25 +275,7 @@ def synthesize(
             f"synthesized closed loop has spectral radius {rho_F:.6f} >= 1"
         )
     rho = 0.5 * (1.0 + rho_F)
-    # the t=0 term makes C_F at least 1; the powers come from the F @ F^t
-    # recurrence of a per-power loop, so C_F matches that loop bit for bit
-    n = model.n
-    powers = np.empty((T_check, n, n))
-    Ft = np.eye(n)
-    for t in range(T_check):
-        Ft = np.matmul(F, Ft, out=powers[t])
-    # ||M||_2 <= ||M||_F <= sqrt(n) ||M||_2: a power whose Frobenius ratio
-    # is below the largest lower bound cannot set the max, so only the
-    # others get an SVD; the 1e-9 margins cover the rounding of both norms
-    upper = np.sqrt(np.einsum("tij,tij->t", powers, powers)) / rho ** np.arange(1, T_check + 1)
-    floor = max(1.0, upper.max(initial=0.0) / math.sqrt(n))
-    cand = np.flatnonzero(upper * (1.0 + 1e-9) >= floor * (1.0 - 1e-9))
-    C_F = 1.0
-    norms = np.linalg.svd(powers[cand], compute_uv=False)[:, 0]
-    for t, norm in zip((cand + 1).tolist(), norms):
-        ratio = norm / rho**t
-        if ratio > C_F:
-            C_F = ratio
+    C_F = _envelope_constant(F, rho, _T_CHECK)
     kappa = max(2.0, np.linalg.norm(A, 2), np.linalg.norm(B, 2))
     sigma = float(min(np.min(np.linalg.eigvalsh(Q)), np.min(np.linalg.eigvalsh(R))))
     residual = dare_residual_norm(model, P)
@@ -280,12 +289,12 @@ def synthesize(
         K=K,
         F=F,
         H=H,
-        C_F=float(C_F),
+        C_F=C_F,
         rho=float(rho),
         rho_F=float(rho_F),
         kappa=float(kappa),
         sigma=sigma,
-        T_check=T_check,
+        T_check=_T_CHECK,
         dare_residual=residual,
         iterations=iterations,
     )

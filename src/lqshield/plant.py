@@ -144,7 +144,7 @@ class Trajectory:
 
 def simulate(
     model: LinearModel,
-    residual: Optional[ResidualModel],
+    residual: ResidualModel,
     policy,
     x0,
     T: int,
@@ -152,9 +152,10 @@ def simulate(
 ) -> Trajectory:
     """Roll the plant forward T steps under ``policy``.
 
-    The policy is queried exactly once per step in time order.  If some
-    ||x_t|| exceeds ``blowup`` (or goes non-finite) the rollout stops and
-    the partial trajectory is returned with ``diverged`` set.
+    The bare linear plant takes :func:`zero_residual`.  The policy is
+    queried exactly once per step in time order.  If some ||x_t||
+    exceeds ``blowup`` (or goes non-finite) the rollout stops and the
+    partial trajectory is returned with ``diverged`` set.
 
     Each step evaluates x_{t+1} = A x_t + B u_t + f_t and the stage cost
     x_t'Q x_t + u_t'R u_t with the operations of the replay check in
@@ -171,8 +172,7 @@ def simulate(
         raise ValueError(f"x0 has dimension {x.shape[0]}, expected {n}")
     A, B, Q, R = model.A, model.B, model.Q, model.R
     act = policy.act
-    f_eval = residual.eval if residual is not None else None
-    zero = np.zeros(n)
+    f_eval = residual.eval
     # an infinite (or NaN) bound still stops the rollout on non-finite states
     limit = blowup if blowup < math.inf else sys.float_info.max
     states = np.empty((T + 1, n))
@@ -189,12 +189,9 @@ def simulate(
             u = np.asarray(u, dtype=float).reshape(-1)
         if u.shape[0] != m:
             raise ValueError(f"policy returned dimension {u.shape[0]}, expected {m}")
-        if f_eval is None:
-            f = zero
-        else:
-            f = f_eval(t, x, u)
-            if type(f) is not np.ndarray or f.dtype != np.float64 or f.ndim != 1:
-                f = np.asarray(f, dtype=float).reshape(-1)
+        f = f_eval(t, x, u)
+        if type(f) is not np.ndarray or f.dtype != np.float64 or f.ndim != 1:
+            f = np.asarray(f, dtype=float).reshape(-1)
         x_next = A.dot(x) + B.dot(u) + f
         actions[t] = u
         residuals[t] = f

@@ -152,20 +152,17 @@ def epsilon_consistent_blackbox(
 ) -> Policy:
     """A black box within consistency error ``epsilon`` of ``optimal``.
 
-    Returns x -> optimal(x) + e(x) with ||e(x)|| <= epsilon * ||x||:
-
-    - "rotation": e points along a state-dependent hashed unit vector,
-    - "scaling": e stretches or shrinks the reference action along itself,
-    - "offset_gain": e = epsilon * D x for a fixed random ||D|| = 1 gain.
+    Returns x -> optimal(x) + e(x) with e(x) = epsilon ||x|| d(x), where
+    d(x) is a state-dependent hashed unit vector; ``bias_mode`` must be
+    "rotation", the one such family.
 
     Deterministic given the seed; the perturbation vanishes at x = 0.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    if bias_mode not in ("rotation", "scaling", "offset_gain"):
+    if bias_mode != "rotation":
         raise ValueError(f"unknown bias_mode {bias_mode!r}")
     eps = float(epsilon)
-    state: dict = {}
 
     def act(t, x):
         x = np.asarray(x, dtype=float)
@@ -175,24 +172,7 @@ def epsilon_consistent_blackbox(
         nx = math.sqrt(x.dot(x))  # == np.linalg.norm(x)
         if nx == 0.0:
             return base
-        if bias_mode == "rotation":
-            e = eps * nx * _hashed_unit_vector(rng_seed, x, base.shape[0])
-        elif bias_mode == "scaling":
-            if "sign" not in state:
-                state["sign"] = 1.0 if (rng_seed % 2 == 0) else -1.0
-            nb = np.linalg.norm(base)
-            e = (
-                state["sign"] * eps * nx * base / nb
-                if nb > 1e-12
-                else np.zeros_like(base)
-            )
-        else:  # offset_gain
-            if "D" not in state:
-                rng = np.random.default_rng(rng_seed)
-                D = rng.standard_normal((base.shape[0], x.shape[0]))
-                state["D"] = D / np.linalg.norm(D, 2)
-            e = eps * state["D"] @ x
-        return base + e
+        return base + eps * nx * _hashed_unit_vector(rng_seed, x, base.shape[0])
 
     return Policy(act=act)
 

@@ -132,7 +132,7 @@ def test_confidence_weight_identities(bench):
         r = np.random.default_rng(seed)
         w = [0.5 * r.standard_normal(2) for _ in range(60)]
         bb = lq.parameterized_blackbox(syn, [c * v for v in w])
-        pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
+        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
         traj = lq.simulate(model, lq.disturbance_residual(w), pol, r.standard_normal(2), 100)
         # the black box is deterministic in (t, x): recompute its suggestions
         log = ObservationLog(
@@ -171,7 +171,7 @@ def test_stability_envelope_grid(bench):
                 bb = lq.epsilon_consistent_blackbox(
                     lq.lqr_policy(syn), eps_tilde, "rotation", seed
                 )
-                pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 0.01, "learned")
+                pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 0.01, "learned")
                 traj = lq.simulate(model, resid, pol, x0, 120)
                 rep = lq.fit_stability_envelope(traj, consts)
                 total += 1
@@ -196,7 +196,7 @@ def test_competitive_ratio_properties(bench):
         bb = lq.epsilon_consistent_blackbox(
             lq.auxiliary_optimal_policy(syn, w), eps, "rotation", seed
         )
-        pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
+        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
         traj = lq.simulate(model, lq.disturbance_residual(w), pol, x0, T_w + 200)
         return lq.competitive_ratio(traj, opt, syn=syn)
 
@@ -228,7 +228,7 @@ def test_cartpole_qualitative(cartpole):
         x0 = np.array([0.0, 0.0, 0.4 + rng.uniform(-0.05, 0.05), 0.0])
         naive = lq.naive_convex_policy(bad, advice, 0.8)
         naive_div += lq.simulate(model, resid, naive, x0, T, blowup=50.0).diverged
-        pol = lq.adaptive_policy(syn, bad, advice, 0.01, "learned")
+        pol = lq.AdaptivePolicy(syn, bad, advice, 0.01, "learned")
         adaptive_div += lq.simulate(model, resid, pol, x0, T, blowup=50.0).diverged
     divergence_ok = naive_div == 10 and adaptive_div == 0
 
@@ -242,7 +242,7 @@ def test_cartpole_qualitative(cartpole):
         for mc in range(10):
             x0 = np.array([0.0, 0.0, theta + jitters[theta][mc], 0.0])
             lqr_costs.append(lq.simulate(model, resid, advice, x0, T, blowup=50.0).total_cost)
-            pol = lq.adaptive_policy(syn, good_bb, advice, 0.01, "learned")
+            pol = lq.AdaptivePolicy(syn, good_bb, advice, 0.01, "learned")
             ad_costs.append(lq.simulate(model, resid, pol, x0, T, blowup=50.0).total_cost)
         cost_ok &= np.mean(ad_costs) <= np.mean(lqr_costs)
         margins.append(float(np.mean(lqr_costs) - np.mean(ad_costs)))
@@ -271,7 +271,7 @@ def test_ev_ordinal_reproduction():
             traj = lq.simulate(env.model, env.residual, pol, np.zeros(n), T)
             return float(np.sum(env.rewards_for_trajectory(traj)))
 
-        return reward_of(bb), reward_of(lq.adaptive_policy(syn, bb, advice, 1e-3, "learned"))
+        return reward_of(bb), reward_of(lq.AdaptivePolicy(syn, bb, advice, 1e-3, "learned"))
 
     post = np.array([day(1000 + s, "post_covid") for s in range(20)])
     pre = np.array([day(1000 + s, "pre_covid") for s in range(20)])
@@ -308,7 +308,7 @@ def test_confidence_rule_invariants():
             lq.lqr_policy(syn), float(rng.uniform(0, 0.3)), "rotation", runs
         )
         advice = lq.lqr_policy(syn)
-        pol = lq.adaptive_policy(syn, bb, advice, float(rng.uniform(0.005, 0.3)), source)
+        pol = lq.AdaptivePolicy(syn, bb, advice, float(rng.uniform(0.005, 0.3)), source)
         resid = lq.lipschitz_residual(model.n, model.m, float(rng.uniform(0, 0.05)), seed=runs)
         traj = lq.simulate(model, resid, pol, rng.standard_normal(model.n), 25)
         lams = pol.lambdas

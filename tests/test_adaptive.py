@@ -30,7 +30,7 @@ def run_log(traj, blackbox, t=None):
 
 def log_from_run(syn, model, residual, blackbox, x0, T, alpha=1e-6):
     """Build a full observation log by driving the plant with the black box."""
-    pol = lq.adaptive_policy(syn, blackbox, lq.lqr_policy(syn), alpha, lambda_source=lambda t: 1.0)
+    pol = lq.AdaptivePolicy(syn, blackbox, lq.lqr_policy(syn), alpha, lambda_source=lambda t: 1.0)
     traj = lq.simulate(model, residual, pol, x0, T)
     return run_log(traj, blackbox), traj, pol
 
@@ -157,7 +157,7 @@ class TestLearnLambdaPrime:
         w = [0.5 * rng.standard_normal(2) for _ in range(40)]
         resid = lq.disturbance_residual(w)
         bb = lq.parameterized_blackbox(syn, w)
-        pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 0.01, "learned")
+        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 0.01, "learned")
         traj = lq.simulate(bench2_model, resid, pol, rng.standard_normal(2), 60)
         raws = pol.trace().lambda_prime_raw
         # replay the direct evaluation at a few times using log prefixes
@@ -181,12 +181,12 @@ class TestLearnLambdaPrime:
 
 class TestAdaptivePolicyBranches:
     def test_lambda_starts_at_one(self, syn3):
-        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.2, lambda t: 0.9)
+        pol = lq.AdaptivePolicy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.2, lambda t: 0.9)
         pol.act(0, np.ones(3))
         assert pol.lambdas == [1.0]
 
     def test_decrease_branch(self, syn3):
-        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.2, lambda t: 0.9)
+        pol = lq.AdaptivePolicy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.2, lambda t: 0.9)
         pol.act(0, np.ones(3))
         pol.act(1, np.ones(3))
         assert pol.lambdas[1] == pytest.approx(min(0.9, 1.0 - 0.2), abs=0)
@@ -195,20 +195,20 @@ class TestAdaptivePolicyBranches:
         # after enough forced decreases lambda_{t-1} <= alpha, so the
         # branch condition fails and lambda drops to exactly 0
         # (alpha = 0.25 keeps the arithmetic exact in binary)
-        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.25, lambda t: 0.9)
+        pol = lq.AdaptivePolicy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.25, lambda t: 0.9)
         x = np.ones(3)
         for t in range(6):
             pol.act(t, x)
         assert pol.lambdas == [1.0, 0.75, 0.5, 0.25, 0.0, 0.0]
 
     def test_nonpositive_lambda_prime_cuts_to_zero(self, syn3):
-        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: -0.5)
+        pol = lq.AdaptivePolicy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: -0.5)
         pol.act(0, np.ones(3))
         pol.act(1, np.ones(3))
         assert pol.lambdas[1] == 0.0
 
     def test_zero_state_holds_lambda(self, syn3):
-        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: 0.9)
+        pol = lq.AdaptivePolicy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: 0.9)
         pol.act(0, np.ones(3))
         pol.act(1, np.zeros(3))
         assert pol.lambdas[1] == 1.0
@@ -219,7 +219,7 @@ class TestAdaptivePolicyBranches:
     def test_learned_mode_holds_at_t1(self, bench2_model, bench2_syn):
         syn = bench2_syn
         bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn), 0.1, "rotation", 0)
-        pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 0.01, "learned")
+        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 0.01, "learned")
         lq.simulate(bench2_model, lq.zero_residual(2), pol, np.ones(2), 3)
         assert pol.lambdas[1] == 1.0
         assert pol.trace().branches[1] == "hold"
@@ -228,7 +228,7 @@ class TestAdaptivePolicyBranches:
         syn = bench2_syn
         rng = np.random.default_rng(10)
         bad = lq.gain_policy(rng.standard_normal((2, 2)))
-        pol = lq.adaptive_policy(syn, bad, lq.lqr_policy(syn), 0.1, lambda t: 0.0)
+        pol = lq.AdaptivePolicy(syn, bad, lq.lqr_policy(syn), 0.1, lambda t: 0.0)
         traj = lq.simulate(bench2_model, lq.zero_residual(2), pol, np.ones(2), 30)
         lqr_traj = lq.simulate(
             bench2_model, lq.zero_residual(2), lq.lqr_policy(syn), traj.states[1], 29
@@ -236,13 +236,13 @@ class TestAdaptivePolicyBranches:
         assert np.allclose(traj.states[1:], lqr_traj.states, atol=1e-12)
 
     def test_requires_time_order(self, syn3):
-        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: 1.0)
+        pol = lq.AdaptivePolicy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: 1.0)
         pol.act(0, np.ones(3))
         with pytest.raises(ValueError):
             pol.act(2, np.ones(3))
 
     def test_trace_before_run_raises(self, syn3):
-        pol = lq.adaptive_policy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: 1.0)
+        pol = lq.AdaptivePolicy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: 1.0)
         with pytest.raises(NotRun):
             pol.trace()
 
@@ -268,7 +268,7 @@ class TestAdaptiveInvariants:
                 lq.lqr_policy(syn), rng.uniform(0, 0.3), "rotation", int(rng.integers(1e6))
             )
             advice = lq.lqr_policy(syn)
-            pol = lq.adaptive_policy(syn, bb, advice, float(rng.uniform(0.005, 0.3)), source)
+            pol = lq.AdaptivePolicy(syn, bb, advice, float(rng.uniform(0.005, 0.3)), source)
             resid = lq.lipschitz_residual(model.n, model.m, float(rng.uniform(0, 0.05)), seed=runs)
             x0 = rng.standard_normal(model.n)
             traj = lq.simulate(model, resid, pol, x0, 30)
@@ -286,7 +286,7 @@ class TestAdaptiveInvariants:
     def test_t0_records_first_zero(self, bench2_model, bench2_syn):
         syn = bench2_syn
         seq = [1.0, 0.9, 0.8, 0.0, 0.0, 0.0]
-        pol = lq.adaptive_policy(syn, lq.lqr_policy(syn), lq.lqr_policy(syn), 0.01, lambda t: seq[t])
+        pol = lq.AdaptivePolicy(syn, lq.lqr_policy(syn), lq.lqr_policy(syn), 0.01, lambda t: seq[t])
         lq.simulate(bench2_model, lq.zero_residual(2), pol, np.ones(2), 6)
         state = pol.trace()
         assert state.t0 == 3
@@ -296,7 +296,7 @@ class TestAdaptiveInvariants:
 def test_confidence_csv_round_trip(tmp_path, bench2_model, bench2_syn):
     syn = bench2_syn
     bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn), 0.1, "rotation", 2)
-    pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 0.05, "learned")
+    pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 0.05, "learned")
     lq.simulate(bench2_model, lq.lipschitz_residual(2, 2, 0.02, seed=3), pol, np.ones(2), 25)
     path = tmp_path / "confidence.csv"
     lq.write_confidence_csv(pol, path)
@@ -337,11 +337,11 @@ def test_confidence_csv_matches_reference_writer(
     if case == "diverged":
         # the black box alone blows up, and lambda' = 1 keeps following it
         bb = lq.gain_policy(-4.0 * np.eye(2))
-        pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
+        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
         resid = lq.zero_residual(2)
     else:
         bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn), 0.1, "rotation", 2)
-        pol = lq.adaptive_policy(syn, bb, lq.lqr_policy(syn), 0.05, "learned")
+        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 0.05, "learned")
         resid = lq.lipschitz_residual(model.n, model.m, 0.02, seed=3)
     traj = lq.simulate(model, resid, pol, np.ones(model.n), 40)
     assert traj.diverged == (case == "diverged")
@@ -508,7 +508,7 @@ def adaptive_cases(bench2_model, bench2_syn):
 )
 def test_log_free_step_matches_reference_policy(adaptive_cases, case):
     model, resid, syn, bb, advice, alpha, source, x0, T = adaptive_cases[case]
-    pol = lq.adaptive_policy(syn, bb, advice, alpha, source)
+    pol = lq.AdaptivePolicy(syn, bb, advice, alpha, source)
     ref = _ReferenceAdaptivePolicy(syn, bb, advice, alpha, source)
     traj = lq.simulate(model, resid, pol, x0, T)
     ref_traj = lq.simulate(model, resid, ref, x0, T)

@@ -30,7 +30,6 @@ API_SURFACE = (
     'lqshield.TheoremConstants(C_ell, epsilon, gamma, mu, C_a_sys, C_b_sys, C_c_sys, CR_model_bar, eps_max_stability, C_ell_max, applicable, C_F, rho, sigma, kappa, norm_H, norm_B, norm_K, norm_P)\n'
     'lqshield.TrajOptResult(cost, initial_cost, improved, iterations_run, cost_history)\n'
     'lqshield.Trajectory(states, actions, residuals, step_costs, total_cost, diverged, diverged_at)\n'
-    'lqshield.adaptive_policy(syn, blackbox, advice, alpha, lambda_source)\n'
     'lqshield.auxiliary_cost_closed_form(syn, disturbances, x0)\n'
     'lqshield.auxiliary_optimal_policy(syn, disturbances)\n'
     'lqshield.competitive_ratio(alg_traj, opt_cost, syn)\n'
@@ -57,7 +56,7 @@ API_SURFACE = (
     'lqshield.simulate(model, residual, policy, x0, T, blowup)\n'
     'lqshield.solve_dare(model, max_iter)\n'
     'lqshield.spectral_radius(M)\n'
-    'lqshield.synthesize(model, T_check, max_iter)\n'
+    'lqshield.synthesize(model, max_iter)\n'
     'lqshield.theorem_constants(syn, C_ell, epsilon)\n'
     'lqshield.total_cost_with_tail(traj, syn)\n'
     'lqshield.verify_bounds(constants, ratio, lambda_limit, x0_norm, c2, c3)\n'

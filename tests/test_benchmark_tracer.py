@@ -1,8 +1,10 @@
-"""The benchmark's span tracer still installs on the package.
+"""The benchmark's span tracer still installs on the package and traces calls.
 
-``perfbench/tracer.py`` wraps package functions and methods by name, so
-removing or renaming one of them breaks the benchmark; this catches it
-in a second instead of in the benchmark's own suite.
+``perfbench/tracer.py`` wraps package functions and methods by name, and
+some wrappers read arguments by name when they are called (the black-box
+factory's ``bias_mode``, the residual of ``opt_cost_trajopt``), so removing
+or renaming one of them breaks the benchmark; this catches it in seconds
+instead of in the benchmark's own suite.
 """
 
 import os
@@ -12,14 +14,53 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# installs the tracer, then drives one small verify-bounds run and one
+# trajopt call through the wrapped package and prints the spans that ran
+DRIVE = """
+import sys
+from pathlib import Path
 
-def test_tracer_installs():
+import numpy as np
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+
+import lqshield as lq
+from lqshield.cli import main
+
+tmp = Path(sys.argv[1])
+cfg = tmp / "vb.cfg"
+cfg.write_text(
+    "[grid]\\nc_ell_fractions = 0.2\\nepsilon_fractions = 0.3\\n[experiment]\\nseeds = 1\\n"
+)
+assert main(["verify-bounds", "--config", str(cfg), "--out", str(tmp / "out")]) == 0
+
+model = lq.LinearModel(A=[[0.55, 0.25], [0.0, 0.45]], B=np.eye(2), Q=np.eye(2), R=np.eye(2))
+syn = lq.synthesize(model)
+resid = lq.lipschitz_residual(2, 2, 0.05, seed=5)
+lq.opt_cost_trajopt(model, resid, [1.0, -0.5], 5, iterations=2, syn=syn)
+
+spans = tracer.report()["spans"]
+print(" ".join(sorted(name for name, span in spans.items() if span["calls"] > 0)))
+"""
+
+
+def test_tracer_installs(tmp_path):
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
-        [sys.executable, "-c", "from tracer import Tracer; Tracer().install()"],
+        [sys.executable, "-c", DRIVE, str(tmp_path)],
         env=env,
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0, result.stderr
+    ran = set(result.stdout.split())
+    for name in (
+        "policies.rotation",
+        "guarantees.opt_time_only",
+        "guarantees.envelope",
+        "guarantees.trajopt",
+    ):
+        assert name in ran, (name, sorted(ran))

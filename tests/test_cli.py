@@ -323,6 +323,60 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
+    code, out = run(tmp_path, "dare", "--jobs", jobs)
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [None, "sub"])
+def test_out_that_cannot_be_created_is_config_error(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken if below is None else taken / below
+    code = main(["dare", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "--out" in err
+    assert taken.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("policies, workers", [("lqr,adaptive", [2]), ("lqr", [])])
+def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, policies, workers):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        """Records the pool size and runs the cells in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        f"[sweep]\nthetas = 0.1\n[experiment]\nmonte_carlo = 1\nhorizon = 20\n"
+        f"policies = {policies}\n"
+    )
+    code, out = run(tmp_path, "sweep-theta", "--config", str(cfg), "--jobs", "3")
+    assert code == EXIT_OK
+    assert started == workers
+    assert "run.jobs = 3" in (out / "effective_config.txt").read_text()
+
+
 @pytest.mark.parametrize(
     "command, config",
     [

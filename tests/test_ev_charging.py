@@ -203,7 +203,7 @@ def test_zero_session_day_all_policies_agree(config):
     bb = line_limited(lq.parameterized_blackbox(syn, f_hat), config.line_limit)
     advice = line_limited(lq.lqr_policy(syn), config.line_limit)
     rewards = []
-    for pol in (bb, lq.adaptive_policy(syn, bb, advice, 1e-3, "learned"), advice):
+    for pol in (bb, lq.AdaptivePolicy(syn, bb, advice, 1e-3, "learned"), advice):
         traj = lq.simulate(env.model, env.residual, pol, np.zeros(5), config.horizon)
         rewards.append(float(np.sum(env.rewards_for_trajectory(traj))))
     assert rewards[0] == rewards[1] == rewards[2] == 0.0
@@ -218,12 +218,19 @@ class TestPricesValidation:
 
 def _reference_closures(config, sessions):
     """The residual, reward and line projection as they were before they
-    moved to Python floats: copies kept as the bit-level oracle."""
-    from lqshield.environments.ev_charging import _sessions_by_step
-
+    moved to Python floats, with their own list-form session index:
+    copies kept as the bit-level oracle."""
     n = config.n_chargers
     sessions = sorted(sessions, key=lambda s: (s.arrival, s.station))
-    arrivals, departures = _sessions_by_step(sessions, n)
+    # stations in order of first arrival, each station's sessions in arrival order
+    per_station = {}
+    for s in sessions:
+        per_station.setdefault(s.station, []).append(s)
+    arrivals, departures = {}, {}
+    for group in per_station.values():
+        for s in group:
+            arrivals.setdefault(s.arrival, []).append((s.station - 1, s.energy))
+            departures.setdefault(s.departure, []).append((s.station - 1, s.energy))
     tau, gamma = config.tau, config.line_limit
     phi1, phi2, phi3, phi4 = config.phi
     prices = config.prices

@@ -97,16 +97,19 @@ def _manual_trajectory(norm_seq):
 
 
 class TestFitStabilityEnvelope:
-    def test_exact_geometric(self):
+    def test_exact_geometric(self, bench2_syn):
+        consts = lq.theorem_constants(bench2_syn, 0.0, 0.0)
         traj = _manual_trajectory([0.5**t for t in range(40)])
-        rep = lq.fit_stability_envelope(traj)
+        rep = lq.fit_stability_envelope(traj, consts)
         assert rep.decay_gamma_hat == pytest.approx(0.5, abs=1e-9)
         assert rep.envelope_C_hat == pytest.approx(1.0, abs=1e-9)
-        assert rep.satisfied is None
+        # 0.5 decays faster than gamma = rho >= 1/2, from the same start
+        assert rep.satisfied is True
 
-    def test_geometric_with_prefactor(self):
+    def test_geometric_with_prefactor(self, bench2_syn):
+        consts = lq.theorem_constants(bench2_syn, 0.0, 0.0)
         traj = _manual_trajectory([3.0 * 0.8**t for t in range(40)])
-        rep = lq.fit_stability_envelope(traj)
+        rep = lq.fit_stability_envelope(traj, consts)
         assert rep.decay_gamma_hat == pytest.approx(0.8, abs=1e-9)
         assert rep.envelope_C_hat == pytest.approx(1.0, abs=1e-9)
 
@@ -117,11 +120,13 @@ class TestFitStabilityEnvelope:
         assert rep.decay_gamma_hat == pytest.approx(1.0, abs=1e-12)
         assert rep.satisfied is False
 
-    def test_degenerate_below_threshold(self):
+    def test_degenerate_below_threshold(self, bench2_syn):
+        consts = lq.theorem_constants(bench2_syn, 0.0, 0.0)
         traj = _manual_trajectory([1e-13] * 20)
-        rep = lq.fit_stability_envelope(traj)
+        rep = lq.fit_stability_envelope(traj, consts)
         assert rep.degenerate
         assert rep.decay_gamma_hat == 0.0
+        assert rep.satisfied is True
 
     def test_predicted_prefactor_unavailable_when_mu_exceeds_gamma(self, bench2_syn):
         consts = lq.theorem_constants(bench2_syn, 0.0, 0.9)  # huge eps -> mu > gamma
@@ -130,9 +135,10 @@ class TestFitStabilityEnvelope:
             traj = _manual_trajectory([0.5**t for t in range(20)])
             assert lq.fit_stability_envelope(traj, consts).satisfied is None
 
-    def test_requires_enough_steps(self):
+    def test_requires_enough_steps(self, bench2_syn):
+        consts = lq.theorem_constants(bench2_syn, 0.0, 0.0)
         with pytest.raises(ValueError):
-            lq.fit_stability_envelope(_manual_trajectory([1.0, 0.5]))
+            lq.fit_stability_envelope(_manual_trajectory([1.0, 0.5]), consts)
 
 
 class TestOptCostTimeOnly:
@@ -271,11 +277,9 @@ class TestHoistedNorms:
             assert admissible_lipschitz_cap(syn) == _reference_cap(syn)
 
 
-def _reference_trajopt(model, residual, x0, T, iterations=40, syn=None, fd_step=1e-6):
+def _reference_trajopt(model, residual, x0, T, iterations, syn, fd_step=1e-6):
     """The scalar finite-difference shooting loop that ``opt_cost_trajopt``
     reproduces up to the rounding of its batched objective."""
-    if syn is None:
-        syn = lq.synthesize(model)
     x0 = np.asarray(x0, dtype=float)
     A, B, Q, R, P = model.A, model.B, model.Q, model.R, syn.P
     m = model.m
@@ -486,14 +490,21 @@ class TestCompetitiveRatio:
         ratio = lq.competitive_ratio(traj, opt, syn=bench2_syn)
         assert ratio == pytest.approx(1.0, abs=1e-9)
 
-    def test_plain_division(self):
+    def test_plain_division(self, scalar_syn):
+        # a zero terminal state has no LQR tail: the ratio is cost over OPT
         traj = _manual_trajectory([1.0, 0.0])
         traj.total_cost = 2.0
-        assert lq.competitive_ratio(traj, 1.0) == 2.0
+        assert lq.competitive_ratio(traj, 1.0, scalar_syn) == 2.0
 
-    def test_degenerate_opt_raises(self):
+    def test_counts_lqr_tail(self, scalar_syn):
+        traj = _manual_trajectory([1.0, 0.5])
+        traj.total_cost = 2.0
+        ratio = lq.competitive_ratio(traj, 4.0, scalar_syn)
+        assert ratio == pytest.approx((2.0 + 0.25 * GOLDEN) / 4.0, rel=1e-12)
+
+    def test_degenerate_opt_raises(self, scalar_syn):
         with pytest.raises(DegenerateOPT):
-            lq.competitive_ratio(_manual_trajectory([1.0, 0.0]), 0.0)
+            lq.competitive_ratio(_manual_trajectory([1.0, 0.0]), 0.0, scalar_syn)
 
 
 class TestVerifyBounds:

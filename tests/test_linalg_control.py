@@ -6,7 +6,7 @@ from scipy.linalg import solve_discrete_are
 
 import lqshield as lq
 from lqshield.errors import NonStabilizable
-from lqshield.linalg_control import _eta_series, dare_residual_norm
+from lqshield.linalg_control import _envelope_constant, _eta_series, dare_residual_norm
 
 from conftest import random_stabilizable
 
@@ -85,10 +85,11 @@ class TestSynthesize:
         rng = np.random.default_rng(11)
         for _ in range(10):
             n = int(rng.integers(2, 7))
-            syn = lq.synthesize(random_stabilizable(rng, n), T_check=300)
+            syn = lq.synthesize(random_stabilizable(rng, n))
             assert syn.C_F >= 1.0
+            assert syn.T_check == 500
             Ft = np.eye(n)
-            for t in range(1, 301):
+            for t in range(1, 501):
                 Ft = syn.F @ Ft
                 assert np.linalg.norm(Ft, 2) <= syn.C_F * syn.rho**t * (1 + 1e-12)
 
@@ -98,8 +99,10 @@ class TestSynthesize:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 6))
         model = random_stabilizable(rng, n, int(rng.integers(1, n + 1)))
-        syn = lq.synthesize(model, T_check=T_check)
-        assert syn.C_F == _per_power_envelope(syn, T_check)[0]
+        syn = lq.synthesize(model)
+        C_F = _envelope_constant(syn.F, syn.rho, T_check)
+        assert C_F == _per_power_envelope(syn, T_check)[0]
+        assert syn.C_F == _per_power_envelope(syn, 500)[0]
         assert np.array_equal(lq.solve_dare(model), syn.P)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -119,9 +122,9 @@ class TestSynthesize:
             lam = rng.uniform(0.7, 0.95)
             A[i : i + 2, i : i + 2] = [[lam, rng.uniform(2.0, 6.0)], [0.0, lam]]
         B = 1e-3 * rng.standard_normal((4, 1))
-        syn = lq.synthesize(lq.LinearModel(A=A, B=B, Q=np.eye(4), R=np.eye(1)), T_check=T_check)
+        syn = lq.synthesize(lq.LinearModel(A=A, B=B, Q=np.eye(4), R=np.eye(1)))
         C_F, peak = _per_power_envelope(syn, T_check)
-        assert syn.C_F == C_F
+        assert _envelope_constant(syn.F, syn.rho, T_check) == C_F
         if T_check >= 2:
             assert peak > 1
 
@@ -135,9 +138,9 @@ class TestSynthesize:
 
 
 def _per_power_envelope(syn, T_check):
-    """C_F from one SVD per power F^1..F^T_check, the loop ``synthesize``
-    must reproduce exactly, and the power that sets it (0 for the t = 0
-    term)."""
+    """C_F from one SVD per power F^1..F^T_check, the loop
+    ``_envelope_constant`` must reproduce exactly, and the power that
+    sets it (0 for the t = 0 term)."""
     C_F, peak = 1.0, 0
     Ft = np.eye(syn.n)
     for t in range(1, T_check + 1):

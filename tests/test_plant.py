@@ -32,7 +32,7 @@ def _cost_of(traj, Q, R):
 def test_zero_A_two_steps():
     model = lq.LinearModel(A=np.zeros((2, 2)), B=np.eye(2), Q=np.eye(2), R=np.eye(2))
     syn = lq.synthesize(model)
-    traj = lq.simulate(model, None, lq.lqr_policy(syn), [1.0, 0.0], 2)
+    traj = lq.simulate(model, lq.zero_residual(2), lq.lqr_policy(syn), [1.0, 0.0], 2)
     assert np.allclose(traj.states[0], [1.0, 0.0])
     assert np.allclose(traj.states[1], 0.0)
     assert np.allclose(traj.states[2], 0.0)
@@ -40,7 +40,7 @@ def test_zero_A_two_steps():
 
 
 def test_scalar_long_horizon_cost_is_value_function(scalar_model, scalar_syn):
-    traj = lq.simulate(scalar_model, None, lq.lqr_policy(scalar_syn), [1.0], 2000)
+    traj = lq.simulate(scalar_model, lq.zero_residual(1), lq.lqr_policy(scalar_syn), [1.0], 2000)
     assert traj.total_cost == pytest.approx(GOLDEN, rel=1e-9)
 
 
@@ -54,14 +54,14 @@ def test_long_horizon_cost_matches_value_function_random():
             continue
         found += 1
         x0 = rng.standard_normal(model.n)
-        traj = lq.simulate(model, None, lq.lqr_policy(syn), x0, 2000)
+        traj = lq.simulate(model, lq.zero_residual(model.n), lq.lqr_policy(syn), x0, 2000)
         assert traj.total_cost == pytest.approx(float(x0 @ syn.P @ x0), rel=1e-6)
 
 
 def test_divergence_flag():
     model = lq.LinearModel(A=[[2.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
     zero_policy = lq.Policy(act=lambda t, x: np.zeros(1))
-    traj = lq.simulate(model, None, zero_policy, [1.0], 200, blowup=1e6)
+    traj = lq.simulate(model, lq.zero_residual(1), zero_policy, [1.0], 200, blowup=1e6)
     assert traj.diverged
     assert traj.diverged_at is not None
     # partial trajectory still consistent
@@ -99,13 +99,14 @@ def test_cost_of_matches_recorded():
     rng = np.random.default_rng(6)
     model = random_stabilizable(rng, 2)
     syn = lq.synthesize(model)
-    traj = lq.simulate(model, None, lq.lqr_policy(syn), [1.0, -1.0], 30)
+    traj = lq.simulate(model, lq.zero_residual(2), lq.lqr_policy(syn), [1.0, -1.0], 30)
     assert _cost_of(traj, model.Q, model.R) == pytest.approx(traj.total_cost, rel=1e-12)
 
 
 def test_cost_of_trivial_cases():
     model = lq.LinearModel(A=np.zeros((2, 2)), B=np.eye(2), Q=np.eye(2), R=np.eye(2))
-    zero = lq.simulate(model, None, lq.Policy(act=lambda t, x: np.zeros(2)), [0.0, 0.0], 3)
+    still = lq.Policy(act=lambda t, x: np.zeros(2))
+    zero = lq.simulate(model, lq.zero_residual(2), still, [0.0, 0.0], 3)
     assert _cost_of(zero, model.Q, model.R) == 0.0
     one = lq.Trajectory(
         states=np.array([[1.0, 0.0], [0.0, 0.0]]),
@@ -153,7 +154,7 @@ def test_trajectory_csv_contract(tmp_path):
     rng = np.random.default_rng(2)
     model = random_stabilizable(rng, 2)
     syn = lq.synthesize(model)
-    traj = lq.simulate(model, None, lq.lqr_policy(syn), [1.0, 2.0], 5)
+    traj = lq.simulate(model, lq.zero_residual(2), lq.lqr_policy(syn), [1.0, 2.0], 5)
     path = tmp_path / "traj.csv"
     lq.write_trajectory_csv(traj, path)
     lines = path.read_text().strip().splitlines()
@@ -207,8 +208,10 @@ def _csv_trajectories():
     syn_m2 = lq.synthesize(model_m2)
     x0 = rng.standard_normal(3)
     return {
-        "finished": lq.simulate(model, None, lq.lqr_policy(syn), x0, 40),
-        "diverged": lq.simulate(model, None, lq.gain_policy(-4.0 * np.eye(3)), x0, 200),
+        "finished": lq.simulate(model, lq.zero_residual(3), lq.lqr_policy(syn), x0, 40),
+        "diverged": lq.simulate(
+            model, lq.zero_residual(3), lq.gain_policy(-4.0 * np.eye(3)), x0, 200
+        ),
         "m2": lq.simulate(
             model_m2, lq.lipschitz_residual(3, 2, 0.1, seed=2), lq.lqr_policy(syn_m2), x0, 40
         ),
@@ -232,7 +235,7 @@ def test_policy_queried_once_per_step_in_order():
         calls.append(t)
         return np.zeros(2)
 
-    lq.simulate(model, None, lq.Policy(act=act), [1.0, 0.0], 7)
+    lq.simulate(model, lq.zero_residual(2), lq.Policy(act=act), [1.0, 0.0], 7)
     assert calls == list(range(7))
 
 
@@ -245,10 +248,7 @@ def _reference_simulate(model, residual, policy, x0, T, blowup=1e9):
     diverged, diverged_at = False, None
     for t in range(T):
         u = np.asarray(policy.act(t, x), dtype=float).reshape(-1)
-        if residual is not None:
-            f = np.asarray(residual.eval(t, x, u), dtype=float).reshape(-1)
-        else:
-            f = np.zeros(model.n)
+        f = np.asarray(residual.eval(t, x, u), dtype=float).reshape(-1)
         x_next = A @ x + B @ u + f
         actions.append(u)
         residuals.append(f)
@@ -309,7 +309,7 @@ def _oracle_cases():
         "cartpole-adaptive": (
             cp_model,
             cp_resid,
-            lambda: lq.adaptive_policy(cp_syn, lq.lqr_policy(cp_true), advice, 0.01),
+            lambda: lq.AdaptivePolicy(cp_syn, lq.lqr_policy(cp_true), advice, 0.01),
             x_cp,
             600,
             50.0,
@@ -346,10 +346,10 @@ def _oracle_cases():
             30,
             1e9,
         ),
-        "no-residual": (model3, None, lambda: lq.lqr_policy(syn3), x3, 30, 1e9),
+        "no-residual": (model3, lq.zero_residual(3), lambda: lq.lqr_policy(syn3), x3, 30, 1e9),
         "infinite-blowup": (
             lq.LinearModel(A=[[1e200]], B=[[1.0]], Q=[[1.0]], R=[[1.0]]),
-            None,
+            lq.zero_residual(1),
             lambda: lq.Policy(act=lambda t, x: np.zeros(1)),
             [1e200],
             10,

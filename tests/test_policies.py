@@ -168,15 +168,19 @@ class TestEpsilonConsistent:
         x = rng.standard_normal(3)
         assert np.array_equal(bb.act(0, x), base.act(0, x))
 
-    @pytest.mark.parametrize("mode", ["rotation", "scaling", "offset_gain"])
-    def test_error_bound_by_construction(self, syn3, mode):
+    def test_error_bound_by_construction(self, syn3):
         base = lq.lqr_policy(syn3)
-        bb = lq.epsilon_consistent_blackbox(base, 0.1, mode, 3)
+        bb = lq.epsilon_consistent_blackbox(base, 0.1, "rotation", 3)
         rng = np.random.default_rng(9)
         for _ in range(10_000):
             x = rng.standard_normal(3) * rng.uniform(0.01, 10)
             err = np.linalg.norm(bb.act(0, x) - base.act(0, x))
             assert err <= 0.1 * np.linalg.norm(x) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("mode", ["scaling", "offset_gain"])
+    def test_rejects_other_modes(self, syn3, mode):
+        with pytest.raises(ValueError, match="unknown bias_mode"):
+            lq.epsilon_consistent_blackbox(lq.lqr_policy(syn3), 0.1, mode, 3)
 
     def test_preserves_zero(self, syn3):
         bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn3), 0.3, "rotation", 1)

@@ -51,7 +51,6 @@ from .guarantees import (
 from .linalg_control import (
     LinearModel,
     Synthesis,
-    pseudo_inverse,
     solve_dare,
     spectral_radius,
     synthesize,

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InsufficientHistory, NotRun
-from .linalg_control import Synthesis, _eta_series, _hindsight_weight, pseudo_inverse
+from .linalg_control import Synthesis, _eta_series, _hindsight_weight
 from .plant import write_csv
 from .policies import Policy
 
@@ -73,7 +73,7 @@ class ConfidenceState:
 def _learned_weight(syn: Synthesis) -> np.ndarray:
     """(B H^-1)^+ B, the m x m weight of the learned rule's denominator."""
     B = syn.model.B
-    return pseudo_inverse(B @ np.linalg.inv(syn.H)) @ B
+    return np.linalg.pinv(B @ np.linalg.inv(syn.H)) @ B
 
 
 def learn_lambda_prime(
@@ -235,24 +235,20 @@ class AdaptivePolicy:
         if t == 0:
             lam = 1.0
             branch = "init"
-        elif zero_state:
-            lam = self._lambdas[-1]
-            branch = "zero_state"
-            # still advance the incremental sums so later updates see all data
-            if learned:
-                raw_opt = self._learned_raw(t, x)
-                raw = float("nan") if raw_opt is None else raw_opt
         else:
-            prev = self._lambdas[-1]
+            # the learned sums advance at a zero state too, so later
+            # updates see all data; the external rule is not asked there
             if learned:
-                raw_opt = self._learned_raw(t, x)
+                coeff = self._learned_raw(t, x)
             else:
-                raw_opt = float(self._external(t))
-            if raw_opt is None:
+                coeff = None if zero_state else float(self._external(t))
+            if coeff is not None:
+                raw = coeff
+            prev = self._lambdas[-1]
+            if zero_state or coeff is None:
                 lam = prev
-                branch = "hold"
+                branch = "zero_state" if zero_state else "hold"
             else:
-                raw = float(raw_opt)
                 clipped = min(max(raw, 0.0), 1.0)
                 if clipped > 0.0 and prev > self.alpha:
                     lam = min(clipped, prev - self.alpha)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import difflib
 import math
 import operator
 import sys
@@ -90,7 +91,8 @@ class RunConfig:
         self._values: dict[tuple[str, str], str] = {}
         self._effective: dict[tuple[str, str], str] = {}
         if path is not None:
-            parser = configparser.ConfigParser()
+            # no section feeds the others, so [DEFAULT] is an unknown section
+            parser = configparser.ConfigParser(default_section="")
             parser.optionxform = str  # keys are case-sensitive (matrix names)
             try:
                 with open(path) as fh:
@@ -103,33 +105,38 @@ class RunConfig:
                 for key, value in parser.items(section):
                     self._values[(section, key)] = value
 
-    def get(self, section: str, key: str, default):
+    def get(self, section: str, key: str, default, *, least=None, above=None,
+            most=None, below=None):
+        """``[section] key`` as the type of ``default`` (a list default reads a
+        non-empty comma list of finite floats), a config error outside the
+        inclusive ``least``/``most`` or exclusive ``above``/``below`` bounds,
+        each of which NaN fails."""
         raw = self._values.get((section, key))
-        if raw is None:
-            value = default
-        else:
-            try:
-                value = type(default)(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-        self._effective[(section, key)] = _fmt(value)
-        return value
-
-    def get_floats(self, section: str, key: str, default: str) -> list[float]:
-        raw = self._values.get((section, key), default)
+        listed = isinstance(default, list)
         try:
-            values = [float(v) for v in raw.split(",") if v.strip() != ""]
+            if raw is None:
+                values = default if listed else [default]
+            elif listed:
+                values = [float(v) for v in raw.split(",") if v.strip()]
+            else:
+                values = [type(default)(raw)]
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-        if not values:
+        if listed and not values:
             raise ConfigError(f"[{section}] {key}: grid must be non-empty")
-        if not all(math.isfinite(v) for v in values):
+        if listed and not all(math.isfinite(v) for v in values):
             raise ConfigError(f"[{section}] {key} = {raw!r}: entries must be finite")
-        self._effective[(section, key)] = ",".join(repr(v) for v in values)
-        return values
+        bounds = ((least, operator.ge, "at least"), (above, operator.gt, "above"),
+                  (most, operator.le, "at most"), (below, operator.lt, "below"))
+        for v in values:
+            for bound, holds, text in bounds:
+                if bound is not None and not holds(v, bound):
+                    raise ConfigError(f"[{section}] {key} = {v}: must be {text} {bound}")
+        self._effective[(section, key)] = ",".join(_fmt(v) for v in values)
+        return values if listed else values[0]
 
     def get_matrix(self, section: str, key: str, default: str) -> np.ndarray:
-        raw = self._values.get((section, key), default)
+        raw = self.get(section, key, default)
         try:
             rows = [
                 [float(v) for v in row.split(",")]
@@ -141,8 +148,20 @@ class RunConfig:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
         if M.size == 0:
             raise ConfigError(f"[{section}] {key}: matrix must be non-empty")
-        self._effective[(section, key)] = raw
         return M
+
+    def check_read(self) -> None:
+        """Reject, as a config error naming the nearest known name, a key
+        never read in a section that was read, and an unknown section."""
+        read = {section for section, _ in self._effective}
+        for section, key in self._values:
+            if section not in _SECTIONS:
+                near = difflib.get_close_matches(section, _SECTIONS, 1, 0.0)
+                raise ConfigError(f"unknown section [{section}]; nearest is [{near[0]}]")
+            if section in read and (section, key) not in self._effective:
+                keys = [k for s, k in self._effective if s == section]
+                near = difflib.get_close_matches(key, keys, 1, 0.0)
+                raise ConfigError(f"[{section}] {key} is not read here; nearest is {near[0]}")
 
     def echo(self, out_dir: Path, extra: dict) -> None:
         lines = []
@@ -153,24 +172,8 @@ class RunConfig:
         (out_dir / "effective_config.txt").write_text("\n".join(lines) + "\n")
 
 
-def _bounded(cfg: RunConfig, section: str, key: str, default, *, least=None, above=None,
-             most=None, below=None):
-    """``[section] key``, rejected as a config error outside its bounds.
-
-    ``least`` and ``most`` are inclusive, ``above`` and ``below``
-    exclusive, and each test fails on NaN.  A string default reads a
-    comma list through :meth:`RunConfig.get_floats` and bounds every
-    entry.
-    """
-    listed = isinstance(default, str)
-    values = cfg.get_floats(section, key, default) if listed else [cfg.get(section, key, default)]
-    bounds = ((least, operator.ge, "at least"), (above, operator.gt, "above"),
-              (most, operator.le, "at most"), (below, operator.lt, "below"))
-    for v in values:
-        for bound, holds, text in bounds:
-            if bound is not None and not holds(v, bound):
-                raise ConfigError(f"[{section}] {key} = {v}: must be {text} {bound}")
-    return values if listed else values[0]
+# the sections that some subcommand reads; each subcommand ignores the ones it does not
+_SECTIONS = ("adversarial", "cartpole", "ev", "experiment", "grid", "sweep", "system")
 
 
 def _seed_rng(*entropy) -> np.random.Generator:
@@ -210,18 +213,19 @@ class _CartpoleBench:
         self.syn = synthesize(self.model)
         self.residual = cartpole_residual(self.params, self.params)
         self.syn_true = synthesize(true_model)
-        self.epsilon = _bounded(cfg, "cartpole", "blackbox_epsilon", 0.0, least=0.0)
-        self.naive_lambda = _bounded(cfg, "cartpole", "naive_lambda", 0.8, least=0.0, most=1.0)
-        self.alpha = _bounded(cfg, "cartpole", "alpha", 0.01, above=0.0)
+        self.epsilon = cfg.get("cartpole", "blackbox_epsilon", 0.0, least=0.0)
+        self.naive_lambda = cfg.get("cartpole", "naive_lambda", 0.8, least=0.0, most=1.0)
+        self.alpha = cfg.get("cartpole", "alpha", 0.01, above=0.0)
 
     def build(self, label: str, seed: int):
         advice = lqr_policy(self.syn)
-        good_bb = epsilon_consistent_blackbox(
-            lqr_policy(self.syn_true), self.epsilon, "rotation", seed
-        )
-        bad_bb = gain_policy(-self.syn.K)
         source, blend = _ROSTER[label]
-        policy = {"advice": advice, "good": good_bb, "bad": bad_bb}[source]
+        if source == "good":
+            policy = epsilon_consistent_blackbox(
+                lqr_policy(self.syn_true), self.epsilon, "rotation", seed
+            )
+        else:
+            policy = gain_policy(-self.syn.K) if source == "bad" else advice
         if blend == "naive":
             return naive_convex_policy(policy, advice, self.naive_lambda)
         if blend == "adaptive":
@@ -282,11 +286,11 @@ def _sweep_task(task: tuple) -> list[tuple]:
 
 
 def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
-    thetas = cfg.get_floats("sweep", "thetas", "0.1,0.2,0.3,0.4")
-    monte_carlo = _bounded(cfg, "experiment", "monte_carlo", 10, least=1)
-    horizon = _bounded(cfg, "experiment", "horizon", 1200, least=1)
-    blowup = _bounded(cfg, "experiment", "blowup", 50.0, above=0.0)
-    jitter = _bounded(cfg, "experiment", "initial_angle_variation", 0.05, least=0.0)
+    thetas = cfg.get("sweep", "thetas", [0.1, 0.2, 0.3, 0.4])
+    monte_carlo = cfg.get("experiment", "monte_carlo", 10, least=1)
+    horizon = cfg.get("experiment", "horizon", 1200, least=1)
+    blowup = cfg.get("experiment", "blowup", 50.0, above=0.0)
+    jitter = cfg.get("experiment", "initial_angle_variation", 0.05, least=0.0)
     # a sweep's initial states have norms up to |theta| + jitter
     for theta in thetas:
         if not abs(theta) + jitter < blowup:
@@ -299,6 +303,7 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     # effective config; the tasks of this process then reuse it
     global _bench
     _bench = _CartpoleBench(cfg)
+    cfg.check_read()
     tasks = [
         (seed, ti, theta, label, monte_carlo, horizon, blowup, jitter)
         for ti, theta in enumerate(thetas)
@@ -341,13 +346,14 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
 
 def cmd_stability_trace(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     # any finite angle: the strict bounds reject NaN too
-    theta = _bounded(cfg, "experiment", "theta", 0.4, above=-math.inf, below=math.inf)
-    horizon = _bounded(cfg, "experiment", "horizon", 1200, least=1)
-    blowup = _bounded(cfg, "experiment", "blowup", 50.0, above=0.0)
+    theta = cfg.get("experiment", "theta", 0.4, above=-math.inf, below=math.inf)
+    horizon = cfg.get("experiment", "horizon", 1200, least=1)
+    blowup = cfg.get("experiment", "blowup", 50.0, above=0.0)
     if not abs(theta) < blowup:
         raise ConfigError(f"[experiment] theta = {theta}: |theta| must be below blowup {blowup}")
     roster = _roster(cfg, "lqr,adaptive-destabilizing,naive-destabilizing")
     bench = _CartpoleBench(cfg)
+    cfg.check_read()
     x0 = np.array([0.0, 0.0, theta, 0.0])
     for label in roster:
         policy = bench.build(label, seed=seed)
@@ -387,9 +393,10 @@ def _system_model(cfg: RunConfig, A_default: str, B_default: str) -> LinearModel
 
 def cmd_adversarial(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     model = _system_model(cfg, "0,1,0;0,0,1;0.2,0.1,0.3", "1,0,0;0,1,0;0,0,1")
-    lam = _bounded(cfg, "adversarial", "lambda", 0.5, above=0.0, below=1.0)
-    beta = _bounded(cfg, "adversarial", "beta", 0.5, above=0.0, below=1.0)
-    horizon = _bounded(cfg, "adversarial", "horizon", 60, least=1)
+    lam = cfg.get("adversarial", "lambda", 0.5, above=0.0, below=1.0)
+    beta = cfg.get("adversarial", "beta", 0.5, above=0.0, below=1.0)
+    horizon = cfg.get("adversarial", "horizon", 60, least=1)
+    cfg.check_read()
     syn = synthesize(model)
     cert = construct_adversarial_K2(model, syn.K, lam, beta)
     (out / "certificate.txt").write_text(cert.summary_text() + "\n")
@@ -404,9 +411,9 @@ def cmd_adversarial(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
 
 
 def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
-    n_seeds = _bounded(cfg, "experiment", "seeds", 20, least=1)
-    alpha = _bounded(cfg, "experiment", "alpha", 1e-3, above=0.0)
-    training_days = _bounded(cfg, "experiment", "training_days", 15, least=1)
+    n_seeds = cfg.get("experiment", "seeds", 20, least=1)
+    alpha = cfg.get("experiment", "alpha", 1e-3, above=0.0)
+    training_days = cfg.get("experiment", "training_days", 15, least=1)
     prices_csv = cfg.get("ev", "prices_csv", "")
     settings = dict(
         n_chargers=cfg.get("ev", "n_chargers", 5),
@@ -425,6 +432,7 @@ def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         config = ChargingConfig(**settings)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"[ev] {exc}") from exc
+    cfg.check_read()
     n, T, gamma = config.n_chargers, config.horizon, config.line_limit
     training = [generate_sessions(seed + k, "pre_covid", n, T) for k in range(training_days)]
     f_hat = fit_demand_schedule(training, T, n)
@@ -480,13 +488,14 @@ def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
 def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     model = _system_model(cfg, "0.55,0.25;0,0.45", "1,0;0,1")
     syn = synthesize(model)
-    ell_fracs = _bounded(cfg, "grid", "c_ell_fractions", "0.1,0.5,0.9", least=0.0)
-    eps_fracs = _bounded(cfg, "grid", "epsilon_fractions", "0.1,0.5,0.9", least=0.0)
-    alphas = _bounded(cfg, "grid", "alphas", "0.01", above=0.0)
-    n_seeds = _bounded(cfg, "experiment", "seeds", 10, least=1)
+    ell_fracs = cfg.get("grid", "c_ell_fractions", [0.1, 0.5, 0.9], least=0.0)
+    eps_fracs = cfg.get("grid", "epsilon_fractions", [0.1, 0.5, 0.9], least=0.0)
+    alphas = cfg.get("grid", "alphas", [0.01], above=0.0)
+    n_seeds = cfg.get("experiment", "seeds", 10, least=1)
     # the envelope fit needs the 10 states of at least 9 steps
-    horizon = _bounded(cfg, "experiment", "horizon", 120, least=9)
-    disturbance_T = _bounded(cfg, "experiment", "disturbance_steps", 50, least=1)
+    horizon = cfg.get("experiment", "horizon", 120, least=9)
+    disturbance_T = cfg.get("experiment", "disturbance_steps", 50, least=1)
+    cfg.check_read()
     ell_cap = admissible_lipschitz_cap(syn)
     n = model.n
     rows = []
@@ -496,12 +505,13 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         for eps_frac in eps_fracs:
             eps = eps_frac * probe.eps_max_stability * 0.999
             consts = theorem_constants(syn, C_ell, eps)
-            precondition_ok = not consts.violations() and consts.mu < consts.gamma
+            failed = consts.violations()
+            if consts.mu >= consts.gamma:
+                failed.append(f"mu {consts.mu:g} >= gamma {consts.gamma:g}")
             for alpha in alphas:
-                if not precondition_ok:
-                    rows.append(
-                        (C_ell, eps, alpha, False, "", "", "", "", "excluded")
-                    )
+                if failed:
+                    status = "excluded: " + "; ".join(failed)
+                    rows.append((C_ell, eps, alpha, False, "", "", "", "", status))
                     continue
                 eps_tilde = max(eps - consts.C_a_sys * C_ell, 0.0)
                 env_pass = 0
@@ -536,19 +546,8 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
                     ratios.append(competitive_ratio(traj, opt, syn=syn))
                 cr_mean = float(np.mean(ratios))
                 check = verify_bounds(consts, cr_mean, lambda_limit=0.0, x0_norm=1.0)
-                rows.append(
-                    (
-                        C_ell,
-                        eps,
-                        alpha,
-                        True,
-                        env_pass / n_seeds,
-                        cr_mean,
-                        check.bound,
-                        check.satisfied,
-                        "ok",
-                    )
-                )
+                rows.append((C_ell, eps, alpha, True, env_pass / n_seeds, cr_mean,
+                             check.bound, check.satisfied, "ok"))
     write_csv(
         out / "grid.csv",
         [
@@ -583,6 +582,7 @@ def cmd_dare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         model = _system_model(cfg, "0.55,0.25;0,0.45", "1,0;0,1")
     else:
         raise ConfigError(f"unknown environment {env_name!r}")
+    cfg.check_read()
     syn = synthesize(model)
     lines = [
         f"n = {model.n}, m = {model.m}",

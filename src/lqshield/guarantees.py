@@ -263,12 +263,13 @@ def fit_stability_envelope(traj: Trajectory, predicted: TheoremConstants) -> Sta
     x0n = norms[0]
     if x0n <= 0.0:
         raise ValueError("||x_0|| must be positive")
+    pred_C = predicted_envelope_prefactor(predicted)
     mask = norms > 1e-12
     if mask.sum() < 2:
         return StabilityReport(
             decay_gamma_hat=0.0,
             envelope_C_hat=1.0,
-            satisfied=True,
+            satisfied=None if pred_C is None else True,
             degenerate=True,
         )
     ts = np.nonzero(mask)[0].astype(float)
@@ -277,7 +278,6 @@ def fit_stability_envelope(traj: Trajectory, predicted: TheoremConstants) -> Sta
     ratios = norms[mask] / (decay ** ts * x0n)
     envelope_C = float(np.max(ratios))
     satisfied: Optional[bool] = None
-    pred_C = predicted_envelope_prefactor(predicted)
     if pred_C is not None:
         bound = pred_C * predicted.gamma ** np.arange(norms.shape[0]) * x0n
         satisfied = bool(np.all(norms <= bound * (1.0 + 1e-9)))
@@ -316,17 +316,12 @@ def total_cost_with_tail(traj: Trajectory, syn: Synthesis) -> float:
     return traj.total_cost + float(xT @ syn.P @ xT)
 
 
-def opt_cost_time_only(
-    syn: Synthesis,
-    disturbances,
-    x0,
-    check: bool = True,
-) -> float:
+def opt_cost_time_only(syn: Synthesis, disturbances, x0) -> float:
     """Exact offline-optimal cost under known additive disturbances.
 
     Simulates the disturbance-aware optimal policy over the disturbance
-    support and adds the exact LQR tail value; when ``check`` is on the
-    result is verified against the independent closed form.
+    support and adds the exact LQR tail value; the result is verified
+    against the independent closed form.
     """
     w = [np.asarray(v, dtype=float) for v in disturbances]
     T = len(w)
@@ -334,12 +329,11 @@ def opt_cost_time_only(
     residual = disturbance_residual(w) if T else zero_residual(syn.n)
     traj = simulate(syn.model, residual, policy, x0, max(T, 1))
     cost = total_cost_with_tail(traj, syn)
-    if check:
-        closed = auxiliary_cost_closed_form(syn, w, x0)
-        if abs(cost - closed) > 1e-8 * max(1.0, abs(closed)):
-            raise RuntimeError(
-                f"optimal-cost cross-check failed: simulated {cost!r} vs closed form {closed!r}"
-            )
+    closed = auxiliary_cost_closed_form(syn, w, x0)
+    if abs(cost - closed) > 1e-8 * max(1.0, abs(closed)):
+        raise RuntimeError(
+            f"optimal-cost cross-check failed: simulated {cost!r} vs closed form {closed!r}"
+        )
     return cost
 
 
@@ -372,16 +366,12 @@ def opt_cost_trajopt(
     and never exceeds the initial (LQR rollout) cost.
 
     The objective rolls a batch of action sequences at once, with the
-    residual evaluated through :meth:`ResidualModel.batch`.  Each point
-    is evaluated together with its 2·T·m central-difference probes
-    (u ± h_j e_j, h_j = 1e-6 max(1, |u_j|)) as one batch: the initial
-    point, and each iteration's first line-search candidate, whose
-    probes give the next gradient once it is accepted (a gradient is
-    only formed at an accepted point).  The last iteration's candidate
-    and every backtracked candidate are a batch of one, and a point
-    accepted after backtracking has its probes evaluated at the start of
-    the next iteration.  A sequence whose state goes non-finite costs
-    inf.
+    residual evaluated through :meth:`ResidualModel.batch`.  Every point
+    (the initial one and each line-search candidate) is evaluated
+    together with its 2·T·m central-difference probes
+    (u ± h_j e_j, h_j = 1e-6 max(1, |u_j|)) as one batch, and the probes
+    are differenced into the next gradient only once the point is
+    accepted.  A sequence whose state goes non-finite costs inf.
     """
     x0 = np.asarray(x0, dtype=float)
     A, B, Q, R, P = model.A, model.B, model.Q, model.R, syn.P
@@ -423,8 +413,7 @@ def opt_cost_trajopt(
     rows = np.arange(D)
 
     def with_probes(v: np.ndarray) -> tuple[float, tuple]:
-        """The cost of v, and its probes' costs and steps, from one batch;
-        the caller differences the probes only once v is accepted."""
+        """The cost of v, and its probes' costs and steps, from one batch."""
         h = 1e-6 * np.maximum(1.0, np.abs(v))
         batch = np.tile(v, (2 * D + 1, 1))
         batch[1 + rows, rows] += h
@@ -435,23 +424,17 @@ def opt_cost_trajopt(
     best, probed = with_probes(u)
     initial = best
     history = [best]
-    for it in range(iterations):
-        if probed is None:
-            probed = with_probes(u)[1]
+    for _ in range(iterations):
         costs, h = probed
         grad = (costs[:D] - costs[D:]) / (2.0 * h)
         gnorm = np.linalg.norm(grad)
         if gnorm < 1e-14:
             break
         step = 1.0 / (1.0 + gnorm)
-        probed = None
         improved_this_iter = False
-        for k in range(40):
+        for _ in range(40):
             cand = u - step * grad
-            if k == 0 and it + 1 < iterations:
-                c, cand_probed = with_probes(cand)
-            else:
-                c, cand_probed = float(batch_cost(cand[None])[0]), None
+            c, cand_probed = with_probes(cand)
             if c < best - 1e-12 * max(1.0, abs(best)):
                 u, best, probed = cand, c, cand_probed
                 improved_this_iter = True

@@ -25,7 +25,6 @@ __all__ = [
     "solve_dare",
     "synthesize",
     "spectral_radius",
-    "pseudo_inverse",
 ]
 
 
@@ -42,11 +41,6 @@ def spectral_radius(M) -> float:
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"spectral_radius needs a square matrix, got {M.shape}")
     return float(np.max(np.abs(np.linalg.eigvals(M))))
-
-
-def pseudo_inverse(M) -> np.ndarray:
-    """Moore-Penrose inverse of an arbitrary real matrix."""
-    return np.linalg.pinv(_as_matrix(M, "M"))
 
 
 def _eta_series(F, P, seq: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -172,6 +166,7 @@ def dare_residual_norm(model: LinearModel, P: np.ndarray) -> float:
 
 
 _DARE_TOL = 1e-12
+_DARE_MAX_ITER = 20_000
 
 
 def _dare_fixed_point(model: LinearModel, max_iter: int) -> tuple[np.ndarray, int]:
@@ -204,16 +199,16 @@ def _dare_fixed_point(model: LinearModel, max_iter: int) -> tuple[np.ndarray, in
     )
 
 
-def solve_dare(model: LinearModel, max_iter: int = 20_000) -> np.ndarray:
+def solve_dare(model: LinearModel) -> np.ndarray:
     """Fixed-point solution of P = Q + A'PA - A'PB (R+B'PB)^-1 B'PA.
 
     Iterates from P0 = Q until the sup-norm update drops to
-    ``1e-12 * (1 + ||P||)``, for at most ``max_iter`` iterations.
-    Divergence or non-convergence raises :class:`NonStabilizable`; on
+    ``1e-12 * (1 + ||P||)``, for at most 20 000 iterations.  Divergence
+    or non-convergence raises :class:`NonStabilizable`; on
     non-convergence its message gives the last sup-norm update and the
     DARE residual of the last iterate.
     """
-    return _dare_fixed_point(model, max_iter)[0]
+    return _dare_fixed_point(model, _DARE_MAX_ITER)[0]
 
 
 # the horizon of the C_F envelope: the max over the powers F^0..F^500
@@ -251,12 +246,13 @@ def _envelope_constant(F: np.ndarray, rho: float, T_check: int) -> float:
     return float(C_F)
 
 
-def synthesize(model: LinearModel, max_iter: int = 20_000) -> Synthesis:
+def synthesize(model: LinearModel, max_iter: int = _DARE_MAX_ITER) -> Synthesis:
     """Full LQR synthesis: P, K, F, H plus the decay-envelope constants.
 
-    P is the fixed point of :func:`solve_dare` and ``iterations`` its
-    iteration count.  ``C_F`` is the max of ||F^t||_2 / rho^t over
-    0 <= t <= 500 (``T_check``), from :func:`_envelope_constant`.
+    P is the fixed point of :func:`solve_dare`, iterated at most
+    ``max_iter`` times, and ``iterations`` its iteration count.  ``C_F``
+    is the max of ||F^t||_2 / rho^t over 0 <= t <= 500 (``T_check``),
+    from :func:`_envelope_constant`.
 
     Raises :class:`NonStabilizable` if the Riccati iteration fails or if
     the synthesized closed loop is not contracting.

@@ -107,7 +107,11 @@ def test_exact_opt_closed_form_equivalence():
         w = [rng.uniform(-1, 1, size=model.n) for _ in range(T)]
         w = [v / max(1.0, np.linalg.norm(v)) for v in w]
         x0 = rng.standard_normal(model.n)
-        sim = lq.opt_cost_time_only(syn, w, x0, check=False)
+        # the simulated side of opt_cost_time_only, without its own cross-check
+        optimal = lq.auxiliary_optimal_policy(syn, w)
+        sim = lq.total_cost_with_tail(
+            lq.simulate(model, lq.disturbance_residual(w), optimal, x0, T), syn
+        )
         closed = lq.auxiliary_cost_closed_form(syn, w, x0)
         worst = max(worst, abs(sim - closed) / max(1.0, abs(closed)))
     elapsed = time.monotonic() - t0

@@ -358,8 +358,6 @@ class _ReferenceAdaptivePolicy:
     decrease cap), kept as the oracle for the log-free step."""
 
     def __init__(self, syn, blackbox, advice, alpha, lambda_source="learned"):
-        from lqshield.linalg_control import pseudo_inverse
-
         self.blackbox = blackbox
         self.advice = advice
         self.alpha = float(alpha)
@@ -372,7 +370,7 @@ class _ReferenceAdaptivePolicy:
         self._t0 = None
         self._A, self._B = syn.model.A, syn.model.B
         self._P, self._F, self._K = syn.P, syn.F, syn.K
-        self._M = pseudo_inverse(self._B @ np.linalg.inv(syn.H)) @ self._B
+        self._M = np.linalg.pinv(self._B @ np.linalg.inv(syn.H)) @ self._B
         self._c = np.zeros(syn.n)
         self._num = 0.0
         self._den = 0.0

@@ -47,14 +47,13 @@ API_SURFACE = (
     'lqshield.measure_epsilon(blackbox, optimal, sampler, samples, rng_seed)\n'
     'lqshield.naive_convex_policy(black, advice, lambda_fixed)\n'
     'lqshield.nonnegative(policy)\n'
-    'lqshield.opt_cost_time_only(syn, disturbances, x0, check)\n'
+    'lqshield.opt_cost_time_only(syn, disturbances, x0)\n'
     'lqshield.opt_cost_trajopt(model, residual, x0, T, iterations, syn)\n'
     'lqshield.optimal_lambda(syn, f_star, f_hat, t)\n'
     'lqshield.parameterized_blackbox(syn, f_hat)\n'
-    'lqshield.pseudo_inverse(M)\n'
     'lqshield.saturated(policy, limit)\n'
     'lqshield.simulate(model, residual, policy, x0, T, blowup)\n'
-    'lqshield.solve_dare(model, max_iter)\n'
+    'lqshield.solve_dare(model)\n'
     'lqshield.spectral_radius(M)\n'
     'lqshield.synthesize(model, max_iter)\n'
     'lqshield.theorem_constants(syn, C_ell, epsilon)\n'

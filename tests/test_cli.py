@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqshield.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, main
+from lqshield.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, RunConfig, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -210,14 +210,18 @@ def test_sweep_equilibrium_start_is_costless(tmp_path):
 def test_verify_bounds_marks_violations_excluded(tmp_path):
     cfg = tmp_path / "excl.cfg"
     cfg.write_text(
-        "[grid]\nc_ell_fractions = 0.2\nepsilon_fractions = 1.5\nalphas = 0.02\n"
+        "[grid]\nc_ell_fractions = 0.2\nepsilon_fractions = 1.5,4\nalphas = 0.02\n"
         "[experiment]\nseeds = 2\nhorizon = 60\ndisturbance_steps = 20\n"
     )
     code, out = run(tmp_path, "verify-bounds", "--config", str(cfg))
     assert code == EXIT_OK
     rows = read_rows(out / "grid.csv")
-    assert rows[0]["status"] == "excluded"
-    assert rows[0]["preconditions"] == "False"
+    # each failed precondition is named: TheoremConstants.violations() and mu >= gamma
+    assert [r["status"] for r in rows] == [
+        "excluded: epsilon 0.335634 >= eps_max 0.22398",
+        "excluded: epsilon 0.895023 >= eps_max 0.22398; mu 0.90877 >= gamma 0.634558",
+    ]
+    assert [r["preconditions"] for r in rows] == ["False", "False"]
 
 
 def test_sweep_synthesizes_once_per_process(tmp_path, monkeypatch):
@@ -497,3 +501,113 @@ def test_degenerate_count_is_config_error(tmp_path, capsys, command, config):
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, config, nearest",
+    [
+        (
+            "sweep-theta",
+            "[sweep]\nthetas = 0.1\n[experiment]\nmonte_carlo = 1\nhorizon = 5\n"
+            "policies = lqr\n[cartpole]\nalpah = 0.01\n",
+            "[cartpole] alpah is not read here; nearest is alpha",
+        ),
+        (
+            "stability-trace",
+            "[experiment]\nhorizon = 5\npolicies = lqr\nthetta = 0.3\n",
+            "[experiment] thetta is not read here; nearest is theta",
+        ),
+        (
+            "adversarial",
+            "[adversarial]\nhorizon = 5\nbetta = 0.4\n",
+            "[adversarial] betta is not read here; nearest is beta",
+        ),
+        (
+            "ev-compare",
+            "[experiment]\nseeds = 1\ntraining_days = 1\nalpah = 0.01\n",
+            "[experiment] alpah is not read here; nearest is alpha",
+        ),
+        (
+            "verify-bounds",
+            "[grid]\nc_ell_fractions = 0.2\nepsilon_fractions = 0.3\n"
+            "[experiment]\nseeds = 1\nseedz = 2\n",
+            "[experiment] seedz is not read here; nearest is seeds",
+        ),
+        (
+            "dare",
+            "[system]\nenviroment = cartpole\n",
+            "[system] enviroment is not read here; nearest is environment",
+        ),
+    ],
+    ids=["sweep-theta", "stability-trace", "adversarial", "ev-compare", "verify-bounds", "dare"],
+)
+def test_misspelled_key_is_config_error(tmp_path, capsys, command, config, nearest):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(config)
+    code, out = run(tmp_path, command, "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {nearest}\n"
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "config, section",
+    [("[sytem]\nA = 0.5,0.1;0,0.4\n", "sytem"), ("[DEFAULT]\nA = 0.5,0.1;0,0.4\n", "DEFAULT")],
+    ids=["misspelled", "default"],
+)
+def test_unknown_section_is_config_error(tmp_path, capsys, config, section):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(config)
+    code, out = run(tmp_path, "dare", "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: unknown section [{section}]; nearest is [system]\n"
+    assert not list(out.iterdir())
+
+
+_CHECK_READ = RunConfig.check_read
+
+
+class _ReadChecked(Exception):
+    """Raised right after the read check passes, to stop a run before its work."""
+
+
+def _sections_at_read_check(monkeypatch, argv) -> set:
+    """Run ``argv`` up to its read check, which must pass; return the
+    sections the subcommand read."""
+    seen = []
+
+    def check_then_stop(cfg):
+        _CHECK_READ(cfg)
+        seen.append({section for section, _ in cfg._effective})
+        raise _ReadChecked
+
+    monkeypatch.setattr(RunConfig, "check_read", check_then_stop)
+    with pytest.raises(_ReadChecked):
+        main(argv)
+    return seen[0]
+
+
+def test_shipped_configs_pass_read_check(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    used = set()
+    for argv in _readme_invocations().values():
+        used.add(Path(argv[argv.index("--config") + 1]).name)
+        argv[argv.index("--out") + 1] = str(tmp_path / "out")
+        _sections_at_read_check(monkeypatch, argv)
+    assert used == {p.name for p in (ROOT / "configs").glob("*.cfg")}
+
+
+def test_known_sections_are_the_sections_read(tmp_path, monkeypatch):
+    import lqshield.cli as cli
+
+    read = set()
+    for command in cli._COMMANDS:
+        read |= _sections_at_read_check(monkeypatch, [command, "--out", str(tmp_path / "out")])
+    for environment in ("cartpole", "ev"):
+        cfg = tmp_path / f"{environment}.cfg"
+        cfg.write_text(f"[system]\nenvironment = {environment}\n")
+        argv = ["dare", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        read |= _sections_at_read_check(monkeypatch, argv)
+    assert read == set(cli._SECTIONS)

@@ -68,7 +68,7 @@ def _ref_learn_lambda_prime(syn, log, numerator_start=1):
     t = log.t
     A, B = syn.model.A, syn.model.B
     P, K, F, H = syn.P, syn.K, syn.F, syn.H
-    M = lq.pseudo_inverse(B @ np.linalg.inv(H)) @ B
+    M = np.linalg.pinv(B @ np.linalg.inv(H)) @ B
     resid = [
         A @ log.states[tau] + B @ log.actions[tau] - log.states[tau + 1]
         for tau in range(t)

@@ -128,6 +128,13 @@ class TestFitStabilityEnvelope:
         assert rep.decay_gamma_hat == 0.0
         assert rep.satisfied is True
 
+    def test_degenerate_without_prediction_is_unknown(self, bench2_syn):
+        consts = lq.theorem_constants(bench2_syn, 0.0, 0.9)
+        assert consts.mu >= consts.gamma
+        rep = lq.fit_stability_envelope(_manual_trajectory([1e-13] * 20), consts)
+        assert rep.degenerate
+        assert rep.satisfied is None
+
     def test_predicted_prefactor_unavailable_when_mu_exceeds_gamma(self, bench2_syn):
         consts = lq.theorem_constants(bench2_syn, 0.0, 0.9)  # huge eps -> mu > gamma
         if consts.mu >= consts.gamma:
@@ -164,14 +171,18 @@ class TestOptCostTimeOnly:
             w = [rng.uniform(-1, 1, size=model.n) for _ in range(T)]
             w = [v / max(1.0, np.linalg.norm(v)) for v in w]
             x0 = rng.standard_normal(model.n)
-            sim = lq.opt_cost_time_only(syn, w, x0, check=False)
+            # the simulated side of opt_cost_time_only, without its own cross-check
+            optimal = lq.auxiliary_optimal_policy(syn, w)
+            sim = lq.total_cost_with_tail(
+                lq.simulate(model, lq.disturbance_residual(w), optimal, x0, T), syn
+            )
             closed = lq.auxiliary_cost_closed_form(syn, w, x0)
             assert sim == pytest.approx(closed, rel=1e-8)
 
     def test_internal_cross_check_runs(self, bench2_syn):
         rng = np.random.default_rng(3)
         w = [rng.standard_normal(2) for _ in range(20)]
-        lq.opt_cost_time_only(bench2_syn, w, rng.standard_normal(2), check=True)
+        lq.opt_cost_time_only(bench2_syn, w, rng.standard_normal(2))
 
 
 def _reference_theorem_constants(syn, C_ell, epsilon):
@@ -372,6 +383,21 @@ def _trajopt_cases(bench2_model, bench2_syn):
     return cases
 
 
+def _overflowing_residual(batch_form):
+    """A constant disturbance plus a term that is negligible while
+    |u_t|^2 < 0.1 (the LQR actions on bench2 stay below 0.02) and
+    overflows once |u_t|^2 exceeds about 0.171."""
+    w = np.array([0.4, -0.3])
+
+    def f(t, x, u):
+        return w + np.exp(1e4 * (u @ u - 0.1))
+
+    def f_batch(t, X, U):
+        return w + np.exp(1e4 * (np.sum(U * U, axis=1) - 0.1))[:, None]
+
+    return lq.ResidualModel(eval=f, lipschitz=0.0, eval_batch=f_batch if batch_form else None)
+
+
 class TestOptCostTrajopt:
     @pytest.mark.parametrize(
         "case",
@@ -401,11 +427,37 @@ class TestOptCostTrajopt:
         counted = lq.ResidualModel(eval=resid.eval, lipschitz=resid.lipschitz, eval_batch=counting)
         res = lq.opt_cost_trajopt(model, counted, x0, T, iterations=iterations, syn=syn)
         D = T * model.m
-        # every iteration accepts its first candidate; the last one needs
-        # no probes
+        # every iteration accepts its first candidate, the last one included
         assert res.iterations_run == iterations
         assert len(calls) == (res.iterations_run + 1) * T
-        assert [N for t, N in calls if t == 0] == [2 * D + 1] * iterations + [1]
+        assert [N for t, N in calls if t == 0] == [2 * D + 1] * (iterations + 1)
+
+    def test_point_accepted_after_backtracking_brings_its_probes(
+        self, bench2_model, bench2_syn
+    ):
+        """A candidate accepted after backtracking was evaluated with its
+        probes, so no batch evaluates an accepted point a second time."""
+        inner = _overflowing_residual(batch_form=True)
+        firsts, sizes = [], []
+
+        def recording(t, X, U):
+            if t == 0:
+                firsts.append([])
+                sizes.append(X.shape[0])
+            firsts[-1].append(U[0].copy())
+            return inner.eval_batch(t, X, U)
+
+        resid = lq.ResidualModel(eval=inner.eval, lipschitz=0.0, eval_batch=recording)
+        T = 10
+        res = lq.opt_cost_trajopt(
+            bench2_model, resid, np.array([0.3, -0.2]), T=T, iterations=15, syn=bench2_syn
+        )
+        # every iteration accepted a point, and some only after backtracking
+        assert all(b < a for a, b in zip(res.cost_history, res.cost_history[1:]))
+        assert len(sizes) > res.iterations_run + 1
+        assert sizes == [2 * T * bench2_model.m + 1] * len(sizes)
+        points = [np.concatenate(rows) for rows in firsts]
+        assert len({p.tobytes() for p in points}) == len(points)
 
     @pytest.mark.parametrize("batch_form", [False, True])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -413,19 +465,7 @@ class TestOptCostTrajopt:
         """A residual that overflows for large actions makes some line-search
         rows non-finite; they cost inf, with no warning, and the descent
         keeps its invariants."""
-        w = np.array([0.4, -0.3])
-
-        # negligible while |u_t|^2 < 0.1 (the LQR actions stay below 0.02),
-        # overflowing once |u_t|^2 exceeds about 0.171
-        def f(t, x, u):
-            return w + np.exp(1e4 * (u @ u - 0.1))
-
-        def f_batch(t, X, U):
-            return w + np.exp(1e4 * (np.sum(U * U, axis=1) - 0.1))[:, None]
-
-        resid = lq.ResidualModel(
-            eval=f, lipschitz=0.0, eval_batch=f_batch if batch_form else None
-        )
+        resid = _overflowing_residual(batch_form)
         x0 = np.array([0.3, -0.2])
         with np.errstate(all="ignore"):
             assert resid.batch(0, np.zeros((1, 2)), np.ones((1, 2)))[0, 0] == math.inf

@@ -51,13 +51,11 @@ class TestSolveDare:
 
     def test_non_convergence_reports_update_and_residual(self, bench2_model):
         with pytest.raises(NonStabilizable, match="within 3 iterations") as info:
-            lq.solve_dare(bench2_model, max_iter=3)
+            lq.synthesize(bench2_model, max_iter=3)
         message = str(info.value)
         update = float(message.split("last sup-norm update ")[1].split(",")[0])
         residual = float(message.split("DARE residual ")[1])
         assert update > 1e-12 and residual > 1e-12
-        with pytest.raises(NonStabilizable, match="DARE residual"):
-            lq.synthesize(bench2_model, max_iter=3)
 
 
 class TestSynthesize:
@@ -203,28 +201,6 @@ class TestMatrixPowerSeries:
         )
         fast = _matrix_power_series(F, P, seq, s, t)
         assert np.allclose(fast, naive, rtol=1e-9, atol=1e-9)
-
-
-class TestPseudoInverse:
-    def test_identity(self):
-        assert np.allclose(lq.pseudo_inverse(np.eye(3)), np.eye(3))
-
-    def test_singular_diagonal(self):
-        assert np.allclose(lq.pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
-
-    def test_column_vector(self):
-        out = lq.pseudo_inverse(np.array([[1.0], [1.0]]))
-        assert np.allclose(out, [[0.5, 0.5]])
-
-    def test_penrose_conditions(self):
-        rng = np.random.default_rng(5)
-        for shape in [(3, 3), (4, 2), (2, 5)]:
-            M = rng.standard_normal(shape)
-            Mp = lq.pseudo_inverse(M)
-            assert np.allclose(M @ Mp @ M, M, atol=1e-8)
-            assert np.allclose(Mp @ M @ Mp, Mp, atol=1e-8)
-            assert np.allclose((M @ Mp).T, M @ Mp, atol=1e-8)
-            assert np.allclose((Mp @ M).T, Mp @ M, atol=1e-8)
 
 
 class TestLinearModelValidation:

@@ -14,7 +14,6 @@ consistency-bounded perturbation family.  The script shows
 import numpy as np
 
 import lqshield as lq
-from lqshield.adaptive import ObservationLog
 
 A = np.array([[0.55, 0.25], [0.0, 0.45]])
 model = lq.LinearModel(A=A, B=np.eye(2), Q=np.eye(2), R=np.eye(2))
@@ -28,15 +27,10 @@ x0 = rng.standard_normal(2)
 print("learned confidence vs hindsight weight (estimates scaled by c):")
 for c in (1.0, 1.25, 2.0, 4.0):
     bb = lq.parameterized_blackbox(syn, [c * v for v in w])
-    pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
-    traj = lq.simulate(model, lq.disturbance_residual(w), pol, x0, 100)
-    # the black box is deterministic in (t, x): recompute its suggestions
-    log = ObservationLog(
-        states=list(traj.states),
-        actions=list(traj.actions),
-        blackbox_actions=[bb.act(t, traj.states[t]) for t in range(traj.horizon)],
-    )
-    learned = lq.learn_lambda_prime(syn, log)
+    pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 1e-6, "learned")
+    lq.simulate(model, lq.disturbance_residual(w), pol, x0, 101)
+    # the coefficient learned on the data through x_100
+    learned = pol.trace().lambda_prime_raw[100]
     print(f"  c={c:4.2f}: learned {learned:.4f}  (hindsight {1.0 / c:.4f})")
 
 print("\ncost ratio vs exact offline optimum as consistency error grows:")

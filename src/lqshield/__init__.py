@@ -11,8 +11,6 @@ stabilizing gains can be unstable.
 from .adaptive import (
     AdaptivePolicy,
     ConfidenceState,
-    ObservationLog,
-    learn_lambda_prime,
     optimal_lambda,
     write_confidence_csv,
 )
@@ -24,7 +22,6 @@ from .adversarial import (
 from .errors import (
     ConfigError,
     DegenerateOPT,
-    InsufficientHistory,
     NonStabilizable,
     NotApplicable,
     NotRun,

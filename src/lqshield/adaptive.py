@@ -7,57 +7,31 @@ externally supplied) coefficient stops supporting the black box.
 
 The learned coefficient is a ratio of inner products between the
 residual series observed on the crude model and the black box's offset
-from the LQR action; :func:`learn_lambda_prime` is the reference
-implementation on a log, and :class:`AdaptivePolicy` maintains the same
-quantities incrementally in O(n^2) per step.
+from the LQR action; :class:`AdaptivePolicy` maintains it incrementally
+in O(n^2) per step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InsufficientHistory, NotRun
+from .errors import NotRun
 from .linalg_control import Synthesis, _eta_series, _hindsight_weight
 from .plant import write_csv
 from .policies import Policy
 
 __all__ = [
     "ConfidenceState",
-    "ObservationLog",
-    "learn_lambda_prime",
     "optimal_lambda",
     "AdaptivePolicy",
     "write_confidence_csv",
 ]
 
 _DENOM_FLOOR = 1e-12
-
-
-@dataclass
-class ObservationLog:
-    """States, applied actions, and the black box's suggestions so far.
-
-    ``states`` is one longer than the action lists: x_0..x_t alongside
-    u_0..u_{t-1} and the suggestions made at each visited state.
-    """
-
-    states: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
-    blackbox_actions: list = field(default_factory=list)
-
-    @property
-    def t(self) -> int:
-        return len(self.actions)
-
-    def check(self) -> None:
-        if len(self.states) != len(self.actions) + 1:
-            raise ValueError("log must hold one more state than actions")
-        if len(self.blackbox_actions) != len(self.actions):
-            raise ValueError("log must hold one black-box action per step")
 
 
 @dataclass(frozen=True)
@@ -74,50 +48,6 @@ def _learned_weight(syn: Synthesis) -> np.ndarray:
     """(B H^-1)^+ B, the m x m weight of the learned rule's denominator."""
     B = syn.model.B
     return np.linalg.pinv(B @ np.linalg.inv(syn.H)) @ B
-
-
-def learn_lambda_prime(
-    syn: Synthesis, log: ObservationLog, numerator_start: int = 1
-) -> float:
-    """Confidence coefficient learned from the crude model and the log.
-
-    numerator:   sum_{s=ns}^{t-1} (sum_{tau=s}^{t-1} (F')^(tau-s)
-                 P (A x_tau + B u_tau - x_{tau+1}))' B (uhat_s + K x_s)
-    denominator: sum_{s=0}^{t-1} (uhat_s + K x_s)' (B H^-1)^+ B
-                 (uhat_s + K x_s)
-
-    Returns numerator / denominator, or 0 when the denominator is
-    numerically zero (the black box agrees with the LQR everywhere, so
-    there is no signal).  The value is returned raw; the adaptive policy
-    clamps it to [0, 1] before use.
-
-    The asymmetric index start (numerator from s=1, denominator from
-    s=0) is deliberate; pass numerator_start=0 to study the symmetric
-    variant.
-    """
-    log.check()
-    t = log.t
-    if t < 2:
-        raise InsufficientHistory(f"need at least 2 recorded steps, have {t}")
-    A, B = syn.model.A, syn.model.B
-    P, K, F = syn.P, syn.K, syn.F
-    M = _learned_weight(syn)
-    resid = [
-        A @ log.states[tau] + B @ log.actions[tau] - log.states[tau + 1]
-        for tau in range(t)
-    ]
-    etas = _eta_series(F, P, resid)
-    num = 0.0
-    for s in range(numerator_start, t):
-        v = log.blackbox_actions[s] + K @ log.states[s]
-        num += float(etas[s] @ (B @ v))
-    den = 0.0
-    for s in range(t):
-        v = log.blackbox_actions[s] + K @ log.states[s]
-        den += float(v @ (M @ v))
-    if abs(den) < _DENOM_FLOOR:
-        return 0.0
-    return num / den
 
 
 def optimal_lambda(
@@ -164,10 +94,20 @@ class AdaptivePolicy:
                                                         and lambda_{t-1} > alpha
         lambda_t = 0                                    otherwise.
 
-    In learned mode the first update is held until two steps have been
-    seen.  The learned coefficient is the one :func:`learn_lambda_prime`
-    computes on the run's states, actions and black-box suggestions; the
-    policy keeps only its running sums and the previous step's terms.
+    In learned mode, with states x_0..x_t, applied actions u_s and the
+    black box's suggestions uhat_s, lambda' at t >= 2 is num / den with
+
+        num = sum_{s=1}^{t-1} (sum_{tau=s}^{t-1} (F')^(tau-s) P
+              (A x_tau + B u_tau - x_{tau+1}))' B (uhat_s + K x_s)
+        den = sum_{s=0}^{t-1} (uhat_s + K x_s)' (B H^-1)^+ B
+              (uhat_s + K x_s)
+
+    or 0 when den is numerically zero (the black box agrees with the LQR
+    everywhere, so there is no signal).  The asymmetric index start
+    (numerator from s = 1, denominator from s = 0) is deliberate.  The
+    first update is held until two steps have been seen.  The policy
+    keeps only the running sums and the previous step's terms; the
+    unclamped coefficient of step t is ``trace().lambda_prime_raw[t]``.
     One instance drives one simulation.
     """
 
@@ -179,7 +119,7 @@ class AdaptivePolicy:
         alpha: float,
         lambda_source: Union[str, Callable[[int], float]] = "learned",
     ):
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValueError("step size alpha must be positive")
         self.syn = syn
         self.blackbox = blackbox

@@ -125,9 +125,11 @@ def cartpole_residual(
 ) -> ResidualModel:
     """Model error f(t, x, u) = true_step(x, u) - (A x + B u).
 
-    The declared Lipschitz constant is a sampled estimate (2000 samples)
-    over the operating box ||(x, u)|| <= 1.  The batch form applies the
-    same Euler formulas to columns of stacked states and actions.
+    The declared Lipschitz constant is a sampled lower bound: the largest
+    difference ratio of 2000 sampled pairs in the operating box
+    |x_i|, |u| <= 1, so the true constant there may be larger.  The
+    batch form applies the same Euler formulas to columns of stacked
+    states and actions.
     """
     model = cartpole_linearization(params_model)
     A, B = model.A, model.B

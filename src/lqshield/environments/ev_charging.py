@@ -63,7 +63,7 @@ class ChargingSession:
             raise ValidationError(
                 f"session arrival {self.arrival} must precede departure {self.departure}"
             )
-        if self.energy <= 0:
+        if not self.energy > 0:
             raise ValidationError(f"session energy must be positive, got {self.energy}")
         if self.station < 1:
             raise ValidationError(f"station index must be >= 1, got {self.station}")

@@ -5,10 +5,6 @@ class NonStabilizable(RuntimeError):
     """Riccati iteration diverged or failed to converge: (A, B) is not stabilizable."""
 
 
-class InsufficientHistory(ValueError):
-    """The observation log is too short to evaluate the learning rule."""
-
-
 class NotRun(RuntimeError):
     """A trace was requested from a policy that has not been stepped yet."""
 

@@ -149,7 +149,7 @@ def theorem_constants(syn: Synthesis, C_ell: float, epsilon: float) -> TheoremCo
     non-square B the term ||B + I|| is replaced by its bound
     ||B|| + 1.
     """
-    if C_ell < 0 or epsilon < 0:
+    if not (C_ell >= 0 and epsilon >= 0):
         raise ValueError("C_ell and epsilon must be nonnegative")
     return _theorem_constants(syn, _system_norms(syn), C_ell, epsilon)
 

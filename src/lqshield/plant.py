@@ -48,7 +48,7 @@ class ResidualModel:
     eval_batch: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.lipschitz < 0:
+        if not self.lipschitz >= 0:
             raise ValueError("Lipschitz constant must be nonnegative")
 
     def batch(self, t: int, X: np.ndarray, U: np.ndarray) -> np.ndarray:

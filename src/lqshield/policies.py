@@ -158,7 +158,7 @@ def epsilon_consistent_blackbox(
 
     Deterministic given the seed; the perturbation vanishes at x = 0.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     if bias_mode != "rotation":
         raise ValueError(f"unknown bias_mode {bias_mode!r}")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import lqshield as lq
-from lqshield.adaptive import ObservationLog
 from lqshield.environments import (
     CartPoleParams,
     ChargingConfig,
@@ -136,15 +135,9 @@ def test_confidence_weight_identities(bench):
         r = np.random.default_rng(seed)
         w = [0.5 * r.standard_normal(2) for _ in range(60)]
         bb = lq.parameterized_blackbox(syn, [c * v for v in w])
-        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
-        traj = lq.simulate(model, lq.disturbance_residual(w), pol, r.standard_normal(2), 100)
-        # the black box is deterministic in (t, x): recompute its suggestions
-        log = ObservationLog(
-            states=list(traj.states),
-            actions=list(traj.actions),
-            blackbox_actions=[bb.act(t, traj.states[t]) for t in range(traj.horizon)],
-        )
-        learned_ok &= abs(lq.learn_lambda_prime(syn, log) - 1.0 / c) < 0.05
+        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 1e-6, "learned")
+        lq.simulate(model, lq.disturbance_residual(w), pol, r.standard_normal(2), 101)
+        learned_ok &= abs(pol.trace().lambda_prime_raw[100] - 1.0 / c) < 0.05
     report(
         "confidence-weight-identities",
         exact_one and scaling_ok and learned_ok,

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import lqshield as lq
-from lqshield.adaptive import ObservationLog
-from lqshield.errors import InsufficientHistory, NotRun
+from lqshield.errors import NotRun
 
 from conftest import random_stabilizable
+from test_eta_series import _ref_learn_lambda_prime
 
 
 @pytest.fixture(scope="module")
@@ -14,25 +14,11 @@ def syn3():
     return lq.synthesize(random_stabilizable(rng, 3))
 
 
-def run_log(traj, blackbox, t=None):
-    """The observation log of the first ``t`` steps of a recorded run.
-
-    States and actions come from the trajectory; the black boxes are
-    deterministic in (t, x), so their suggestions are recomputed.
-    """
-    t = traj.horizon if t is None else t
-    return ObservationLog(
-        states=[traj.states[i] for i in range(t + 1)],
-        actions=[traj.actions[i] for i in range(t)],
-        blackbox_actions=[blackbox.act(i, traj.states[i]) for i in range(t)],
-    )
-
-
-def log_from_run(syn, model, residual, blackbox, x0, T, alpha=1e-6):
-    """Build a full observation log by driving the plant with the black box."""
-    pol = lq.AdaptivePolicy(syn, blackbox, lq.lqr_policy(syn), alpha, lambda_source=lambda t: 1.0)
+def learned_run(syn, model, residual, blackbox, x0, T):
+    """The raw coefficients and trajectory of a learned-mode run."""
+    pol = lq.AdaptivePolicy(syn, blackbox, lq.lqr_policy(syn), 1e-6, "learned")
     traj = lq.simulate(model, residual, pol, x0, T)
-    return run_log(traj, blackbox), traj, pol
+    return pol.trace().lambda_prime_raw, traj
 
 
 class TestOptimalLambda:
@@ -75,25 +61,23 @@ class TestOptimalLambda:
         f_hat = [0.7 * v + 0.5 * rng.standard_normal(n) for v in w]
         bb = lq.parameterized_blackbox(syn, f_hat)
         traj = lq.simulate(syn.model, lq.disturbance_residual(w), bb, rng.standard_normal(n), T)
-        learned = lq.learn_lambda_prime(syn, run_log(traj, bb), numerator_start=0)
+        # the black box drove the plant, so its suggestions are the actions
+        learned = _ref_learn_lambda_prime(
+            syn, traj.states, traj.actions, traj.actions, numerator_start=0
+        )
         assert learned == pytest.approx(lq.optimal_lambda(syn, w, f_hat, T - 1), rel=1e-12)
 
 
 class TestLearnLambdaPrime:
-    def test_requires_history(self, syn3):
-        log = ObservationLog(
-            states=[np.ones(3), np.ones(3)], actions=[np.zeros(3)], blackbox_actions=[np.zeros(3)]
-        )
-        with pytest.raises(InsufficientHistory):
-            lq.learn_lambda_prime(syn3, log)
+    """The learned coefficient lambda', read from the policy's trace."""
 
-    def test_blackbox_equal_lqr_no_signal(self, syn3, bench2_model, bench2_syn):
+    def test_blackbox_equal_lqr_no_signal(self, bench2_model, bench2_syn):
         syn = bench2_syn
         rng = np.random.default_rng(2)
-        log, _, _ = log_from_run(
+        raws, _ = learned_run(
             syn, bench2_model, lq.zero_residual(2), lq.lqr_policy(syn), rng.standard_normal(2), 20
         )
-        assert lq.learn_lambda_prime(syn, log) == 0.0
+        assert all(raw == 0.0 for raw in raws[2:])
 
     def test_zero_residual_observations_no_signal(self, bench2_model, bench2_syn):
         # linear plant, black box with nonzero estimates: numerator vanishes
@@ -101,10 +85,10 @@ class TestLearnLambdaPrime:
         rng = np.random.default_rng(3)
         fh = [rng.standard_normal(2) for _ in range(10)]
         bb = lq.parameterized_blackbox(syn, fh)
-        log, _, _ = log_from_run(
-            syn, bench2_model, lq.zero_residual(2), bb, rng.standard_normal(2), 20
+        raws, _ = learned_run(
+            syn, bench2_model, lq.zero_residual(2), bb, rng.standard_normal(2), 21
         )
-        assert lq.learn_lambda_prime(syn, log) == pytest.approx(0.0, abs=1e-10)
+        assert list(raws[2:]) == pytest.approx([0.0] * 19, abs=1e-10)
 
     def test_matches_naive_double_loop(self, bench2_model, bench2_syn):
         """Spelled-out evaluation with explicit matrix powers is the oracle."""
@@ -112,10 +96,10 @@ class TestLearnLambdaPrime:
         rng = np.random.default_rng(4)
         w = [0.5 * rng.standard_normal(2) for _ in range(15)]
         bb = lq.parameterized_blackbox(syn, w)
-        log, _, _ = log_from_run(
-            syn, bench2_model, lq.disturbance_residual(w), bb, rng.standard_normal(2), 18
+        t = 18
+        raws, traj = learned_run(
+            syn, bench2_model, lq.disturbance_residual(w), bb, rng.standard_normal(2), t + 1
         )
-        got = lq.learn_lambda_prime(syn, log)
         A, B, P, K, F, H = (
             bench2_model.A,
             bench2_model.B,
@@ -124,20 +108,22 @@ class TestLearnLambdaPrime:
             syn.F,
             syn.H,
         )
-        t = len(log.actions)
+        states, actions = traj.states, traj.actions
+        # the black box is deterministic in (t, x): recompute its suggestions
+        uhat = [bb.act(s, states[s]) for s in range(t)]
         M = np.linalg.pinv(B @ np.linalg.inv(H)) @ B
         num = 0.0
         for s in range(1, t):
             eta = np.zeros(2)
             for tau in range(s, t):
-                r = A @ log.states[tau] + B @ log.actions[tau] - log.states[tau + 1]
+                r = A @ states[tau] + B @ actions[tau] - states[tau + 1]
                 eta += np.linalg.matrix_power(F.T, tau - s) @ (P @ r)
-            num += eta @ (B @ (log.blackbox_actions[s] + K @ log.states[s]))
+            num += eta @ (B @ (uhat[s] + K @ states[s]))
         den = 0.0
         for s in range(t):
-            v = log.blackbox_actions[s] + K @ log.states[s]
+            v = uhat[s] + K @ states[s]
             den += v @ (M @ v)
-        assert got == pytest.approx(num / den, rel=1e-10)
+        assert raws[t] == pytest.approx(num / den, rel=1e-10)
 
     def test_converges_to_optimal_by_T100(self, bench2_model, bench2_syn):
         syn = bench2_syn
@@ -145,38 +131,10 @@ class TestLearnLambdaPrime:
             rng = np.random.default_rng(seed)
             w = [0.5 * rng.standard_normal(2) for _ in range(60)]
             bb = lq.parameterized_blackbox(syn, [c * v for v in w])
-            log, _, _ = log_from_run(
-                syn, bench2_model, lq.disturbance_residual(w), bb, rng.standard_normal(2), 100
+            raws, _ = learned_run(
+                syn, bench2_model, lq.disturbance_residual(w), bb, rng.standard_normal(2), 101
             )
-            learned = lq.learn_lambda_prime(syn, log)
-            assert abs(learned - 1.0 / c) < 0.05
-
-    def test_incremental_matches_direct(self, bench2_model, bench2_syn):
-        syn = bench2_syn
-        rng = np.random.default_rng(8)
-        w = [0.5 * rng.standard_normal(2) for _ in range(40)]
-        resid = lq.disturbance_residual(w)
-        bb = lq.parameterized_blackbox(syn, w)
-        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 0.01, "learned")
-        traj = lq.simulate(bench2_model, resid, pol, rng.standard_normal(2), 60)
-        raws = pol.trace().lambda_prime_raw
-        # replay the direct evaluation at a few times using log prefixes
-        for t_check in (5, 17, 42):
-            log = run_log(traj, bb, t_check)
-            direct = lq.learn_lambda_prime(syn, log)
-            assert raws[t_check] == pytest.approx(direct, rel=1e-8, abs=1e-10)
-
-    def test_numerator_start_switch(self, bench2_model, bench2_syn):
-        syn = bench2_syn
-        rng = np.random.default_rng(9)
-        w = [0.5 * rng.standard_normal(2) for _ in range(20)]
-        bb = lq.parameterized_blackbox(syn, w)
-        log, _, _ = log_from_run(
-            syn, bench2_model, lq.disturbance_residual(w), bb, rng.standard_normal(2), 30
-        )
-        asym = lq.learn_lambda_prime(syn, log, numerator_start=1)
-        sym = lq.learn_lambda_prime(syn, log, numerator_start=0)
-        assert asym != sym  # the s = 0 term genuinely contributes
+            assert abs(raws[100] - 1.0 / c) < 0.05
 
 
 class TestAdaptivePolicyBranches:
@@ -223,6 +181,7 @@ class TestAdaptivePolicyBranches:
         lq.simulate(bench2_model, lq.zero_residual(2), pol, np.ones(2), 3)
         assert pol.lambdas[1] == 1.0
         assert pol.trace().branches[1] == "hold"
+        assert np.isnan(pol.trace().lambda_prime_raw[1])
 
     def test_external_zeros_give_pure_lqr(self, bench2_model, bench2_syn):
         syn = bench2_syn
@@ -240,6 +199,11 @@ class TestAdaptivePolicyBranches:
         pol.act(0, np.ones(3))
         with pytest.raises(ValueError):
             pol.act(2, np.ones(3))
+
+    @pytest.mark.parametrize("alpha", [0.0, float("nan")])
+    def test_rejects_nonpositive_or_nan_alpha(self, syn3, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            lq.AdaptivePolicy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), alpha)
 
     def test_trace_before_run_raises(self, syn3):
         pol = lq.AdaptivePolicy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: 1.0)
@@ -365,7 +329,7 @@ class _ReferenceAdaptivePolicy:
             self._external = None
         elif callable(lambda_source):
             self._external = lambda_source
-        self.log = ObservationLog()
+        self.states, self.actions = [], []
         self._lambdas, self._raw, self._branches = [], [], []
         self._t0 = None
         self._A, self._B = syn.model.A, syn.model.B
@@ -378,7 +342,7 @@ class _ReferenceAdaptivePolicy:
         self._prev_b = None
 
     def _learned_raw(self, t, x):
-        r_prev = self._A.dot(self.log.states[t - 1]) + self._B.dot(self.log.actions[t - 1]) - x
+        r_prev = self._A.dot(self.states[t - 1]) + self._B.dot(self.actions[t - 1]) - x
         include = (t - 1) >= 1
         self._c = self._F.dot(self._c) + (self._prev_b if include else 0.0)
         self._num += float(r_prev.dot(self._P.dot(self._c)))
@@ -391,9 +355,9 @@ class _ReferenceAdaptivePolicy:
         return self._num / self._den
 
     def act(self, t, x):
-        assert t == self.log.t
+        assert t == len(self.actions)
         x = np.asarray(x, dtype=float).reshape(-1)
-        self.log.states.append(x.copy())
+        self.states.append(x.copy())
         raw = float("nan")
         zero_state = np.linalg.norm(x) <= 0.0
         if t == 0:
@@ -426,8 +390,7 @@ class _ReferenceAdaptivePolicy:
         u_hat = np.asarray(self.blackbox.act(t, x), dtype=float).reshape(-1)
         u_bar = np.asarray(self.advice.act(t, x), dtype=float).reshape(-1)
         u = lam * u_hat + (1.0 - lam) * u_bar
-        self.log.actions.append(u.copy())
-        self.log.blackbox_actions.append(u_hat.copy())
+        self.actions.append(u.copy())
         self._prev_v = u_hat + self._K.dot(x)
         self._prev_b = self._B.dot(self._prev_v)
         return u

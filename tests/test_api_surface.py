@@ -2,9 +2,10 @@
 
 The public API record lists, for every callable and dataclass that
 ``lqshield`` and ``lqshield.environments`` export, its parameter or field
-names; error types are left out.  Each name is a value a caller can set,
-so adding, removing or renaming one shows up as a diff of this record,
-to be re-recorded on purpose.  The ``verify-bounds`` run pins the config
+names, and for every exported error type, its base class.  Each name is a
+value a caller can set or an error a caller can catch, so adding,
+removing or renaming one shows up as a diff of this record, to be
+re-recorded on purpose.  The ``verify-bounds`` run pins the config
 keys that subcommand reads, the way ``test_output_bits.py`` pins the
 sweep's.
 """
@@ -21,15 +22,24 @@ API_SURFACE = (
     'lqshield.AdversarialCertificate(model, K1, K2, lam, beta, F2, rho_F1, rho_F2, rho_combined, construction_case, combined_gain, det_combined)\n'
     'lqshield.BoundCheck(satisfied, bound, model_term, error_term, nonlinear_term)\n'
     'lqshield.ConfidenceState(lambdas, t0, lambda_prime_raw, branches)\n'
+    'lqshield.ConfigError: ValueError\n'
+    'lqshield.DegenerateOPT: ValueError\n'
     'lqshield.LinearModel(A, B, Q, R)\n'
-    'lqshield.ObservationLog(states, actions, blackbox_actions)\n'
+    'lqshield.NonStabilizable: RuntimeError\n'
+    'lqshield.NotApplicable: RuntimeError\n'
+    'lqshield.NotRun: RuntimeError\n'
     'lqshield.Policy(act)\n'
+    'lqshield.PreconditionViolated: RuntimeError\n'
     'lqshield.ResidualModel(eval, lipschitz, eval_batch)\n'
+    'lqshield.SessionConflict: ValueError\n'
+    'lqshield.SessionParseError: ValueError\n'
+    'lqshield.SingularB: ValueError\n'
     'lqshield.StabilityReport(decay_gamma_hat, envelope_C_hat, satisfied, degenerate)\n'
     'lqshield.Synthesis(model, P, K, F, H, C_F, rho, rho_F, kappa, sigma, T_check, dare_residual, iterations)\n'
     'lqshield.TheoremConstants(C_ell, epsilon, gamma, mu, C_a_sys, C_b_sys, C_c_sys, CR_model_bar, eps_max_stability, C_ell_max, applicable, C_F, rho, sigma, kappa, norm_H, norm_B, norm_K, norm_P)\n'
     'lqshield.TrajOptResult(cost, initial_cost, improved, iterations_run, cost_history)\n'
     'lqshield.Trajectory(states, actions, residuals, step_costs, total_cost, diverged, diverged_at)\n'
+    'lqshield.ValidationError: ValueError\n'
     'lqshield.auxiliary_cost_closed_form(syn, disturbances, x0)\n'
     'lqshield.auxiliary_optimal_policy(syn, disturbances)\n'
     'lqshield.competitive_ratio(alg_traj, opt_cost, syn)\n'
@@ -41,7 +51,6 @@ API_SURFACE = (
     'lqshield.fit_stability_envelope(traj, predicted)\n'
     'lqshield.gain_policy(K)\n'
     'lqshield.gaussian_state_sampler(n)\n'
-    'lqshield.learn_lambda_prime(syn, log, numerator_start)\n'
     'lqshield.lipschitz_residual(n, m, constant, seed)\n'
     'lqshield.lqr_policy(syn)\n'
     'lqshield.measure_epsilon(blackbox, optimal, sampler, samples, rng_seed)\n'
@@ -104,6 +113,7 @@ def _api_surface() -> str:
             if name.startswith("_") or inspect.ismodule(obj) or not callable(obj):
                 continue
             if isinstance(obj, type) and issubclass(obj, Exception):
+                lines.append(f"{module.__name__}.{name}: {obj.__base__.__name__}\n")
                 continue
             if dataclasses.is_dataclass(obj):
                 names = [f.name for f in dataclasses.fields(obj)]

@@ -33,6 +33,10 @@ class TestSessionValidation:
         with pytest.raises(ValidationError):
             ChargingSession(arrival=0, departure=5, energy=0.0, station=1)
 
+    def test_rejects_nan_energy(self):
+        with pytest.raises(ValidationError):
+            ChargingSession(arrival=0, departure=5, energy=float("nan"), station=1)
+
     def test_conflict_detection(self, config):
         sessions = [
             ChargingSession(arrival=0, departure=10, energy=5.0, station=1),

@@ -83,6 +83,12 @@ class TestTheoremConstants:
         with pytest.raises(ValueError):
             lq.theorem_constants(bench2_syn, -0.1, 0.0)
 
+    def test_rejects_nan_inputs(self, bench2_syn):
+        with pytest.raises(ValueError):
+            lq.theorem_constants(bench2_syn, float("nan"), 0.0)
+        with pytest.raises(ValueError):
+            lq.theorem_constants(bench2_syn, 0.0, float("nan"))
+
 
 def _manual_trajectory(norm_seq):
     states = np.asarray(norm_seq, dtype=float).reshape(-1, 1)

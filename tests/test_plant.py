@@ -150,6 +150,14 @@ class TestEstimateLipschitz:
             assert np.allclose(resid.eval(t, np.zeros(3), np.zeros(2)), 0.0)
 
 
+@pytest.mark.parametrize("constant", [-0.1, float("nan")])
+def test_residual_rejects_negative_or_nan_lipschitz(constant):
+    with pytest.raises(ValueError, match="Lipschitz"):
+        lq.ResidualModel(eval=lambda t, x, u: x, lipschitz=constant)
+    with pytest.raises(ValueError, match="Lipschitz"):
+        lq.lipschitz_residual(3, 2, constant)
+
+
 def test_trajectory_csv_contract(tmp_path):
     rng = np.random.default_rng(2)
     model = random_stabilizable(rng, 2)

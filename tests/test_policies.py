@@ -182,6 +182,11 @@ class TestEpsilonConsistent:
         with pytest.raises(ValueError, match="unknown bias_mode"):
             lq.epsilon_consistent_blackbox(lq.lqr_policy(syn3), 0.1, mode, 3)
 
+    @pytest.mark.parametrize("epsilon", [-0.1, float("nan")])
+    def test_rejects_negative_or_nan_epsilon(self, syn3, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            lq.epsilon_consistent_blackbox(lq.lqr_policy(syn3), epsilon, "rotation", 3)
+
     def test_preserves_zero(self, syn3):
         bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn3), 0.3, "rotation", 1)
         assert np.allclose(bb.act(0, np.zeros(3)), 0.0)

@@ -136,6 +136,23 @@ class TestLearnLambdaPrime:
             )
             assert abs(raws[100] - 1.0 / c) < 0.05
 
+    def test_incremental_matches_direct(self, bench2_model, bench2_syn):
+        syn = bench2_syn
+        rng = np.random.default_rng(8)
+        w = [0.5 * rng.standard_normal(2) for _ in range(40)]
+        resid = lq.disturbance_residual(w)
+        bb = lq.parameterized_blackbox(syn, w)
+        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 0.01, "learned")
+        traj = lq.simulate(bench2_model, resid, pol, rng.standard_normal(2), 60)
+        raws = pol.trace().lambda_prime_raw
+        # replay the batch rule at a few times on prefixes of the run; the
+        # black box is deterministic in (t, x), so its suggestions are recomputed
+        for t_check in (5, 17, 42):
+            states, actions = traj.states[: t_check + 1], traj.actions[:t_check]
+            uhat = [bb.act(s, states[s]) for s in range(t_check)]
+            direct = _ref_learn_lambda_prime(syn, states, actions, uhat)
+            assert raws[t_check] == pytest.approx(direct, rel=1e-8, abs=1e-10)
+
 
 class TestAdaptivePolicyBranches:
     def test_lambda_starts_at_one(self, syn3):

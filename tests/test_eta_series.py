@@ -173,7 +173,7 @@ def test_feedforward_and_closed_form_match_backward_loops(seed, system, kind):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(SEEDS, SYSTEMS, KINDS)
-def test_learned_coefficient_matches_batch_rule_at_every_step(seed, system, kind):
+def test_learn_lambda_prime_matches_per_s_series(seed, system, kind):
     rng = np.random.default_rng(seed)
     syn = _syn(system, rng)
     # "zeros" lands every state on the model's prediction: zero residuals

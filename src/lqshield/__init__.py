@@ -33,7 +33,6 @@ from .errors import (
 )
 from .guarantees import (
     BoundCheck,
-    StabilityReport,
     TheoremConstants,
     TrajOptResult,
     auxiliary_cost_closed_form,

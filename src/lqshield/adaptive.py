@@ -94,6 +94,9 @@ class AdaptivePolicy:
                                                         and lambda_{t-1} > alpha
         lambda_t = 0                                    otherwise.
 
+    The action is lambda_t uhat_t + (1 - lambda_t) ubar_t, and the advice
+    ubar_t alone once lambda_t = 0, even where uhat_t is not finite.
+
     In learned mode, with states x_0..x_t, applied actions u_s and the
     black box's suggestions uhat_s, lambda' at t >= 2 is num / den with
 
@@ -207,7 +210,7 @@ class AdaptivePolicy:
         u_bar = self.advice.act(t, x)
         if type(u_bar) is not np.ndarray or u_bar.dtype != np.float64 or u_bar.ndim != 1:
             u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
-        u = lam * u_hat + (1.0 - lam) * u_bar
+        u = u_bar if lam == 0.0 else lam * u_hat + (1.0 - lam) * u_bar
         if learned:
             self._prev_pred = self._A.dot(x) + self._B.dot(u)
             self._prev_v = u_hat + self._K.dot(x)

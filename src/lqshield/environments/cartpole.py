@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..linalg_control import LinearModel
-from ..plant import ResidualModel, estimate_lipschitz
+from ..plant import ResidualModel
 
 __all__ = [
     "CartPoleParams",
@@ -125,11 +125,10 @@ def cartpole_residual(
 ) -> ResidualModel:
     """Model error f(t, x, u) = true_step(x, u) - (A x + B u).
 
-    The declared Lipschitz constant is a sampled lower bound: the largest
-    difference ratio of 2000 sampled pairs in the operating box
-    |x_i|, |u| <= 1, so the true constant there may be larger.  The
-    batch form applies the same Euler formulas to columns of stacked
-    states and actions.
+    The batch form applies the same Euler formulas to columns of stacked
+    states and actions.  It carries no Lipschitz constant;
+    :func:`~lqshield.plant.estimate_lipschitz` measures a sampled lower
+    bound on an operating box.
     """
     model = cartpole_linearization(params_model)
     A, B = model.A, model.B
@@ -150,6 +149,4 @@ def cartpole_residual(
         true_next -= X @ A.T + U @ B.T
         return true_next
 
-    probe = ResidualModel(eval=f, lipschitz=0.0, eval_batch=f_batch)
-    c_hat = estimate_lipschitz(probe, samples=2000, radius=1.0, rng_seed=0, n=4, m=1)
-    return ResidualModel(eval=f, lipschitz=float(c_hat), eval_batch=f_batch)
+    return ResidualModel(eval=f, eval_batch=f_batch)

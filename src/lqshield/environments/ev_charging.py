@@ -220,7 +220,7 @@ def ev_environment(
                 f.append(0.0)
         return np.array(f, dtype=float)
 
-    residual = ResidualModel(eval=residual_eval, lipschitz=1.0 + tau)
+    residual = ResidualModel(eval=residual_eval)
     phi1, phi2, phi3, phi4 = config.phi
     prices = config.prices.tolist()
     horizon = len(prices)

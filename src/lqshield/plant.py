@@ -1,9 +1,9 @@
 """Rollouts of x_{t+1} = A x_t + B u_t + f_t(x_t, u_t) with quadratic cost.
 
-The residual f_t is a pluggable callable carrying a declared Lipschitz
-constant.  Simulation is deterministic, records everything needed to
-replay the recursion exactly, and flags blow-ups instead of raising
-(instability is a measured outcome in several experiments).
+The residual f_t is a pluggable callable.  Simulation is deterministic,
+records everything needed to replay the recursion exactly, and flags
+blow-ups instead of raising (instability is a measured outcome in
+several experiments).
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ __all__ = [
 class ResidualModel:
     """The unknown nonlinearity, evaluated as f(t, x, u) -> state vector.
 
-    ``lipschitz`` is the declared constant; it is model knowledge, not
-    derived -- :func:`estimate_lipschitz` cross-checks it by sampling.
+    Its Lipschitz bound C_ell is a hypothesis of the guarantees, passed to
+    them explicitly; :func:`estimate_lipschitz` measures a residual's
+    constant by sampling.
 
     ``eval_batch(t, X, U)`` is an optional row-wise form of ``eval`` on
     stacked states X [N, n] and actions U [N, m], returning [N, n].
@@ -44,12 +45,7 @@ class ResidualModel:
     """
 
     eval: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-    lipschitz: float
     eval_batch: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if not self.lipschitz >= 0:
-            raise ValueError("Lipschitz constant must be nonnegative")
 
     def batch(self, t: int, X: np.ndarray, U: np.ndarray) -> np.ndarray:
         """f(t, X[k], U[k]) for every row k, as an [N, n] array."""
@@ -69,7 +65,7 @@ def zero_residual(n: int) -> ResidualModel:
     def f_batch(t, X, U):
         return np.zeros((X.shape[0], n))
 
-    return ResidualModel(eval=f, lipschitz=0.0, eval_batch=f_batch)
+    return ResidualModel(eval=f, eval_batch=f_batch)
 
 
 def disturbance_residual(w: Sequence[np.ndarray]) -> ResidualModel:
@@ -84,7 +80,7 @@ def disturbance_residual(w: Sequence[np.ndarray]) -> ResidualModel:
     def f_batch(t, X, U):
         return np.tile(w[t] if 0 <= t < len(w) else z, (X.shape[0], 1))
 
-    return ResidualModel(eval=f, lipschitz=0.0, eval_batch=f_batch)
+    return ResidualModel(eval=f, eval_batch=f_batch)
 
 
 def lipschitz_residual(
@@ -97,8 +93,10 @@ def lipschitz_residual(
 
     f(x, u) = constant * G tanh(J [x; u]) with
     ||G||_2 = ||J||_2 = 1, so the Jacobian norm never exceeds ``constant``
-    and f(0, 0) = 0.
+    and f(0, 0) = 0.  A negative or NaN ``constant`` is rejected.
     """
+    if not constant >= 0:
+        raise ValueError("Lipschitz constant must be nonnegative")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))
     G /= np.linalg.norm(G, 2)
@@ -113,7 +111,7 @@ def lipschitz_residual(
         Z = np.concatenate([X, U], axis=1)
         return constant * (np.tanh(Z @ J.T) @ G.T)
 
-    return ResidualModel(eval=f, lipschitz=constant, eval_batch=f_batch)
+    return ResidualModel(eval=f, eval_batch=f_batch)
 
 
 @dataclass
@@ -229,10 +227,10 @@ def estimate_lipschitz(
 ) -> float:
     """Sampled lower bound of the Lipschitz constant of f(0, ., .).
 
-    Draws ``samples`` pairs (z1, z2) of joint (x, u) points inside the
-    ball of the given radius and returns the largest difference ratio.
-    Every pair is evaluated in one :meth:`ResidualModel.batch` call.
-    Deterministic given the seed.
+    Draws ``samples`` pairs (z1, z2) of joint (x, u) points in the box
+    |z_i| <= radius (whose corners reach 2-norm radius * sqrt(n + m)) and
+    returns the largest difference ratio.  Every pair is evaluated in one
+    :meth:`ResidualModel.batch` call.  Deterministic given the seed.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")

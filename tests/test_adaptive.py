@@ -211,6 +211,25 @@ class TestAdaptivePolicyBranches:
         )
         assert np.allclose(traj.states[1:], lqr_traj.states, atol=1e-12)
 
+    def test_cutoff_action_is_the_advice_when_blackbox_turns_nan(
+        self, bench2_model, bench2_syn
+    ):
+        """At lambda = 0 the black box's output does not enter the action,
+        so a black box that returns NaN after the cutoff (0 * NaN is NaN)
+        leaves the rollout on the LQR path."""
+        syn = bench2_syn
+        inner = lq.gain_policy(-syn.K)
+        nan_u = np.full(2, np.nan)
+        bb = lq.Policy(act=lambda t, x: inner.act(t, x) if t < 20 else nan_u)
+        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 0.01, "learned")
+        traj = lq.simulate(bench2_model, lq.zero_residual(2), pol, [1.0, -0.5], 60)
+        assert pol.trace().t0 == 2
+        assert not traj.diverged
+        lqr = lq.simulate(
+            bench2_model, lq.zero_residual(2), lq.lqr_policy(syn), traj.states[2], 58
+        )
+        assert np.array_equal(traj.states[2:], lqr.states)
+
     def test_requires_time_order(self, syn3):
         pol = lq.AdaptivePolicy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: 1.0)
         pol.act(0, np.ones(3))
@@ -448,7 +467,7 @@ def adaptive_cases(bench2_model, bench2_syn):
             return -(A.dot(x) + B.dot(u))
         return w[t]
 
-    cancelling = lq.ResidualModel(eval=cancel_at_10, lipschitz=2.0)
+    cancelling = lq.ResidualModel(eval=cancel_at_10)
 
     ev_cfg = ChargingConfig()
     n, T = ev_cfg.n_chargers, ev_cfg.horizon

@@ -30,11 +30,10 @@ API_SURFACE = (
     'lqshield.NotRun: RuntimeError\n'
     'lqshield.Policy(act)\n'
     'lqshield.PreconditionViolated: RuntimeError\n'
-    'lqshield.ResidualModel(eval, lipschitz, eval_batch)\n'
+    'lqshield.ResidualModel(eval, eval_batch)\n'
     'lqshield.SessionConflict: ValueError\n'
     'lqshield.SessionParseError: ValueError\n'
     'lqshield.SingularB: ValueError\n'
-    'lqshield.StabilityReport(decay_gamma_hat, envelope_C_hat, satisfied, degenerate)\n'
     'lqshield.Synthesis(model, P, K, F, H, C_F, rho, rho_F, kappa, sigma, T_check, dare_residual, iterations)\n'
     'lqshield.TheoremConstants(C_ell, epsilon, gamma, mu, C_a_sys, C_b_sys, C_c_sys, CR_model_bar, eps_max_stability, C_ell_max, applicable, C_F, rho, sigma, kappa, norm_H, norm_B, norm_K, norm_P)\n'
     'lqshield.TrajOptResult(cost, initial_cost, improved, iterations_run, cost_history)\n'

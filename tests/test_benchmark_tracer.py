@@ -14,8 +14,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# installs the tracer, then drives one small verify-bounds run and one
-# trajopt call through the wrapped package and prints the spans that ran
+# installs the tracer, then drives one small verify-bounds run, one
+# one-rollout cart-pole sweep and one trajopt call through the wrapped
+# package and prints the spans that ran
 DRIVE = """
 import sys
 from pathlib import Path
@@ -35,6 +36,12 @@ cfg.write_text(
     "[grid]\\nc_ell_fractions = 0.2\\nepsilon_fractions = 0.3\\n[experiment]\\nseeds = 1\\n"
 )
 assert main(["verify-bounds", "--config", str(cfg), "--out", str(tmp / "out")]) == 0
+cfg = tmp / "sweep.cfg"
+cfg.write_text(
+    "[sweep]\\nthetas = 0.1\\n[experiment]\\nmonte_carlo = 1\\nhorizon = 5\\n"
+    "policies = lqr,adaptive\\n"
+)
+assert main(["sweep-theta", "--config", str(cfg), "--out", str(tmp / "sweep")]) == 0
 
 model = lq.LinearModel(A=[[0.55, 0.25], [0.0, 0.45]], B=np.eye(2), Q=np.eye(2), R=np.eye(2))
 syn = lq.synthesize(model)
@@ -62,5 +69,9 @@ def test_tracer_installs(tmp_path):
         "guarantees.opt_time_only",
         "guarantees.envelope",
         "guarantees.trajopt",
+        "environments.cartpole.residual_build",
+        "environments.cartpole.residual",
+        "adaptive.act",
+        "plant.simulate",
     ):
         assert name in ran, (name, sorted(ran))

@@ -385,7 +385,7 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, polic
     "command, config",
     [
         ("verify-bounds", "[experiment]\nseeds = 0\n"),
-        ("verify-bounds", "[experiment]\nhorizon = 8\n"),
+        ("verify-bounds", "[experiment]\nhorizon = 0\n"),
         ("verify-bounds", "[experiment]\ndisturbance_steps = 0\n"),
         ("sweep-theta", "[experiment]\nhorizon = 0\n"),
         ("stability-trace", "[experiment]\nhorizon = 0\n"),

@@ -106,52 +106,43 @@ class TestFitStabilityEnvelope:
     def test_exact_geometric(self, bench2_syn):
         consts = lq.theorem_constants(bench2_syn, 0.0, 0.0)
         traj = _manual_trajectory([0.5**t for t in range(40)])
-        rep = lq.fit_stability_envelope(traj, consts)
-        assert rep.decay_gamma_hat == pytest.approx(0.5, abs=1e-9)
-        assert rep.envelope_C_hat == pytest.approx(1.0, abs=1e-9)
         # 0.5 decays faster than gamma = rho >= 1/2, from the same start
-        assert rep.satisfied is True
+        assert lq.fit_stability_envelope(traj, consts) is True
 
     def test_geometric_with_prefactor(self, bench2_syn):
         consts = lq.theorem_constants(bench2_syn, 0.0, 0.0)
         traj = _manual_trajectory([3.0 * 0.8**t for t in range(40)])
-        rep = lq.fit_stability_envelope(traj, consts)
-        assert rep.decay_gamma_hat == pytest.approx(0.8, abs=1e-9)
-        assert rep.envelope_C_hat == pytest.approx(1.0, abs=1e-9)
+        # the envelope is relative to ||x_0||, so only the decay 0.8 counts,
+        # and it is slower than gamma = rho (about 0.62 here)
+        assert consts.gamma < 0.8
+        assert lq.fit_stability_envelope(traj, consts) is False
 
     def test_constant_trajectory_fails_predicted(self, bench2_syn):
         consts = lq.theorem_constants(bench2_syn, 0.001, 0.001)
         traj = _manual_trajectory([1.0] * 30)
-        rep = lq.fit_stability_envelope(traj, consts)
-        assert rep.decay_gamma_hat == pytest.approx(1.0, abs=1e-12)
-        assert rep.satisfied is False
+        assert lq.fit_stability_envelope(traj, consts) is False
 
     def test_degenerate_below_threshold(self, bench2_syn):
         consts = lq.theorem_constants(bench2_syn, 0.0, 0.0)
         traj = _manual_trajectory([1e-13] * 20)
-        rep = lq.fit_stability_envelope(traj, consts)
-        assert rep.degenerate
-        assert rep.decay_gamma_hat == 0.0
-        assert rep.satisfied is True
+        assert lq.fit_stability_envelope(traj, consts) is True
 
     def test_degenerate_without_prediction_is_unknown(self, bench2_syn):
         consts = lq.theorem_constants(bench2_syn, 0.0, 0.9)
         assert consts.mu >= consts.gamma
-        rep = lq.fit_stability_envelope(_manual_trajectory([1e-13] * 20), consts)
-        assert rep.degenerate
-        assert rep.satisfied is None
+        assert lq.fit_stability_envelope(_manual_trajectory([1e-13] * 20), consts) is None
 
     def test_predicted_prefactor_unavailable_when_mu_exceeds_gamma(self, bench2_syn):
         consts = lq.theorem_constants(bench2_syn, 0.0, 0.9)  # huge eps -> mu > gamma
         if consts.mu >= consts.gamma:
             assert predicted_envelope_prefactor(consts) is None
             traj = _manual_trajectory([0.5**t for t in range(20)])
-            assert lq.fit_stability_envelope(traj, consts).satisfied is None
+            assert lq.fit_stability_envelope(traj, consts) is None
 
-    def test_requires_enough_steps(self, bench2_syn):
+    def test_short_trajectory_gets_a_verdict(self, bench2_syn):
         consts = lq.theorem_constants(bench2_syn, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            lq.fit_stability_envelope(_manual_trajectory([1.0, 0.5]), consts)
+        assert lq.fit_stability_envelope(_manual_trajectory([1.0, 0.5]), consts) is True
+        assert lq.fit_stability_envelope(_manual_trajectory([1.0, 0.9]), consts) is False
 
 
 class TestOptCostTimeOnly:
@@ -401,7 +392,7 @@ def _overflowing_residual(batch_form):
     def f_batch(t, X, U):
         return w + np.exp(1e4 * (np.sum(U * U, axis=1) - 0.1))[:, None]
 
-    return lq.ResidualModel(eval=f, lipschitz=0.0, eval_batch=f_batch if batch_form else None)
+    return lq.ResidualModel(eval=f, eval_batch=f_batch if batch_form else None)
 
 
 class TestOptCostTrajopt:
@@ -430,7 +421,7 @@ class TestOptCostTrajopt:
             calls.append((t, X.shape[0]))
             return resid.eval_batch(t, X, U)
 
-        counted = lq.ResidualModel(eval=resid.eval, lipschitz=resid.lipschitz, eval_batch=counting)
+        counted = lq.ResidualModel(eval=resid.eval, eval_batch=counting)
         res = lq.opt_cost_trajopt(model, counted, x0, T, iterations=iterations, syn=syn)
         D = T * model.m
         # every iteration accepts its first candidate, the last one included
@@ -453,7 +444,7 @@ class TestOptCostTrajopt:
             firsts[-1].append(U[0].copy())
             return inner.eval_batch(t, X, U)
 
-        resid = lq.ResidualModel(eval=inner.eval, lipschitz=0.0, eval_batch=recording)
+        resid = lq.ResidualModel(eval=inner.eval, eval_batch=recording)
         T = 10
         res = lq.opt_cost_trajopt(
             bench2_model, resid, np.array([0.3, -0.2]), T=T, iterations=15, syn=bench2_syn

@@ -124,16 +124,12 @@ class TestEstimateLipschitz:
         assert lq.estimate_lipschitz(resid, 100, 1.0, 0, n=2, m=2) == 0.0
 
     def test_linear_map(self):
-        resid = lq.ResidualModel(
-            eval=lambda t, x, u: 0.1 * np.asarray(x), lipschitz=0.1
-        )
+        resid = lq.ResidualModel(eval=lambda t, x, u: 0.1 * np.asarray(x))
         est = lq.estimate_lipschitz(resid, 500, 1.0, 1, n=3, m=1)
         assert est == pytest.approx(0.1, abs=1e-9)
 
     def test_sine_residual_bounded(self):
-        resid = lq.ResidualModel(
-            eval=lambda t, x, u: 0.05 * np.sin(np.asarray(x)), lipschitz=0.05
-        )
+        resid = lq.ResidualModel(eval=lambda t, x, u: 0.05 * np.sin(np.asarray(x)))
         est = lq.estimate_lipschitz(resid, 4000, 0.3, 2, n=2, m=1)
         assert est <= 0.05 * (1 + 1e-9)
         assert est > 0.045  # near-origin samples approach the bound
@@ -152,8 +148,6 @@ class TestEstimateLipschitz:
 
 @pytest.mark.parametrize("constant", [-0.1, float("nan")])
 def test_residual_rejects_negative_or_nan_lipschitz(constant):
-    with pytest.raises(ValueError, match="Lipschitz"):
-        lq.ResidualModel(eval=lambda t, x, u: x, lipschitz=constant)
     with pytest.raises(ValueError, match="Lipschitz"):
         lq.lipschitz_residual(3, 2, constant)
 
@@ -428,7 +422,7 @@ def _batch_cases():
             0,
         ),
         "no-batch-form": (
-            lq.ResidualModel(eval=lambda t, x, u: 0.1 * np.sin(x) + t * u.sum(), lipschitz=0.2),
+            lq.ResidualModel(eval=lambda t, x, u: 0.1 * np.sin(x) + t * u.sum()),
             3,
             2,
             3,

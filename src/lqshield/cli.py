@@ -213,7 +213,9 @@ class _CartpoleBench:
         self.syn = synthesize(self.model)
         self.residual = cartpole_residual(self.params, self.params)
         self.syn_true = synthesize(true_model)
-        self.epsilon = cfg.get("cartpole", "blackbox_epsilon", 0.0, least=0.0)
+        self.epsilon = cfg.get(
+            "cartpole", "blackbox_epsilon", 0.0, least=0.0, below=math.inf
+        )
         self.naive_lambda = cfg.get("cartpole", "naive_lambda", 0.8, least=0.0, most=1.0)
         self.alpha = cfg.get("cartpole", "alpha", 0.01, above=0.0)
 
@@ -497,6 +499,17 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     cfg.check_read()
     ell_cap = admissible_lipschitz_cap(syn)
     n = model.n
+    # every input that depends only on the seed is drawn once, not per cell
+    env_x0, ratio_runs = [], []
+    for s in range(n_seeds):
+        x0 = _seed_rng(seed, 1, s).standard_normal(n)
+        env_x0.append(x0 / np.linalg.norm(x0))
+        rng = _seed_rng(seed, 2, s)
+        w = [0.5 * rng.standard_normal(n) for _ in range(disturbance_T)]
+        x0 = rng.standard_normal(n)
+        ratio_runs.append(
+            (w, x0, auxiliary_optimal_policy(syn, w), disturbance_residual(w))
+        )
     rows = []
     for ell_frac in ell_fracs:
         C_ell = ell_frac * ell_cap * 0.999
@@ -514,11 +527,8 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
                     continue
                 eps_tilde = max(eps - consts.C_a_sys * C_ell, 0.0)
                 env_pass = 0
-                for s in range(n_seeds):
-                    rng = _seed_rng(seed, 1, s)
+                for s, x0 in enumerate(env_x0):
                     resid = lipschitz_residual(n, model.m, C_ell, seed=seed + s)
-                    x0 = rng.standard_normal(n)
-                    x0 /= np.linalg.norm(x0)
                     bb = epsilon_consistent_blackbox(
                         lqr_policy(syn), eps_tilde, "rotation", seed + s
                     )
@@ -527,20 +537,13 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
                     env_pass += bool(fit_stability_envelope(traj, consts))
                 # ratio benchmark: disturbance-only plant with exact reference
                 ratios = []
-                for s in range(n_seeds):
-                    rng = _seed_rng(seed, 2, s)
-                    w = [0.5 * rng.standard_normal(n) for _ in range(disturbance_T)]
-                    x0 = rng.standard_normal(n)
+                for s, (w, x0, optimal, resid) in enumerate(ratio_runs):
                     opt = opt_cost_time_only(syn, w, x0)
-                    bb = epsilon_consistent_blackbox(
-                        auxiliary_optimal_policy(syn, w), eps, "rotation", seed + s
-                    )
+                    bb = epsilon_consistent_blackbox(optimal, eps, "rotation", seed + s)
                     pol = AdaptivePolicy(
                         syn, bb, lqr_policy(syn), 1e-6, lambda_source=lambda t: 1.0
                     )
-                    traj = simulate(
-                        model, disturbance_residual(w), pol, x0, disturbance_T + 200
-                    )
+                    traj = simulate(model, resid, pol, x0, disturbance_T + 200)
                     ratios.append(competitive_ratio(traj, opt, syn=syn))
                 cr_mean = float(np.mean(ratios))
                 check = verify_bounds(consts, cr_mean, lambda_limit=0.0, x0_norm=1.0)

@@ -109,11 +109,9 @@ def naive_convex_policy(black: Policy, advice: Policy, lambda_fixed: float) -> P
     return Policy(act=act)
 
 
-def _hashed_unit_vector(seed: int, x: np.ndarray, m: int) -> np.ndarray:
-    """Deterministic unit vector from a seeded hash of quantized coordinates.
+def _quantized(x: np.ndarray) -> bytes:
+    """The state quantized to 1e-9, as little-endian int64 bytes.
 
-    Same (seed, x-up-to-1e-9) always yields the same direction, so the
-    perturbed policy is a function of the state, not a random process.
     Raises ValueError for a state whose quantized coordinates do not fit
     in int64 (non-finite, or any |x_i| >= 2**63 / 1e9, about 9.2e9).
     """
@@ -125,7 +123,11 @@ def _hashed_unit_vector(seed: int, x: np.ndarray, m: int) -> np.ndarray:
             "coordinates must be finite and below 2**63 / 1e9 in magnitude"
         )
     # round() is round-half-even, as np.round is; "<q" is little-endian int64
-    q = struct.pack(f"<{len(vals)}q", *map(round, vals))
+    return struct.pack(f"<{len(vals)}q", *map(round, vals))
+
+
+def _direction(seed: int, q: bytes, m: int) -> np.ndarray:
+    """Unit m-vector drawn from a generator seeded by a hash of ``q`` and ``seed``."""
     digest = hashlib.blake2b(
         q + int(seed).to_bytes(8, "little", signed=True), digest_size=16
     ).digest()
@@ -144,6 +146,16 @@ def _hashed_unit_vector(seed: int, x: np.ndarray, m: int) -> np.ndarray:
     return d / norm
 
 
+def _hashed_unit_vector(seed: int, x: np.ndarray, m: int) -> np.ndarray:
+    """Deterministic unit vector from a seeded hash of quantized coordinates.
+
+    Same (seed, x-up-to-1e-9) always yields the same direction, so the
+    perturbed policy is a function of the state, not a random process.
+    Raises ValueError for a state that :func:`_quantized` rejects.
+    """
+    return _direction(seed, _quantized(x), m)
+
+
 def epsilon_consistent_blackbox(
     optimal: Policy,
     epsilon: float,
@@ -153,18 +165,24 @@ def epsilon_consistent_blackbox(
     """A black box within consistency error ``epsilon`` of ``optimal``.
 
     Returns x -> optimal(x) + e(x) with e(x) = epsilon ||x|| d(x), where
-    d(x) is a state-dependent hashed unit vector; ``bias_mode`` must be
-    "rotation", the one such family.
+    d(x) is a unit vector that is a pure function of (``rng_seed``, x
+    quantized to 1e-9); ``bias_mode`` must be "rotation", the one such
+    family.  ``epsilon`` must be finite and nonnegative.
 
     Deterministic given the seed; the perturbation vanishes at x = 0.
+    Drawing d costs a fresh generator seeding, so each black box keeps the
+    direction of its last query and draws again only when the quantized
+    state changes (decayed rollouts repeat the all-zero grid point).
     """
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     if bias_mode != "rotation":
         raise ValueError(f"unknown bias_mode {bias_mode!r}")
     eps = float(epsilon)
+    last = (None, 0, None)  # (quantized state, m, direction) of the last draw
 
     def act(t, x):
+        nonlocal last
         x = np.asarray(x, dtype=float)
         base = np.asarray(optimal.act(t, x), dtype=float)
         if eps == 0.0:
@@ -172,7 +190,11 @@ def epsilon_consistent_blackbox(
         nx = math.sqrt(x.dot(x))  # == np.linalg.norm(x)
         if nx == 0.0:
             return base
-        return base + eps * nx * _hashed_unit_vector(rng_seed, x, base.shape[0])
+        q, m = _quantized(x), base.shape[0]
+        hit = last  # read once, so a concurrent caller cannot swap it mid-query
+        if q != hit[0] or m != hit[1]:
+            hit = last = (q, m, _direction(rng_seed, q, m))
+        return base + eps * nx * hit[2]
 
     return Policy(act=act)
 

@@ -4,7 +4,9 @@
 some wrappers read arguments by name when they are called (the black-box
 factory's ``bias_mode``, the residual of ``opt_cost_trajopt``), so removing
 or renaming one of them breaks the benchmark; this catches it in seconds
-instead of in the benchmark's own suite.
+instead of in the benchmark's own suite.  So does a change to the number
+of rollouts one verify-bounds grid cell runs, which the benchmark's work
+count assumes.
 """
 
 import os
@@ -14,9 +16,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# installs the tracer, then drives one small verify-bounds run, one
+# installs the tracer, then drives one two-cell verify-bounds run, one
 # one-rollout cart-pole sweep and one trajopt call through the wrapped
-# package and prints the spans that ran
+# package and prints the spans that ran, then the verify-bounds run's
+# traced rollouts and steps
 DRIVE = """
 import sys
 from pathlib import Path
@@ -33,9 +36,10 @@ from lqshield.cli import main
 tmp = Path(sys.argv[1])
 cfg = tmp / "vb.cfg"
 cfg.write_text(
-    "[grid]\\nc_ell_fractions = 0.2\\nepsilon_fractions = 0.3\\n[experiment]\\nseeds = 1\\n"
+    "[grid]\\nc_ell_fractions = 0.2\\nepsilon_fractions = 0.3,0.6\\n[experiment]\\nseeds = 1\\n"
 )
 assert main(["verify-bounds", "--config", str(cfg), "--out", str(tmp / "out")]) == 0
+grid = tracer.counts["plant.simulate.rollouts"], tracer.counts["plant.simulate.steps"]
 cfg = tmp / "sweep.cfg"
 cfg.write_text(
     "[sweep]\\nthetas = 0.1\\n[experiment]\\nmonte_carlo = 1\\nhorizon = 5\\n"
@@ -50,6 +54,7 @@ lq.opt_cost_trajopt(model, resid, [1.0, -0.5], 5, iterations=2, syn=syn)
 
 spans = tracer.report()["spans"]
 print(" ".join(sorted(name for name, span in spans.items() if span["calls"] > 0)))
+print(*grid)
 """
 
 
@@ -63,7 +68,13 @@ def test_tracer_installs(tmp_path):
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    ran = set(result.stdout.split())
+    spans, grid = result.stdout.splitlines()
+    # the geometry perfbench's work count assumes for each of the two grid
+    # cells and the one seed: the envelope run (horizon 120), the exact-OPT
+    # rollout (disturbance_steps 50) and the ratio run (50 + 200 steps);
+    # with one cell, a rollout hoisted out of the grid loop would not show
+    assert grid.split() == [str(2 * 3), str(2 * (120 + 50 + 250))]
+    ran = set(spans.split())
     for name in (
         "policies.rotation",
         "guarantees.opt_time_only",

@@ -401,6 +401,12 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, polic
         ("stability-trace", "[experiment]\nblowup = 0\n"),
         ("sweep-theta", "[cartpole]\nnaive_lambda = 2\n"),
         ("sweep-theta", "[cartpole]\nblackbox_epsilon = -1\n"),
+        (
+            "sweep-theta",
+            "[sweep]\nthetas = 0.1\n[experiment]\nmonte_carlo = 1\nhorizon = 5\n"
+            "[cartpole]\nblackbox_epsilon = inf\n",
+        ),
+        ("stability-trace", "[experiment]\nhorizon = 5\n[cartpole]\nblackbox_epsilon = inf\n"),
         ("sweep-theta", "[cartpole]\npole_mass = 0\n"),
         ("sweep-theta", "[cartpole]\ntau = nan\n"),
         ("sweep-theta", "[sweep]\nthetas = nan\n"),
@@ -460,6 +466,8 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, polic
         "stability-trace-blowup",
         "sweep-theta-naive_lambda",
         "sweep-theta-blackbox_epsilon",
+        "sweep-theta-blackbox_epsilon-inf",
+        "stability-trace-blackbox_epsilon-inf",
         "sweep-theta-pole_mass",
         "sweep-theta-tau-nan",
         "sweep-theta-thetas-nan",

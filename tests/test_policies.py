@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqshield as lq
+import lqshield.policies as policies
 from lqshield.policies import _hashed_unit_vector
 
 from conftest import random_stabilizable
@@ -182,7 +184,7 @@ class TestEpsilonConsistent:
         with pytest.raises(ValueError, match="unknown bias_mode"):
             lq.epsilon_consistent_blackbox(lq.lqr_policy(syn3), 0.1, mode, 3)
 
-    @pytest.mark.parametrize("epsilon", [-0.1, float("nan")])
+    @pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf")])
     def test_rejects_negative_or_nan_epsilon(self, syn3, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
             lq.epsilon_consistent_blackbox(lq.lqr_policy(syn3), epsilon, "rotation", 3)
@@ -316,3 +318,55 @@ def test_hashed_unit_vector_on_zero_and_tie_states(m):
         for x in states:
             got = _hashed_unit_vector(seed, x, m)
             assert got.tobytes() == _reference_hashed_unit_vector(seed, x, m).tobytes()
+
+
+# states whose quantized grid points repeat and alternate: the sign of zero,
+# the rounding ties, and tiny states that all land on the all-zero point
+_POOL = [
+    np.zeros(3),
+    np.array([-0.0, 0.0, -0.0]),
+    np.array(_TIES[:3]),
+    np.array(_TIES[-3:]),
+    np.array([4e-10, -3e-10, 1e-12]),
+    np.array([-2e-10, 0.0, 4.9e-10]),
+    np.array([0.3, -1.2, 0.7]),
+    np.array([0.3, -1.2, 0.7 + 1e-12]),
+    np.array([-2.5, 0.01, 1e-6]),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, len(_POOL) - 1), st.booleans()), max_size=30))
+def test_cached_direction_matches_reference_copy(syn3, queries):
+    base = lq.lqr_policy(syn3)
+    eps = 0.2
+    boxes = {seed: lq.epsilon_consistent_blackbox(base, eps, "rotation", seed) for seed in (4, 9)}
+    for k, second in queries:
+        x = _POOL[k]
+        seed = 9 if second else 4
+        u0 = base.act(0, x)
+        nx = math.sqrt(x.dot(x))
+        want = u0 if nx == 0.0 else u0 + eps * nx * _reference_hashed_unit_vector(seed, x, 3)
+        assert boxes[seed].act(0, x).tobytes() == want.tobytes()
+
+
+def test_direction_drawn_once_per_run_of_equal_quantized_states(bench2_syn, monkeypatch):
+    draws = []
+    direction = policies._direction
+
+    def counted(seed, q, m):
+        draws.append(q)
+        return direction(seed, q, m)
+
+    monkeypatch.setattr(policies, "_direction", counted)
+    syn = bench2_syn
+    bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn), 0.3, "rotation", 2)
+    pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 0.01, "learned")
+    x0 = np.array([0.6, -0.8])
+    resid = lq.lipschitz_residual(2, 2, 0.05, seed=2)
+    traj = lq.simulate(syn.model, resid, pol, x0, 120)
+    assert traj.horizon == 120
+    queried = [policies._quantized(x) for x in traj.states[:-1] if x.dot(x) > 0.0]
+    runs = [q for i, q in enumerate(queried) if i == 0 or q != queried[i - 1]]
+    assert draws == runs
+    assert len(runs) < len(queried)  # the decayed tail repeats the all-zero point

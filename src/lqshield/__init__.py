@@ -8,12 +8,7 @@ construction showing why a fixed-weight blend of two individually
 stabilizing gains can be unstable.
 """
 
-from .adaptive import (
-    AdaptivePolicy,
-    ConfidenceState,
-    optimal_lambda,
-    write_confidence_csv,
-)
+from .adaptive import AdaptivePolicy, ConfidenceState, optimal_lambda
 from .adversarial import (
     AdversarialCertificate,
     construct_adversarial_K2,

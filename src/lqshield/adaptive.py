@@ -21,14 +21,12 @@ import numpy as np
 
 from .errors import NotRun
 from .linalg_control import Synthesis, _eta_series, _hindsight_weight
-from .plant import write_csv
 from .policies import Policy
 
 __all__ = [
     "ConfidenceState",
     "optimal_lambda",
     "AdaptivePolicy",
-    "write_confidence_csv",
 ]
 
 _DENOM_FLOOR = 1e-12
@@ -231,14 +229,3 @@ class AdaptivePolicy:
             branches=tuple(self._branches),
         )
 
-
-def write_confidence_csv(policy: AdaptivePolicy, path) -> None:
-    """Columns: t, lambda_t, lambda_prime_raw, branch_taken."""
-    state = policy.trace()
-    rows = [
-        [t, lam, "" if np.isnan(raw) else raw, br]
-        for t, (lam, raw, br) in enumerate(
-            zip(state.lambdas, state.lambda_prime_raw, state.branches)
-        )
-    ]
-    write_csv(path, ["t", "lambda_t", "lambda_prime_raw", "branch_taken"], rows)

@@ -364,15 +364,13 @@ def cmd_stability_trace(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         norms = traj.state_norms()
         if hasattr(policy, "trace"):
             state = policy.trace()
-            lams = list(state.lambdas)
+            lams, branches = state.lambdas, state.branches
             raws = ["" if np.isnan(r) else r for r in state.lambda_prime_raw]
         else:
-            lams = [""] * traj.horizon
-            raws = [""] * traj.horizon
-        rows = [(t, norms[t], lams[t], raws[t]) for t in range(traj.horizon)]
-        write_csv(
-            out / f"trace_{label}.csv", ["t", "state_norm", "lambda_t", "lambda_prime_raw"], rows
-        )
+            lams = raws = branches = [""] * traj.horizon
+        rows = [(t, norms[t], lams[t], raws[t], branches[t]) for t in range(traj.horizon)]
+        header = ["t", "state_norm", "lambda_t", "lambda_prime_raw", "branch_taken"]
+        write_csv(out / f"trace_{label}.csv", header, rows)
     return EXIT_OK
 
 

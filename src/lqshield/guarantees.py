@@ -146,17 +146,13 @@ def theorem_constants(syn: Synthesis, C_ell: float, epsilon: float) -> TheoremCo
     rho + C_ell(1+||K||) < 1), C_a_sys the optimal-vs-LQR policy gap
     constant, and C_c_sys the admissible-Lipschitz constant.  For a
     non-square B the term ||B + I|| is replaced by its bound
-    ||B|| + 1.
+    ||B|| + 1.  C_ell and epsilon must be finite and nonnegative.
     """
-    if not (C_ell >= 0 and epsilon >= 0):
-        raise ValueError("C_ell and epsilon must be nonnegative")
-    return _theorem_constants(syn, _system_norms(syn), C_ell, epsilon)
-
-
-def _theorem_constants(
-    syn: Synthesis, norms: _SystemNorms, C_ell: float, epsilon: float
-) -> TheoremConstants:
-    """:func:`theorem_constants` from precomputed system norms."""
+    if not (0 <= C_ell < math.inf and 0 <= epsilon < math.inf):
+        raise ValueError(
+            f"C_ell and epsilon must be finite and nonnegative, got {C_ell!r} and {epsilon!r}"
+        )
+    norms = _system_norms(syn)
     rho, C_F, sigma, kappa = syn.rho, syn.C_F, syn.sigma, syn.kappa
     nP, nK, nB, nF, nH = norms.P, norms.K, norms.B, norms.F, norms.H
     nPB, nPF, nQKRK, nBI = norms.PB, norms.PF, norms.QKRK, norms.BI
@@ -211,16 +207,14 @@ def admissible_lipschitz_cap(syn: Synthesis) -> float:
     C_ell_max is evaluated at the residual bound it constrains (the
     constants behind it depend on C_ell), so admissibility means
     C_ell < C_ell_max(C_ell); the map is decreasing, making the
-    feasible set an interval [0, c*).  The system norms are taken once
-    for the whole bisection.
+    feasible set an interval [0, c*).
     """
-    norms = _system_norms(syn)
-    lo, hi = 0.0, _theorem_constants(syn, norms, 0.0, 0.0).C_ell_max
+    lo, hi = 0.0, theorem_constants(syn, 0.0, 0.0).C_ell_max
     if hi <= 0:
         return 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid < _theorem_constants(syn, norms, mid, 0.0).C_ell_max:
+        if mid < theorem_constants(syn, mid, 0.0).C_ell_max:
             lo = mid
         else:
             hi = mid

@@ -93,10 +93,10 @@ def lipschitz_residual(
 
     f(x, u) = constant * G tanh(J [x; u]) with
     ||G||_2 = ||J||_2 = 1, so the Jacobian norm never exceeds ``constant``
-    and f(0, 0) = 0.  A negative or NaN ``constant`` is rejected.
+    and f(0, 0) = 0.  ``constant`` must be finite and nonnegative.
     """
-    if not constant >= 0:
-        raise ValueError("Lipschitz constant must be nonnegative")
+    if not 0 <= constant < math.inf:
+        raise ValueError(f"Lipschitz constant must be finite and nonnegative, got {constant!r}")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))
     G /= np.linalg.norm(G, 2)
@@ -117,27 +117,34 @@ def lipschitz_residual(
 @dataclass
 class Trajectory:
     """Recorded rollout: states x_0..x_T, actions u_0..u_{T-1}, realized
-    residuals, per-step quadratic costs and their sum.
+    residuals and per-step quadratic costs.
 
-    ``diverged`` marks a rollout that exceeded the blow-up bound; the
-    recorded prefix is still valid and replayable.
+    ``diverged`` marks a rollout that exceeded the blow-up bound at its
+    last recorded step; the recorded prefix is still valid and replayable.
     """
 
     states: np.ndarray
     actions: np.ndarray
     residuals: np.ndarray
     step_costs: np.ndarray
-    total_cost: float
     diverged: bool = False
-    diverged_at: Optional[int] = None
 
     @property
     def horizon(self) -> int:
         return self.actions.shape[0]
 
+    @property
+    def total_cost(self) -> float:
+        """The sum of the per-step costs."""
+        return float(np.sum(self.step_costs))
+
+    @property
+    def diverged_at(self) -> Optional[int]:
+        """The step whose state crossed the blow-up bound, or None."""
+        return self.horizon if self.diverged else None
+
     def state_norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
-
 
 
 def simulate(
@@ -180,7 +187,6 @@ def simulate(
     states[0] = x
     steps = T
     diverged = False
-    diverged_at: Optional[int] = None
     for t in range(T):
         u = act(t, x)
         if type(u) is not np.ndarray or u.dtype != np.float64 or u.ndim != 1:
@@ -199,7 +205,7 @@ def simulate(
         # the same value as np.linalg.norm(x)
         if not (math.sqrt(x.dot(x)) <= limit):
             diverged = True
-            diverged_at = steps = t + 1
+            steps = t + 1
             break
     if steps < T:
         states = states[: steps + 1].copy()
@@ -211,9 +217,7 @@ def simulate(
         actions=actions,
         residuals=residuals,
         step_costs=step_costs,
-        total_cost=float(np.sum(step_costs)),
         diverged=diverged,
-        diverged_at=diverged_at,
     )
 
 

@@ -127,9 +127,14 @@ def _quantized(x: np.ndarray) -> bytes:
 
 
 def _direction(seed: int, q: bytes, m: int) -> np.ndarray:
-    """Unit m-vector drawn from a generator seeded by a hash of ``q`` and ``seed``."""
+    """Unit m-vector drawn from a generator seeded by a hash of ``q`` and ``seed``.
+
+    The seed enters the hash as 8 little-endian bytes of ``seed % 2**64``,
+    its two's-complement int64 encoding for seeds in [-2**63, 2**63); any
+    other integer seed wraps onto that range.
+    """
     digest = hashlib.blake2b(
-        q + int(seed).to_bytes(8, "little", signed=True), digest_size=16
+        q + (int(seed) % 2**64).to_bytes(8, "little"), digest_size=16
     ).digest()
     # the PCG64 state and draws of default_rng(int.from_bytes(digest, "little")):
     # SeedSequence pads short integer entropy with zero words.  numpy.random
@@ -144,16 +149,6 @@ def _direction(seed: int, q: bytes, m: int) -> np.ndarray:
         d[0] = 1.0
         return d
     return d / norm
-
-
-def _hashed_unit_vector(seed: int, x: np.ndarray, m: int) -> np.ndarray:
-    """Deterministic unit vector from a seeded hash of quantized coordinates.
-
-    Same (seed, x-up-to-1e-9) always yields the same direction, so the
-    perturbed policy is a function of the state, not a random process.
-    Raises ValueError for a state that :func:`_quantized` rejects.
-    """
-    return _direction(seed, _quantized(x), m)
 
 
 def epsilon_consistent_blackbox(

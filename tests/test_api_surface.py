@@ -37,7 +37,7 @@ API_SURFACE = (
     'lqshield.Synthesis(model, P, K, F, H, C_F, rho, rho_F, kappa, sigma, T_check, dare_residual, iterations)\n'
     'lqshield.TheoremConstants(C_ell, epsilon, gamma, mu, C_a_sys, C_b_sys, C_c_sys, CR_model_bar, eps_max_stability, C_ell_max, applicable, C_F, rho, sigma, kappa, norm_H, norm_B, norm_K, norm_P)\n'
     'lqshield.TrajOptResult(cost, initial_cost, improved, iterations_run, cost_history)\n'
-    'lqshield.Trajectory(states, actions, residuals, step_costs, total_cost, diverged, diverged_at)\n'
+    'lqshield.Trajectory(states, actions, residuals, step_costs, diverged)\n'
     'lqshield.ValidationError: ValueError\n'
     'lqshield.auxiliary_cost_closed_form(syn, disturbances, x0)\n'
     'lqshield.auxiliary_optimal_policy(syn, disturbances)\n'
@@ -67,7 +67,6 @@ API_SURFACE = (
     'lqshield.theorem_constants(syn, C_ell, epsilon)\n'
     'lqshield.total_cost_with_tail(traj, syn)\n'
     'lqshield.verify_bounds(constants, ratio, lambda_limit, x0_norm, c2, c3)\n'
-    'lqshield.write_confidence_csv(policy, path)\n'
     'lqshield.write_trajectory_csv(traj, path)\n'
     'lqshield.zero_residual(n)\n'
     'lqshield.environments.CartPoleParams(g, m, M, l, tau, model_m, model_M)\n'

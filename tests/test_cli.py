@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lqshield.cli as cli
 from lqshield.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, RunConfig, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -146,6 +147,64 @@ def test_stability_trace_outputs(tmp_path):
     norms = [float(r["state_norm"]) for r in lqr_rows]
     assert norms[-1] < norms[0]
     assert all(r["lambda_t"] == "" for r in lqr_rows)
+
+
+@pytest.mark.parametrize("label", list(cli._ROSTER))
+def test_stability_trace_confidence_columns(tmp_path, monkeypatch, label):
+    # the CSV states what the policy's own record says it did, step by step
+    built = []
+    build = cli._CartpoleBench.build
+
+    def recording(self, name, seed):
+        built.append(build(self, name, seed))
+        return built[-1]
+
+    monkeypatch.setattr(cli._CartpoleBench, "build", recording)
+    cfg = tmp_path / "trace.cfg"
+    cfg.write_text(
+        f"[experiment]\nhorizon = 80\npolicies = {label}\n[cartpole]\nblackbox_epsilon = 0.1\n"
+    )
+    code, out = run(tmp_path, "stability-trace", "--config", str(cfg), "--seed", "1")
+    assert code == EXIT_OK
+    (policy,) = built
+    rows = read_rows(out / f"trace_{label}.csv")
+    got = [(r["lambda_t"], r["lambda_prime_raw"], r["branch_taken"]) for r in rows]
+    if label.startswith("adaptive"):
+        state = policy.trace()
+        want = [
+            (repr(lam), "" if np.isnan(raw) else repr(raw), branch)
+            for lam, raw, branch in zip(state.lambdas, state.lambda_prime_raw, state.branches)
+        ]
+        assert {"init", "cutoff"} <= set(state.branches)
+    else:
+        assert not hasattr(policy, "trace")
+        want = [("", "", "")] * len(rows)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "command, config, seed",
+    [
+        (
+            "verify-bounds",
+            "[grid]\nc_ell_fractions = 0.2\nepsilon_fractions = 0.3\n[experiment]\nseeds = 1\n",
+            2**63,
+        ),
+        # the sweep seeds rollout mc's black box with seed + 7919 mc
+        (
+            "sweep-theta",
+            "[sweep]\nthetas = 0.1\n[experiment]\nmonte_carlo = 2\nhorizon = 20\n"
+            "policies = blackbox\n[cartpole]\nblackbox_epsilon = 0.1\n",
+            2**63 - 8,
+        ),
+    ],
+    ids=["verify-bounds", "sweep-theta"],
+)
+def test_seed_past_int64_hashes_the_rotation(tmp_path, command, config, seed):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code, _ = run(tmp_path, command, "--config", str(cfg), "--seed", str(seed))
+    assert code == EXIT_OK
 
 
 def test_ev_compare_small(tmp_path):

@@ -84,21 +84,22 @@ class TestTheoremConstants:
             lq.theorem_constants(bench2_syn, -0.1, 0.0)
 
     def test_rejects_nan_inputs(self, bench2_syn):
-        with pytest.raises(ValueError):
-            lq.theorem_constants(bench2_syn, float("nan"), 0.0)
-        with pytest.raises(ValueError):
-            lq.theorem_constants(bench2_syn, 0.0, float("nan"))
+        # infinite inputs too: they would give gamma = inf and mu = nan
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                lq.theorem_constants(bench2_syn, bad, 0.0)
+            with pytest.raises(ValueError):
+                lq.theorem_constants(bench2_syn, 0.0, bad)
 
 
-def _manual_trajectory(norm_seq):
+def _manual_trajectory(norm_seq, step_costs=None):
     states = np.asarray(norm_seq, dtype=float).reshape(-1, 1)
     T = states.shape[0] - 1
     return lq.Trajectory(
         states=states,
         actions=np.zeros((T, 1)),
         residuals=np.zeros((T, 1)),
-        step_costs=np.zeros(T),
-        total_cost=0.0,
+        step_costs=np.zeros(T) if step_costs is None else np.asarray(step_costs, dtype=float),
     )
 
 
@@ -529,13 +530,11 @@ class TestCompetitiveRatio:
 
     def test_plain_division(self, scalar_syn):
         # a zero terminal state has no LQR tail: the ratio is cost over OPT
-        traj = _manual_trajectory([1.0, 0.0])
-        traj.total_cost = 2.0
+        traj = _manual_trajectory([1.0, 0.0], step_costs=[2.0])
         assert lq.competitive_ratio(traj, 1.0, scalar_syn) == 2.0
 
     def test_counts_lqr_tail(self, scalar_syn):
-        traj = _manual_trajectory([1.0, 0.5])
-        traj.total_cost = 2.0
+        traj = _manual_trajectory([1.0, 0.5], step_costs=[2.0])
         ratio = lq.competitive_ratio(traj, 4.0, scalar_syn)
         assert ratio == pytest.approx((2.0 + 0.25 * GOLDEN) / 4.0, rel=1e-12)
 

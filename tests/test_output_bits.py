@@ -114,18 +114,18 @@ TRACE_STDOUT = (
 )
 
 TRACE_NAIVE = (
-    't,state_norm,lambda_t,lambda_prime_raw\n'
-    '0,0.4,,\n'
-    '1,4.953528685442057,,\n'
-    '2,13.40652626158158,,\n'
-    '3,28.049286747689347,,\n'
+    't,state_norm,lambda_t,lambda_prime_raw,branch_taken\n'
+    '0,0.4,,,\n'
+    '1,4.953528685442057,,,\n'
+    '2,13.40652626158158,,,\n'
+    '3,28.049286747689347,,,\n'
 )
 
 # 201 lines each: the header and one row per step
 TRACE_SHA256 = {
-    "trace_lqr.csv": "aa34b5b7c06d5138e77a790e508da6eab18681bd108b6bee3ed51bc9a5f19bc9",
+    "trace_lqr.csv": "28b02a8316832e03dd499e002ca01d5d9363d2c0dd0f709ee721b306abce738d",
     "trace_adaptive-destabilizing.csv": (
-        "ef15509251cd2d70bbdd890ab2081a442be79e71e9576d4aebed8c241dff665e"
+        "127de047a309f1771f3498ce6f9fe3a22231dfa94217fa7b7251559a88db149a"
     ),
 }
 

@@ -58,6 +58,21 @@ def test_long_horizon_cost_matches_value_function_random():
         assert traj.total_cost == pytest.approx(float(x0 @ syn.P @ x0), rel=1e-6)
 
 
+def test_trajectory_derives_cost_and_divergence_step():
+    model = lq.LinearModel(A=[[2.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
+    still = lq.Policy(act=lambda t, x: np.zeros(1))
+    finished = lq.simulate(model, lq.zero_residual(1), still, [1.0], 5)
+    diverged = lq.simulate(model, lq.zero_residual(1), still, [1.0], 200, blowup=1e6)
+    for traj in (finished, diverged):
+        assert traj.total_cost == float(np.sum(traj.step_costs))
+        with pytest.raises(AttributeError):
+            traj.total_cost = 2.0
+        assert (traj.diverged_at == traj.horizon) == traj.diverged
+    assert not finished.diverged and finished.diverged_at is None
+    # 2**20 is the first power of two above the bound
+    assert diverged.diverged and diverged.diverged_at == diverged.horizon == 20
+
+
 def test_divergence_flag():
     model = lq.LinearModel(A=[[2.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
     zero_policy = lq.Policy(act=lambda t, x: np.zeros(1))
@@ -113,7 +128,6 @@ def test_cost_of_trivial_cases():
         actions=np.array([[1.0, 0.0]]),
         residuals=np.zeros((1, 2)),
         step_costs=np.array([2.0]),
-        total_cost=2.0,
     )
     assert _cost_of(one, np.eye(2), np.eye(2)) == pytest.approx(2.0)
 
@@ -146,7 +160,7 @@ class TestEstimateLipschitz:
             assert np.allclose(resid.eval(t, np.zeros(3), np.zeros(2)), 0.0)
 
 
-@pytest.mark.parametrize("constant", [-0.1, float("nan")])
+@pytest.mark.parametrize("constant", [-0.1, float("nan"), float("inf")])
 def test_residual_rejects_negative_or_nan_lipschitz(constant):
     with pytest.raises(ValueError, match="Lipschitz"):
         lq.lipschitz_residual(3, 2, constant)

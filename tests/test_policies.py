@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import lqshield as lq
 import lqshield.policies as policies
-from lqshield.policies import _hashed_unit_vector
+from lqshield.policies import _direction, _quantized
 
 from conftest import random_stabilizable
 
@@ -210,7 +210,7 @@ class TestEpsilonConsistent:
         bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn3), 0.2, "rotation", 5)
         x = np.array([0.3, bad, 0.7])
         with pytest.raises(ValueError, match="cannot hash state"):
-            _hashed_unit_vector(5, x, 3)
+            _direction(5, _quantized(x), 3)
         with pytest.raises(ValueError, match="cannot hash state"):
             bb.act(0, x)
 
@@ -305,7 +305,7 @@ _coordinate = st.one_of(
 )
 def test_hashed_unit_vector_matches_reference_copy(seed, coords, m):
     x = np.array(coords)
-    got = _hashed_unit_vector(seed, x, m)
+    got = _direction(seed, _quantized(x), m)
     assert got.tobytes() == _reference_hashed_unit_vector(seed, x, m).tobytes()
 
 
@@ -316,8 +316,19 @@ def test_hashed_unit_vector_on_zero_and_tie_states(m):
     states = [np.zeros(3), np.array([-0.0, 0.0, -0.0]), np.array(_TIES), np.array(_TIES[::-1])]
     for seed in range(20):
         for x in states:
-            got = _hashed_unit_vector(seed, x, m)
+            got = _direction(seed, _quantized(x), m)
             assert got.tobytes() == _reference_hashed_unit_vector(seed, x, m).tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 7919, 2**63 - 1, -1, -(2**63)])
+def test_direction_seed_wraps_modulo_2_64(k):
+    # seeds outside int64 hash as their residue mod 2**64, so a seed of
+    # 2**63 or more draws a direction instead of overflowing the encoding
+    q = _quantized(np.array([0.3, -1.2, 0.7]))
+    for m in (1, 3):
+        want = _direction(k, q, m).tobytes()
+        assert _direction(k + 2**64, q, m).tobytes() == want
+        assert _direction(k - 2**64, q, m).tobytes() == want
 
 
 # states whose quantized grid points repeat and alternate: the sign of zero,

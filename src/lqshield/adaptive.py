@@ -3,7 +3,9 @@
 At every step the policy emits u_t = lambda_t * blackbox(x_t) +
 (1 - lambda_t) * advice(x_t) with a confidence weight lambda_t that
 starts at 1, never increases, and drops to 0 once the learned (or
-externally supplied) coefficient stops supporting the black box.
+externally supplied) coefficient stops supporting the black box.  Zero
+is absorbing: from then on the action is the advice alone, and neither
+the black box nor the coefficient is computed again.
 
 The learned coefficient is a ratio of inner products between the
 residual series observed on the crude model and the black box's offset
@@ -93,7 +95,10 @@ class AdaptivePolicy:
         lambda_t = 0                                    otherwise.
 
     The action is lambda_t uhat_t + (1 - lambda_t) ubar_t, and the advice
-    ubar_t alone once lambda_t = 0, even where uhat_t is not finite.
+    ubar_t alone once lambda_t = 0: the black box is not queried.  Zero
+    is absorbing, so after the first step with lambda_t = 0 no coefficient
+    is computed (``lambda_prime_raw`` is NaN) and the branch is
+    ``zero_state`` at a zero state, else ``cutoff``.
 
     In learned mode, with states x_0..x_t, applied actions u_s and the
     black box's suggestions uhat_s, lambda' at t >= 2 is num / den with
@@ -176,6 +181,9 @@ class AdaptivePolicy:
         if t == 0:
             lam = 1.0
             branch = "init"
+        elif self._lambdas[-1] == 0.0:
+            lam = 0.0
+            branch = "zero_state" if zero_state else "cutoff"
         else:
             # the learned sums advance at a zero state too, so later
             # updates see all data; the external rule is not asked there
@@ -202,13 +210,15 @@ class AdaptivePolicy:
         self._branches.append(branch)
         if self._t0 is None and (lam == 0.0 or zero_state):
             self._t0 = t
-        u_hat = self.blackbox.act(t, x)
-        if type(u_hat) is not np.ndarray or u_hat.dtype != np.float64 or u_hat.ndim != 1:
-            u_hat = np.asarray(u_hat, dtype=float).reshape(-1)
         u_bar = self.advice.act(t, x)
         if type(u_bar) is not np.ndarray or u_bar.dtype != np.float64 or u_bar.ndim != 1:
             u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
-        u = u_bar if lam == 0.0 else lam * u_hat + (1.0 - lam) * u_bar
+        if lam == 0.0:
+            return u_bar
+        u_hat = self.blackbox.act(t, x)
+        if type(u_hat) is not np.ndarray or u_hat.dtype != np.float64 or u_hat.ndim != 1:
+            u_hat = np.asarray(u_hat, dtype=float).reshape(-1)
+        u = lam * u_hat + (1.0 - lam) * u_bar
         if learned:
             self._prev_pred = self._A.dot(x) + self._B.dot(u)
             self._prev_v = u_hat + self._K.dot(x)

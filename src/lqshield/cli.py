@@ -413,7 +413,9 @@ def cmd_adversarial(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
 def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     n_seeds = cfg.get("experiment", "seeds", 20, least=1)
     alpha = cfg.get("experiment", "alpha", 1e-3, above=0.0)
-    training_days = cfg.get("experiment", "training_days", 15, least=1)
+    # training day k is seed + k and pre-COVID test day s is seed + 1000 + s,
+    # so at most 1000 training days keep the two apart
+    training_days = cfg.get("experiment", "training_days", 15, least=1, most=1000)
     prices_csv = cfg.get("ev", "prices_csv", "")
     settings = dict(
         n_chargers=cfg.get("ev", "n_chargers", 5),

@@ -34,7 +34,8 @@ class ValidationError(ValueError):
 
 
 class DegenerateOPT(ValueError):
-    """The offline-optimal cost is (numerically) zero; a ratio is undefined."""
+    """The offline-optimal cost is (numerically) zero or not finite; a ratio
+    is undefined."""
 
 
 class PreconditionViolated(RuntimeError):

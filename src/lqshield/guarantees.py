@@ -294,7 +294,8 @@ def opt_cost_time_only(syn: Synthesis, disturbances, x0) -> float:
     traj = simulate(syn.model, residual, policy, x0, max(T, 1))
     cost = total_cost_with_tail(traj, syn)
     closed = auxiliary_cost_closed_form(syn, w, x0)
-    if abs(cost - closed) > 1e-8 * max(1.0, abs(closed)):
+    # written as `not ... <=` so that a NaN cost or closed form fails too
+    if not abs(cost - closed) <= 1e-8 * max(1.0, abs(closed)):
         raise RuntimeError(
             f"optimal-cost cross-check failed: simulated {cost!r} vs closed form {closed!r}"
         )
@@ -421,10 +422,10 @@ def competitive_ratio(alg_traj: Trajectory, opt_cost: float, syn: Synthesis) -> 
 
     The algorithm cost includes the exact LQR tail value at the terminal
     state, matching how the exact OPT is accounted.  Raises
-    :class:`DegenerateOPT` for opt_cost <= 1e-15.
+    :class:`DegenerateOPT` unless 1e-15 < opt_cost < inf.
     """
-    if opt_cost <= 1e-15:
-        raise DegenerateOPT(f"optimal cost {opt_cost!r} is numerically zero")
+    if not 1e-15 < opt_cost < math.inf:
+        raise DegenerateOPT(f"optimal cost {opt_cost!r} is numerically zero or not finite")
     return float(total_cost_with_tail(alg_traj, syn) / opt_cost)
 
 

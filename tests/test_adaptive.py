@@ -69,7 +69,10 @@ class TestOptimalLambda:
 
 
 class TestLearnLambdaPrime:
-    """The learned coefficient lambda', read from the policy's trace."""
+    """The learned coefficient lambda', read from the policy's trace.
+
+    A coefficient of 0 cuts lambda to 0 at its step, and no later step
+    computes one, so the no-signal runs end their coefficients at t = 2."""
 
     def test_blackbox_equal_lqr_no_signal(self, bench2_model, bench2_syn):
         syn = bench2_syn
@@ -77,7 +80,8 @@ class TestLearnLambdaPrime:
         raws, _ = learned_run(
             syn, bench2_model, lq.zero_residual(2), lq.lqr_policy(syn), rng.standard_normal(2), 20
         )
-        assert all(raw == 0.0 for raw in raws[2:])
+        assert raws[2] == 0.0
+        assert np.isnan(raws[3:]).all()
 
     def test_zero_residual_observations_no_signal(self, bench2_model, bench2_syn):
         # linear plant, black box with nonzero estimates: numerator vanishes
@@ -88,7 +92,8 @@ class TestLearnLambdaPrime:
         raws, _ = learned_run(
             syn, bench2_model, lq.zero_residual(2), bb, rng.standard_normal(2), 21
         )
-        assert list(raws[2:]) == pytest.approx([0.0] * 19, abs=1e-10)
+        assert raws[2] == pytest.approx(0.0, abs=1e-10)
+        assert np.isnan(raws[3:]).all()
 
     def test_matches_naive_double_loop(self, bench2_model, bench2_syn):
         """Spelled-out evaluation with explicit matrix powers is the oracle."""
@@ -142,8 +147,11 @@ class TestLearnLambdaPrime:
         w = [0.5 * rng.standard_normal(2) for _ in range(40)]
         resid = lq.disturbance_residual(w)
         bb = lq.parameterized_blackbox(syn, w)
-        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 0.01, "learned")
+        # a step size small enough that lambda stays positive past the
+        # last check, so every checked step computes its coefficient
+        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 1e-3, "learned")
         traj = lq.simulate(bench2_model, resid, pol, rng.standard_normal(2), 60)
+        assert pol.trace().t0 is None
         raws = pol.trace().lambda_prime_raw
         # replay the batch rule at a few times on prefixes of the run; the
         # black box is deterministic in (t, x), so its suggestions are recomputed
@@ -230,6 +238,57 @@ class TestAdaptivePolicyBranches:
         )
         assert np.array_equal(traj.states[2:], lqr.states)
 
+    @pytest.mark.parametrize("case", ["cartpole-adaptive-destabilizing", "external-zero"])
+    def test_no_blackbox_query_or_learned_update_after_cutoff(
+        self, bench2_model, bench2_syn, case
+    ):
+        """Lambda = 0 is absorbing: from the first step with lambda = 0 on,
+        a black box that raises on any query and a learned rule that raises
+        on any update leave the run as it was."""
+        if case == "cartpole-adaptive-destabilizing":
+            from lqshield.environments import (
+                CartPoleParams,
+                cartpole_linearization,
+                cartpole_residual,
+            )
+
+            params = CartPoleParams()
+            model = cartpole_linearization(params)
+            syn = lq.synthesize(model)
+            resid = cartpole_residual(params, params)
+            inner, source = lq.gain_policy(-syn.K), "learned"
+            x0, T = [0.0, 0.0, 0.4, 0.0], 1200
+        else:
+            model, syn, resid = bench2_model, bench2_syn, lq.zero_residual(2)
+            inner, source = lq.gain_policy(-bench2_syn.K), lambda t: 0.0
+            x0, T = [1.0, -0.5], 40
+
+        pol = lq.AdaptivePolicy(syn, inner, lq.lqr_policy(syn), 0.01, source)
+        traj = lq.simulate(model, resid, pol, x0, T, blowup=50.0)
+        t0 = pol.trace().t0
+        assert t0 is not None and pol.lambdas[t0] == 0.0
+        assert t0 < T - 1
+
+        def guarded(t, x):
+            if t >= t0:
+                raise AssertionError(f"black box queried at t={t} >= t0={t0}")
+            return inner.act(t, x)
+
+        pol2 = lq.AdaptivePolicy(syn, lq.Policy(act=guarded), lq.lqr_policy(syn), 0.01, source)
+        learned_raw = pol2._learned_raw
+
+        def frozen(t, x):
+            if t > t0:
+                raise AssertionError(f"learned sums advanced at t={t} > t0={t0}")
+            return learned_raw(t, x)
+
+        pol2._learned_raw = frozen
+        traj2 = lq.simulate(model, resid, pol2, x0, T, blowup=50.0)
+        assert traj2.states.tobytes() == traj.states.tobytes()
+        state, state2 = pol.trace(), pol2.trace()
+        assert (state2.lambdas, state2.branches) == (state.lambdas, state.branches)
+        assert np.array_equal(state2.lambda_prime_raw, state.lambda_prime_raw, equal_nan=True)
+
     def test_requires_time_order(self, syn3):
         pol = lq.AdaptivePolicy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: 1.0)
         pol.act(0, np.ones(3))
@@ -276,6 +335,15 @@ class TestAdaptiveInvariants:
             assert lams[0] == 1.0
             assert all(0.0 <= l <= 1.0 for l in lams)
             assert all(b <= a for a, b in zip(lams, lams[1:]))
+            # lambda = 0 is absorbing: no coefficient after the cutoff, the
+            # branch says why lambda is 0, and the action is the advice
+            state = pol.trace()
+            cut = lams.index(0.0) if 0.0 in lams else traj.horizon
+            for t in range(cut + 1, traj.horizon):
+                assert np.isnan(state.lambda_prime_raw[t])
+                assert state.branches[t] in ("cutoff", "zero_state")
+                u_bar = advice.act(t, traj.states[t])
+                assert traj.actions[t].tobytes() == u_bar.tobytes()
             # exact convex-combination replay at every step
             for t in range(traj.horizon):
                 u_hat = np.asarray(bb.act(t, traj.states[t]))
@@ -296,7 +364,8 @@ class TestAdaptiveInvariants:
 class _ReferenceAdaptivePolicy:
     """The adaptive policy as it was when it logged every step: a copy of
     the pre-change class (at its default numerator start and without a
-    decrease cap), kept as the oracle for the log-free step."""
+    decrease cap), kept as the oracle for the log-free step, with lambda = 0
+    absorbing and answered by the advice alone."""
 
     def __init__(self, syn, blackbox, advice, alpha, lambda_source="learned"):
         self.blackbox = blackbox
@@ -339,6 +408,8 @@ class _ReferenceAdaptivePolicy:
         zero_state = np.linalg.norm(x) <= 0.0
         if t == 0:
             lam, branch = 1.0, "init"
+        elif self._lambdas[-1] == 0.0:
+            lam, branch = 0.0, "zero_state" if zero_state else "cutoff"
         elif zero_state:
             lam, branch = self._lambdas[-1], "zero_state"
             if self._external is None:
@@ -364,8 +435,11 @@ class _ReferenceAdaptivePolicy:
         self._branches.append(branch)
         if self._t0 is None and (lam == 0.0 or zero_state):
             self._t0 = t
-        u_hat = np.asarray(self.blackbox.act(t, x), dtype=float).reshape(-1)
         u_bar = np.asarray(self.advice.act(t, x), dtype=float).reshape(-1)
+        if lam == 0.0:
+            self.actions.append(u_bar.copy())
+            return u_bar
+        u_hat = np.asarray(self.blackbox.act(t, x), dtype=float).reshape(-1)
         u = lam * u_hat + (1.0 - lam) * u_bar
         self.actions.append(u.copy())
         self._prev_v = u_hat + self._K.dot(x)

@@ -456,6 +456,7 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, polic
         ("sweep-theta", "[cartpole]\nalpha = 0\n"),
         ("ev-compare", "[experiment]\nseeds = 1\ntraining_days = 0\n"),
         ("ev-compare", "[experiment]\nseeds = 1\ntraining_days = -3\n"),
+        ("ev-compare", "[experiment]\nseeds = 1\ntraining_days = 1001\n"),
         ("sweep-theta", "[experiment]\nblowup = -1\n"),
         ("stability-trace", "[experiment]\nblowup = 0\n"),
         ("sweep-theta", "[cartpole]\nnaive_lambda = 2\n"),
@@ -521,6 +522,7 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, polic
         "sweep-theta-alpha",
         "ev-compare-training_days-0",
         "ev-compare-training_days-negative",
+        "ev-compare-training_days-1001",
         "sweep-theta-blowup",
         "stability-trace-blowup",
         "sweep-theta-naive_lambda",

@@ -182,6 +182,15 @@ class TestOptCostTimeOnly:
         w = [rng.standard_normal(2) for _ in range(20)]
         lq.opt_cost_time_only(bench2_syn, w, rng.standard_normal(2))
 
+    @pytest.mark.parametrize(
+        "w, x0",
+        [([[np.nan, 0.0]], [1.0, 0.0]), ([[np.inf, 0.0]], [1.0, 0.0]), ([], [np.nan, 0.0])],
+        ids=["w-nan", "w-inf", "x0-nan"],
+    )
+    def test_cross_check_rejects_a_non_finite_cost(self, bench2_syn, w, x0):
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="cross-check failed"):
+            lq.opt_cost_time_only(bench2_syn, w, x0)
+
 
 def _reference_theorem_constants(syn, C_ell, epsilon):
     """The per-call norm computation that ``theorem_constants`` and
@@ -541,6 +550,11 @@ class TestCompetitiveRatio:
     def test_degenerate_opt_raises(self, scalar_syn):
         with pytest.raises(DegenerateOPT):
             lq.competitive_ratio(_manual_trajectory([1.0, 0.0]), 0.0, scalar_syn)
+
+    @pytest.mark.parametrize("opt_cost", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_opt_raises(self, scalar_syn, opt_cost):
+        with pytest.raises(DegenerateOPT, match="not finite"):
+            lq.competitive_ratio(_manual_trajectory([1.0, 0.0]), opt_cost, scalar_syn)
 
 
 class TestVerifyBounds:

@@ -125,7 +125,7 @@ TRACE_NAIVE = (
 TRACE_SHA256 = {
     "trace_lqr.csv": "28b02a8316832e03dd499e002ca01d5d9363d2c0dd0f709ee721b306abce738d",
     "trace_adaptive-destabilizing.csv": (
-        "127de047a309f1771f3498ce6f9fe3a22231dfa94217fa7b7251559a88db149a"
+        "6a16d1a49ad3e94b55fe57350c2c5b3bb369e09ca55c5eaf9fbe905812ff46e8"
     ),
 }
 

@@ -372,11 +372,14 @@ def test_direction_drawn_once_per_run_of_equal_quantized_states(bench2_syn, monk
     monkeypatch.setattr(policies, "_direction", counted)
     syn = bench2_syn
     bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn), 0.3, "rotation", 2)
-    pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 0.01, "learned")
+    # lambda stays positive, so the black box is queried at every step,
+    # as in the verify-bounds ratio runs
+    pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
     x0 = np.array([0.6, -0.8])
     resid = lq.lipschitz_residual(2, 2, 0.05, seed=2)
     traj = lq.simulate(syn.model, resid, pol, x0, 120)
     assert traj.horizon == 120
+    assert min(pol.lambdas) > 0.0
     queried = [policies._quantized(x) for x in traj.states[:-1] if x.dot(x) > 0.0]
     runs = [q for i, q in enumerate(queried) if i == 0 or q != queried[i - 1]]
     assert draws == runs

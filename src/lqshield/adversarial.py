@@ -11,14 +11,15 @@ Two construction cases, depending on the closed loop F1 = A - B K1:
 - off-diagonal: F2 has a constant diagonal beta, a strictly lower
   triangle cancelling F1's in the blend, and one extra entry sized so
   the blended closed loop has |det| = 2^n, forcing spectral radius
-  >= 2.  (F1 is transposed first when its only off-diagonal mass is
-  below the diagonal.)
+  >= 2.  (F1 is transposed first when no entry above its diagonal can
+  size that extra entry.)
 - diagonal (F1 diagonal with two distinct entries): a nilpotent 2x2
   block is embedded in two coordinates with distinct diagonal values,
   scaled so the blended block has an eigenvalue beyond 1.
 
 A diagonal F1 that is a multiple of the identity admits neither case
-and raises :class:`NotApplicable`.
+and raises :class:`NotApplicable`, as does an F1 none of whose
+off-diagonal entries can size the extra entry.
 """
 
 from __future__ import annotations
@@ -52,8 +53,12 @@ class AdversarialCertificate:
     rho_F2: float
     rho_combined: float
     construction_case: str
-    combined_gain: np.ndarray
     det_combined: float
+
+    @property
+    def combined_gain(self) -> np.ndarray:
+        """The blended gain lam K2 + (1 - lam) K1."""
+        return self.lam * self.K2 + (1.0 - self.lam) * self.K1
 
     def self_check(self) -> None:
         if not (self.rho_F1 < 1.0):
@@ -88,57 +93,53 @@ class AdversarialCertificate:
         )
 
 
-def _first_upper_entry(M: np.ndarray, tol: float) -> Optional[tuple[int, int]]:
-    """First strictly-upper nonzero (i, i+k), scanning offset k outer
-    and row i inner (row index increases first)."""
+def _upper_entries(M: np.ndarray, tol: float):
+    """The strictly-upper entries (i, i+k) above ``tol`` in magnitude, as
+    (i, k), scanning offset k outer and row i inner (row index increases
+    first)."""
     n = M.shape[0]
     for k in range(1, n):
         for i in range(0, n - k):
             if abs(M[i, i + k]) > tol:
-                return i, k
-    return None
+                yield i, k
 
 
 def _offdiagonal_F2(
     M1: np.ndarray, lam: float, beta: float
-) -> tuple[np.ndarray, float, float]:
-    """F2 for a nonzero strictly-upper entry of M1; returns
-    (F2, det of the blend, beta actually used).
+) -> Optional[tuple[np.ndarray, float, float]]:
+    """F2 for the first strictly-upper entry of M1 that sizes the singleton;
+    returns (F2, det of the blend, beta actually used), or None when no
+    entry does.
 
     The blend T = lam beta I + (1-lam) (diag + upper of M1) is upper
     triangular; adding the single entry S at (i+k, i) contributes
     -lam (1-lam) S M1[i, i+k] prod_{j not in {i, i+k}} d_j to the
     determinant, so S is solved to place |det| exactly at 2^n.  beta is
     nudged through a fixed candidate list if the requested value makes
-    that product degenerate.
+    that product degenerate; an entry too small to size S at any of them
+    passes the search on to the next entry.
     """
     n = M1.shape[0]
     scale = max(1.0, float(np.max(np.abs(M1))))
-    loc = _first_upper_entry(M1, 1e-12 * scale)
-    if loc is None:
-        raise AssertionError("off-diagonal case called without an upper entry")
-    i, k = loc
     target = -(2.0**n)
     candidates = [beta] + [b for b in (0.5, 0.73, 0.31, 0.91, 0.17, 0.59) if b != beta]
-    last_err: Optional[str] = None
-    for b in candidates:
-        d = lam * b + (1.0 - lam) * np.diag(M1)
+    for i, k in _upper_entries(M1, 1e-12 * scale):
         others = [j for j in range(n) if j not in (i, i + k)]
-        prod_others = float(np.prod(d[others])) if others else 1.0
-        denom = lam * (1.0 - lam) * M1[i, i + k] * prod_others
-        if abs(denom) < 1e-9 * scale:
-            last_err = f"degenerate diagonal product at beta={b:g}"
-            continue
-        det_T = float(np.prod(d))
-        S = (det_T - target) / denom
-        F2 = b * np.eye(n) - ((1.0 - lam) / lam) * np.tril(M1, -1)
-        F2[i + k, i] += S
-        combined = lam * F2 + (1.0 - lam) * M1
-        det = float(np.linalg.det(combined))
-        if abs(abs(det) - 2.0**n) <= 1e-6 * 2.0**n:
-            return F2, det, b
-        last_err = f"determinant check failed at beta={b:g}: det={det:g}"
-    raise AssertionError(f"could not size the singleton entry: {last_err}")
+        for b in candidates:
+            d = lam * b + (1.0 - lam) * np.diag(M1)
+            prod_others = float(np.prod(d[others])) if others else 1.0
+            denom = lam * (1.0 - lam) * M1[i, i + k] * prod_others
+            if abs(denom) < 1e-9 * scale:
+                continue
+            det_T = float(np.prod(d))
+            S = (det_T - target) / denom
+            F2 = b * np.eye(n) - ((1.0 - lam) / lam) * np.tril(M1, -1)
+            F2[i + k, i] += S
+            combined = lam * F2 + (1.0 - lam) * M1
+            det = float(np.linalg.det(combined))
+            if abs(abs(det) - 2.0**n) <= 1e-6 * 2.0**n:
+                return F2, det, b
+    return None
 
 
 def _diagonal_F2(F1: np.ndarray, lam: float, tol: float) -> np.ndarray:
@@ -184,7 +185,8 @@ def construct_adversarial_K2(
 
     Requires a square invertible B with n > 1, lambda and beta in (0, 1),
     and a stabilizing K1 with A - B K1 != 0.  Raises
-    :class:`NotApplicable` when A - B K1 is a multiple of the identity.
+    :class:`NotApplicable` when A - B K1 is a multiple of the identity, or
+    when none of its off-diagonal entries can size the extra entry.
     """
     A, B = model.A, model.B
     n = model.n
@@ -211,21 +213,24 @@ def construct_adversarial_K2(
     if scale == 0.0:
         raise NotApplicable("A - B K1 = 0: excluded by hypothesis")
     tol = 1e-12 * max(1.0, scale)
-    used_beta = beta
-    if _first_upper_entry(F1, tol) is not None:
-        F2, det, used_beta = _offdiagonal_F2(F1, lam, beta)
-        case = "off_diagonal"
-    elif _first_upper_entry(F1.T, tol) is not None:
-        F2t, det, used_beta = _offdiagonal_F2(F1.T, lam, beta)
+    case = "off_diagonal"
+    if (sized := _offdiagonal_F2(F1, lam, beta)) is not None:
+        F2, det, used_beta = sized
+    elif (sized := _offdiagonal_F2(F1.T, lam, beta)) is not None:
+        F2t, det, used_beta = sized
         F2 = F2t.T
-        case = "off_diagonal"
+    elif np.any(np.abs(F1 - np.diag(np.diag(F1))) > tol):
+        raise NotApplicable(
+            "no off-diagonal entry of A - B K1 sizes the singleton entry of the "
+            "off-diagonal construction"
+        )
     else:
         F2 = _diagonal_F2(F1, lam, tol)
         case = "diagonal_2x2_embedded"
         det = float(np.linalg.det(lam * F2 + (1.0 - lam) * F1))
+        used_beta = beta
     K2 = Binv @ (A - F2)
-    combined_gain = lam * K2 + (1.0 - lam) * K1
-    combined = A - B @ combined_gain
+    combined = A - B @ (lam * K2 + (1.0 - lam) * K1)
     cert = AdversarialCertificate(
         model=model,
         K1=K1,
@@ -237,7 +242,6 @@ def construct_adversarial_K2(
         rho_F2=spectral_radius(F2),
         rho_combined=spectral_radius(combined),
         construction_case=case,
-        combined_gain=combined_gain,
         det_combined=det,
     )
     cert.self_check()

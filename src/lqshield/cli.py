@@ -107,25 +107,31 @@ class RunConfig:
 
     def get(self, section: str, key: str, default, *, least=None, above=None,
             most=None, below=None):
-        """``[section] key`` as the type of ``default`` (a list default reads a
-        non-empty comma list of finite floats), a config error outside the
-        inclusive ``least``/``most`` or exclusive ``above``/``below`` bounds,
-        each of which NaN fails."""
+        """``[section] key`` as the type of ``default``, a config error outside
+        the inclusive ``least``/``most`` or exclusive ``above``/``below``
+        bounds, each of which NaN fails.
+
+        A list default reads a comma list of entries of its elements' type,
+        a set of distinct, non-empty entries: a repeated or empty entry, or
+        a non-finite float, is a config error."""
         raw = self._values.get((section, key))
         listed = isinstance(default, list)
+        entries = raw.split(",") if listed and raw is not None else []
+        if any(not v.strip() for v in entries):
+            raise ConfigError(f"[{section}] {key} = {raw!r}: entries must be non-empty")
         try:
             if raw is None:
                 values = default if listed else [default]
             elif listed:
-                values = [float(v) for v in raw.split(",") if v.strip()]
+                values = [type(default[0])(v.strip()) for v in entries]
             else:
                 values = [type(default)(raw)]
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-        if listed and not values:
-            raise ConfigError(f"[{section}] {key}: grid must be non-empty")
-        if listed and not all(math.isfinite(v) for v in values):
+        if listed and not all(math.isfinite(v) for v in values if isinstance(v, float)):
             raise ConfigError(f"[{section}] {key} = {raw!r}: entries must be finite")
+        if listed and len(set(values)) < len(values):
+            raise ConfigError(f"[{section}] {key} = {raw!r}: entries must be distinct")
         bounds = ((least, operator.ge, "at least"), (above, operator.gt, "above"),
                   (most, operator.le, "at most"), (below, operator.lt, "below"))
         for v in values:
@@ -249,15 +255,13 @@ _ROSTER = {
 }
 
 
-def _roster(cfg: RunConfig, default: str) -> list[str]:
-    """The ``[experiment] policies`` labels, each checked before any work:
-    known, and listed once."""
-    labels = [label.strip() for label in cfg.get("experiment", "policies", default).split(",")]
-    for k, label in enumerate(labels):
+def _roster(cfg: RunConfig, default: list[str]) -> list[str]:
+    """The ``[experiment] policies`` labels, each checked to be known
+    before any work."""
+    labels = cfg.get("experiment", "policies", default)
+    for label in labels:
         if label not in _ROSTER:
             raise ConfigError(f"unknown policy label {label!r}")
-        if label in labels[:k]:
-            raise ConfigError(f"policy label {label!r} listed twice")
     return labels
 
 
@@ -300,7 +304,7 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
                 f"[sweep] thetas = {theta}: |theta| + initial_angle_variation "
                 f"must be below blowup {blowup}"
             )
-    roster = _roster(cfg, "lqr,blackbox,naive,adaptive")
+    roster = _roster(cfg, ["lqr", "blackbox", "naive", "adaptive"])
     # building the bench here records the cartpole keys in the echoed
     # effective config; the tasks of this process then reuse it
     global _bench
@@ -332,12 +336,11 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         rows,
     )
     summary = []
-    for theta in thetas:
-        for label in roster:
-            cell = [r for r in rows if r[0] == theta and r[1] == label]
-            finished = [r[3] for r in cell if not r[4]]
-            mean_cost = float(np.mean(finished)) if finished else float("nan")
-            summary.append((theta, label, mean_cost, sum(1 for r in cell if r[4]), len(cell)))
+    # pool.map returns each cell's rows in task order: thetas outer, roster inner
+    for (_, _, theta, label, *_), cell in zip(tasks, results):
+        finished = [r[3] for r in cell if not r[4]]
+        mean_cost = float(np.mean(finished)) if finished else float("nan")
+        summary.append((theta, label, mean_cost, sum(1 for r in cell if r[4]), len(cell)))
     write_csv(
         out / "summary.csv",
         ["theta", "policy", "mean_cost", "divergences", "runs"],
@@ -353,7 +356,7 @@ def cmd_stability_trace(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     blowup = cfg.get("experiment", "blowup", 50.0, above=0.0)
     if not abs(theta) < blowup:
         raise ConfigError(f"[experiment] theta = {theta}: |theta| must be below blowup {blowup}")
-    roster = _roster(cfg, "lqr,adaptive-destabilizing,naive-destabilizing")
+    roster = _roster(cfg, ["lqr", "adaptive-destabilizing", "naive-destabilizing"])
     bench = _CartpoleBench(cfg)
     cfg.check_read()
     x0 = np.array([0.0, 0.0, theta, 0.0])

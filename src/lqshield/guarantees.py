@@ -237,12 +237,13 @@ def fit_stability_envelope(traj: Trajectory, predicted: TheoremConstants) -> Opt
 
     None when the prediction is unavailable (mu >= gamma).  A trajectory
     with fewer than two norms above 1e-12 sits at the origin to working
-    precision and passes.
+    precision and passes.  Raises ValueError unless ||x_0|| is positive
+    and finite.
     """
     norms = traj.state_norms()
     x0n = norms[0]
-    if x0n <= 0.0:
-        raise ValueError("||x_0|| must be positive")
+    if not 0.0 < x0n < math.inf:
+        raise ValueError(f"||x_0|| must be positive and finite, got {float(x0n)!r}")
     pred_C = predicted_envelope_prefactor(predicted)
     if pred_C is None:
         return None
@@ -285,9 +286,13 @@ def opt_cost_time_only(syn: Synthesis, disturbances, x0) -> float:
 
     Simulates the disturbance-aware optimal policy over the disturbance
     support and adds the exact LQR tail value; the result is verified
-    against the independent closed form.
+    against the independent closed form.  Raises ValueError, before any
+    rollout, for a non-finite disturbance or ``x0`` entry.
     """
     w = [np.asarray(v, dtype=float) for v in disturbances]
+    x0 = np.asarray(x0, dtype=float)
+    if not (np.isfinite(x0).all() and all(np.isfinite(v).all() for v in w)):
+        raise ValueError("disturbances and x0 must be finite")
     T = len(w)
     policy = auxiliary_optimal_policy(syn, w)
     residual = disturbance_residual(w) if T else zero_residual(syn.n)
@@ -304,13 +309,28 @@ def opt_cost_time_only(syn: Synthesis, disturbances, x0) -> float:
 
 @dataclass
 class TrajOptResult:
-    """Best cost found by shooting, with convergence diagnostics."""
+    """Shooting's best cost after each iteration, from the initial (LQR
+    rollout) cost on; the other diagnostics derive from it."""
 
-    cost: float
-    initial_cost: float
-    improved: bool
-    iterations_run: int
     cost_history: list
+
+    @property
+    def cost(self) -> float:
+        """The best cost found."""
+        return self.cost_history[-1]
+
+    @property
+    def initial_cost(self) -> float:
+        """The cost of the LQR rollout that shooting starts from."""
+        return self.cost_history[0]
+
+    @property
+    def improved(self) -> bool:
+        return self.cost < self.initial_cost
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.cost_history) - 1
 
 
 def opt_cost_trajopt(
@@ -387,7 +407,6 @@ def opt_cost_trajopt(
         return float(costs[0]), (costs[1:], h)
 
     best, probed = with_probes(u)
-    initial = best
     history = [best]
     for _ in range(iterations):
         costs, h = probed
@@ -408,13 +427,7 @@ def opt_cost_trajopt(
         history.append(best)
         if not improved_this_iter:
             break
-    return TrajOptResult(
-        cost=best,
-        initial_cost=initial,
-        improved=best < initial,
-        iterations_run=len(history) - 1,
-        cost_history=history,
-    )
+    return TrajOptResult(cost_history=history)
 
 
 def competitive_ratio(alg_traj: Trajectory, opt_cost: float, syn: Synthesis) -> float:
@@ -431,11 +444,20 @@ def competitive_ratio(alg_traj: Trajectory, opt_cost: float, syn: Synthesis) -> 
 
 @dataclass(frozen=True)
 class BoundCheck:
-    satisfied: bool
-    bound: float
+    """A measured competitive ratio and the three terms of its bound."""
+
+    ratio: float
     model_term: float
     error_term: float
     nonlinear_term: float
+
+    @property
+    def bound(self) -> float:
+        return self.model_term + self.error_term + self.nonlinear_term
+
+    @property
+    def satisfied(self) -> bool:
+        return self.ratio <= self.bound
 
 
 def default_c2(constants: TheoremConstants) -> float:
@@ -474,10 +496,8 @@ def verify_bounds(
     denom = 1.0 - (2.0 * constants.norm_H / constants.sigma) * constants.epsilon
     error_term = c2 / denom
     nonlinear_term = c3 * constants.C_ell * x0_norm
-    bound = model_term + error_term + nonlinear_term
     return BoundCheck(
-        satisfied=ratio <= bound,
-        bound=float(bound),
+        ratio=float(ratio),
         model_term=float(model_term),
         error_term=float(error_term),
         nonlinear_term=float(nonlinear_term),

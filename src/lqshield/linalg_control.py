@@ -131,13 +131,19 @@ class Synthesis:
     F: np.ndarray
     H: np.ndarray
     C_F: float
-    rho: float
     rho_F: float
     kappa: float
     sigma: float
-    T_check: int
     dare_residual: float
     iterations: int
+
+    @property
+    def rho(self) -> float:
+        return 0.5 * (1.0 + self.rho_F)
+
+    @property
+    def T_check(self) -> int:
+        return _T_CHECK
 
     @property
     def n(self) -> int:
@@ -270,8 +276,7 @@ def synthesize(model: LinearModel, max_iter: int = _DARE_MAX_ITER) -> Synthesis:
         raise NonStabilizable(
             f"synthesized closed loop has spectral radius {rho_F:.6f} >= 1"
         )
-    rho = 0.5 * (1.0 + rho_F)
-    C_F = _envelope_constant(F, rho, _T_CHECK)
+    C_F = _envelope_constant(F, 0.5 * (1.0 + rho_F), _T_CHECK)
     kappa = max(2.0, np.linalg.norm(A, 2), np.linalg.norm(B, 2))
     sigma = float(min(np.min(np.linalg.eigvalsh(Q)), np.min(np.linalg.eigvalsh(R))))
     residual = dare_residual_norm(model, P)
@@ -286,11 +291,9 @@ def synthesize(model: LinearModel, max_iter: int = _DARE_MAX_ITER) -> Synthesis:
         F=F,
         H=H,
         C_F=C_F,
-        rho=float(rho),
         rho_F=float(rho_F),
         kappa=float(kappa),
         sigma=sigma,
-        T_check=_T_CHECK,
         dare_residual=residual,
         iterations=iterations,
     )

@@ -160,7 +160,8 @@ def simulate(
     The bare linear plant takes :func:`zero_residual`.  The policy is
     queried exactly once per step in time order.  If some ||x_t||
     exceeds ``blowup`` (or goes non-finite) the rollout stops and the
-    partial trajectory is returned with ``diverged`` set.
+    partial trajectory is returned with ``diverged`` set.  A non-finite
+    ``x0`` raises ValueError.
 
     Each step evaluates x_{t+1} = A x_t + B u_t + f_t and the stage cost
     x_t'Q x_t + u_t'R u_t with the operations of the replay check in
@@ -175,6 +176,8 @@ def simulate(
     n, m = model.n, model.m
     if x.shape[0] != n:
         raise ValueError(f"x0 has dimension {x.shape[0]}, expected {n}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"x0 must be finite, got {x}")
     A, B, Q, R = model.A, model.B, model.Q, model.R
     act = policy.act
     f_eval = residual.eval

@@ -162,7 +162,8 @@ def epsilon_consistent_blackbox(
     Returns x -> optimal(x) + e(x) with e(x) = epsilon ||x|| d(x), where
     d(x) is a unit vector that is a pure function of (``rng_seed``, x
     quantized to 1e-9); ``bias_mode`` must be "rotation", the one such
-    family.  ``epsilon`` must be finite and nonnegative.
+    family.  ``epsilon`` must be finite and nonnegative; at epsilon = 0
+    the black box is ``optimal`` itself.
 
     Deterministic given the seed; the perturbation vanishes at x = 0.
     Drawing d costs a fresh generator seeding, so each black box keeps the
@@ -173,6 +174,8 @@ def epsilon_consistent_blackbox(
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     if bias_mode != "rotation":
         raise ValueError(f"unknown bias_mode {bias_mode!r}")
+    if epsilon == 0:
+        return optimal
     eps = float(epsilon)
     last = (None, 0, None)  # (quantized state, m, direction) of the last draw
 
@@ -180,8 +183,6 @@ def epsilon_consistent_blackbox(
         nonlocal last
         x = np.asarray(x, dtype=float)
         base = np.asarray(optimal.act(t, x), dtype=float)
-        if eps == 0.0:
-            return base
         nx = math.sqrt(x.dot(x))  # == np.linalg.norm(x)
         if nx == 0.0:
             return base

@@ -62,6 +62,24 @@ class TestOffDiagonalCase:
         cert.self_check()
         assert cert.rho_combined >= 2.0 - 1e-6
 
+    def test_entry_too_small_to_size_passes_to_the_next(self):
+        # the first upper entry, 1e-10, cannot size the singleton at any
+        # beta; the next one, 0.5, builds the certificate it builds alone
+        model = lq.LinearModel(A=0.9 * np.eye(3), B=np.eye(3), Q=np.eye(3), R=np.eye(3))
+        F1 = np.array([[0.5, 1e-10, 0.0], [0.0, 0.3, 0.5], [0.0, 0.0, 0.2]])
+        cert = lq.construct_adversarial_K2(model, model.A - F1, 0.5, beta=0.5)
+        cert.self_check()
+        assert cert.construction_case == "off_diagonal"
+        F1[0, 1] = 0.0
+        alone = lq.construct_adversarial_K2(model, model.A - F1, 0.5, beta=0.5)
+        assert np.array_equal(cert.F2, alone.F2)
+
+    def test_no_sizable_entry_not_applicable(self):
+        model = identity_plant(3)
+        F1 = np.array([[0.5, 1e-10, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]])
+        with pytest.raises(NotApplicable, match="sizes the singleton"):
+            lq.construct_adversarial_K2(model, -F1, 0.5, beta=0.5)
+
     def test_gain_reconstruction(self):
         rng = np.random.default_rng(1)
         for _ in range(10):

@@ -507,6 +507,43 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, polic
             "[experiment]\nmonte_carlo = 1\nhorizon = 5\nblowup = 1\n"
             "initial_angle_variation = 0.5\n[sweep]\nthetas = 0.6\n",
         ),
+        (
+            "sweep-theta",
+            "[experiment]\nmonte_carlo = 1\nhorizon = 5\npolicies = lqr\n"
+            "[sweep]\nthetas = 0.1,0.10\n",
+        ),
+        (
+            "sweep-theta",
+            "[experiment]\nmonte_carlo = 1\nhorizon = 5\npolicies = lqr\n"
+            "[sweep]\nthetas = 0.1,,0.2\n",
+        ),
+        ("stability-trace", "[experiment]\npolicies = lqr,,adaptive\nhorizon = 5\n"),
+        (
+            "verify-bounds",
+            "[grid]\nc_ell_fractions = 0.2,0.2\nepsilon_fractions = 0.3\n[experiment]\nseeds = 1\n",
+        ),
+        (
+            "verify-bounds",
+            "[grid]\nc_ell_fractions = 0.2,\nepsilon_fractions = 0.3\n[experiment]\nseeds = 1\n",
+        ),
+        (
+            "verify-bounds",
+            "[grid]\nc_ell_fractions = 0.2\nepsilon_fractions = 0.3,0.3\n[experiment]\nseeds = 1\n",
+        ),
+        (
+            "verify-bounds",
+            "[grid]\nc_ell_fractions = 0.2\nepsilon_fractions = ,0.3\n[experiment]\nseeds = 1\n",
+        ),
+        (
+            "verify-bounds",
+            "[grid]\nc_ell_fractions = 0.2\nepsilon_fractions = 0.3\nalphas = 0.01,0.01\n"
+            "[experiment]\nseeds = 1\n",
+        ),
+        (
+            "verify-bounds",
+            "[grid]\nc_ell_fractions = 0.2\nepsilon_fractions = 0.3\nalphas = 0.01,\n"
+            "[experiment]\nseeds = 1\n",
+        ),
     ],
     ids=[
         "verify-bounds-seeds",
@@ -561,6 +598,15 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, polic
         "stability-trace-theta-past-blowup",
         "sweep-theta-thetas-past-blowup",
         "sweep-theta-jitter-past-blowup",
+        "sweep-theta-repeated-theta",
+        "sweep-theta-empty-theta",
+        "stability-trace-empty-policy",
+        "verify-bounds-repeated-c_ell_fraction",
+        "verify-bounds-empty-c_ell_fraction",
+        "verify-bounds-repeated-epsilon_fraction",
+        "verify-bounds-empty-epsilon_fraction",
+        "verify-bounds-repeated-alpha",
+        "verify-bounds-empty-alpha",
     ],
 )
 def test_degenerate_count_is_config_error(tmp_path, capsys, command, config):

@@ -140,6 +140,13 @@ class TestFitStabilityEnvelope:
             traj = _manual_trajectory([0.5**t for t in range(20)])
             assert lq.fit_stability_envelope(traj, consts) is None
 
+    @pytest.mark.parametrize("x0_norm", [0.0, np.nan, np.inf])
+    def test_start_must_be_positive_and_finite(self, bench2_syn, x0_norm):
+        consts = lq.theorem_constants(bench2_syn, 0.0, 0.0)
+        traj = _manual_trajectory([x0_norm, 0.5])
+        with pytest.raises(ValueError, match="positive and finite"):
+            lq.fit_stability_envelope(traj, consts)
+
     def test_short_trajectory_gets_a_verdict(self, bench2_syn):
         consts = lq.theorem_constants(bench2_syn, 0.0, 0.0)
         assert lq.fit_stability_envelope(_manual_trajectory([1.0, 0.5]), consts) is True
@@ -188,8 +195,15 @@ class TestOptCostTimeOnly:
         ids=["w-nan", "w-inf", "x0-nan"],
     )
     def test_cross_check_rejects_a_non_finite_cost(self, bench2_syn, w, x0):
-        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="cross-check failed"):
+        with pytest.raises(ValueError, match="must be finite"):
             lq.opt_cost_time_only(bench2_syn, w, x0)
+
+    def test_cross_check_rejects_an_overflowing_cost(self, bench2_syn):
+        # finite inputs whose costs overflow reach the cross-check itself
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            RuntimeError, match="cross-check failed"
+        ):
+            lq.opt_cost_time_only(bench2_syn, [[1e200, 0.0]], [0.0, 0.0])
 
 
 def _reference_theorem_constants(syn, C_ell, epsilon):
@@ -319,7 +333,6 @@ def _reference_trajopt(model, residual, x0, T, iterations, syn, fd_step=1e-6):
     if u.shape[0] != T * m:
         u = np.resize(u, T * m)
     best = rollout_cost(u)
-    initial = best
     history = [best]
     for _ in range(iterations):
         grad = np.zeros_like(u)
@@ -345,13 +358,7 @@ def _reference_trajopt(model, residual, x0, T, iterations, syn, fd_step=1e-6):
         history.append(best)
         if not improved_this_iter:
             break
-    return lq.TrajOptResult(
-        cost=best,
-        initial_cost=initial,
-        improved=best < initial,
-        iterations_run=len(history) - 1,
-        cost_history=history,
-    )
+    return lq.TrajOptResult(cost_history=history)
 
 
 def _trajopt_cases(bench2_model, bench2_syn):

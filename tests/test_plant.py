@@ -73,6 +73,14 @@ def test_trajectory_derives_cost_and_divergence_step():
     assert diverged.diverged and diverged.diverged_at == diverged.horizon == 20
 
 
+@pytest.mark.parametrize("x0", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+def test_non_finite_start_is_rejected(x0):
+    model = lq.LinearModel(A=np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2))
+    still = lq.Policy(act=lambda t, x: np.zeros(2))
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        lq.simulate(model, lq.zero_residual(2), still, x0, 5)
+
+
 def test_divergence_flag():
     model = lq.LinearModel(A=[[2.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
     zero_policy = lq.Policy(act=lambda t, x: np.zeros(1))

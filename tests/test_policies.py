@@ -166,6 +166,7 @@ class TestEpsilonConsistent:
     def test_zero_epsilon_is_identity(self, syn3):
         base = lq.lqr_policy(syn3)
         bb = lq.epsilon_consistent_blackbox(base, 0.0, "rotation", 0)
+        assert bb is base
         rng = np.random.default_rng(8)
         x = rng.standard_normal(3)
         assert np.array_equal(bb.act(0, x), base.act(0, x))

@@ -25,6 +25,7 @@ off-diagonal entries can size the extra entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -43,15 +44,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdversarialCertificate:
+    """The partner gain K2 of K1 at blend weight ``lam``, with the closed
+    loop F2 = A - B K2 and the determinant of the blended closed loop as
+    constructed.  The spectral radii rho_F1, rho_F2 and rho_combined (of
+    A - B K1, F2 and A - B combined_gain) are computed on first read."""
+
     model: LinearModel
     K1: np.ndarray
     K2: np.ndarray
     lam: float
     beta: float
     F2: np.ndarray
-    rho_F1: float
-    rho_F2: float
-    rho_combined: float
     construction_case: str
     det_combined: float
 
@@ -59,6 +62,18 @@ class AdversarialCertificate:
     def combined_gain(self) -> np.ndarray:
         """The blended gain lam K2 + (1 - lam) K1."""
         return self.lam * self.K2 + (1.0 - self.lam) * self.K1
+
+    @cached_property
+    def rho_F1(self) -> float:
+        return spectral_radius(self.model.A - self.model.B @ self.K1)
+
+    @cached_property
+    def rho_F2(self) -> float:
+        return spectral_radius(self.F2)
+
+    @cached_property
+    def rho_combined(self) -> float:
+        return spectral_radius(self.model.A - self.model.B @ self.combined_gain)
 
     def self_check(self) -> None:
         if not (self.rho_F1 < 1.0):
@@ -229,18 +244,13 @@ def construct_adversarial_K2(
         case = "diagonal_2x2_embedded"
         det = float(np.linalg.det(lam * F2 + (1.0 - lam) * F1))
         used_beta = beta
-    K2 = Binv @ (A - F2)
-    combined = A - B @ (lam * K2 + (1.0 - lam) * K1)
     cert = AdversarialCertificate(
         model=model,
         K1=K1,
-        K2=K2,
+        K2=Binv @ (A - F2),
         lam=float(lam),
         beta=float(used_beta),
         F2=F2,
-        rho_F1=rho_F1,
-        rho_F2=spectral_radius(F2),
-        rho_combined=spectral_radius(combined),
         construction_case=case,
         det_combined=det,
     )

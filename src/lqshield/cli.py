@@ -66,6 +66,7 @@ from .plant import (
     write_trajectory_csv,
 )
 from .policies import (
+    _HASH_RANGE,
     auxiliary_optimal_policy,
     epsilon_consistent_blackbox,
     gain_policy,
@@ -240,6 +241,18 @@ class _CartpoleBench:
             return AdaptivePolicy(self.syn, policy, advice, self.alpha, "learned")
         return policy
 
+    def check_blowup(self, roster: list[str], blowup: float) -> None:
+        """Config error when the roster runs the hashed black box (a "good"
+        label at positive epsilon) and ``blowup`` lets a rollout reach
+        states beyond the hash's range; a rollout stops once ||x|| > blowup."""
+        hashed = self.epsilon > 0 and any(_ROSTER[label][0] == "good" for label in roster)
+        if hashed and not blowup <= _HASH_RANGE:
+            raise ConfigError(
+                f"[experiment] blowup = {blowup}: the hashed black box "
+                f"([cartpole] blackbox_epsilon = {self.epsilon}) quantizes states only "
+                f"up to |x_i| = {_HASH_RANGE:g}, so blowup must be at most {_HASH_RANGE:g}"
+            )
+
 
 # each roster label's policy: a black box ("advice" is the LQR itself,
 # "good" the epsilon-consistent rotation of the true-mass LQR, "bad" the
@@ -309,6 +322,7 @@ def cmd_sweep_theta(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     # effective config; the tasks of this process then reuse it
     global _bench
     _bench = _CartpoleBench(cfg)
+    _bench.check_blowup(roster, blowup)
     cfg.check_read()
     tasks = [
         (seed, ti, theta, label, monte_carlo, horizon, blowup, jitter)
@@ -358,6 +372,7 @@ def cmd_stability_trace(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
         raise ConfigError(f"[experiment] theta = {theta}: |theta| must be below blowup {blowup}")
     roster = _roster(cfg, ["lqr", "adaptive-destabilizing", "naive-destabilizing"])
     bench = _CartpoleBench(cfg)
+    bench.check_blowup(roster, blowup)
     cfg.check_read()
     x0 = np.array([0.0, 0.0, theta, 0.0])
     for label in roster:

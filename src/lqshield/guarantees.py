@@ -10,7 +10,7 @@ predicted bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -35,17 +35,15 @@ __all__ = [
 ]
 
 
-def _opnorm(M) -> float:
-    return float(np.linalg.norm(M, 2))
-
-
 @dataclass(frozen=True)
 class TheoremConstants:
     """System constants entering the stability and ratio guarantees.
 
     ``applicable`` is False when rho + C_ell (1 + ||K||) >= 1, where the
     geometric series behind C_b_sys diverges; C_b_sys is then infinite
-    and the derived constants are zeroed.
+    and the derived constants are zeroed.  The system quantities (C_F,
+    rho, sigma, kappa and the norms of H, B, K and P) are read from
+    ``syn``, the synthesis the constants were evaluated on.
     """
 
     C_ell: float
@@ -59,18 +57,44 @@ class TheoremConstants:
     eps_max_stability: float
     C_ell_max: float
     applicable: bool
-    # carried system quantities
-    C_F: float
-    rho: float
-    sigma: float
-    kappa: float
-    norm_H: float
-    norm_B: float
-    norm_K: float
-    norm_P: float
+    syn: Synthesis = field(repr=False, compare=False)
+
+    @property
+    def C_F(self) -> float:
+        return self.syn.C_F
+
+    @property
+    def rho(self) -> float:
+        return self.syn.rho
+
+    @property
+    def sigma(self) -> float:
+        return self.syn.sigma
+
+    @property
+    def kappa(self) -> float:
+        return self.syn.kappa
+
+    @property
+    def norm_H(self) -> float:
+        return self.syn._norms["H"]
+
+    @property
+    def norm_B(self) -> float:
+        return self.syn._norms["B"]
+
+    @property
+    def norm_K(self) -> float:
+        return self.syn._norms["K"]
+
+    @property
+    def norm_P(self) -> float:
+        return self.syn._norms["P"]
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        """The evaluated constants, then the system quantities, by name."""
+        names = [f.name for f in fields(self) if f.name != "syn"] + list(_SYSTEM_QUANTITIES)
+        return {k: getattr(self, k) for k in names}
 
     def violations(self) -> list[str]:
         """The guarantee's hypotheses these constants break, one message
@@ -85,54 +109,9 @@ class TheoremConstants:
         return found
 
 
-@dataclass(frozen=True)
-class _SystemNorms:
-    """The operator norms behind the guarantee constants that do not
-    depend on (C_ell, epsilon)."""
-
-    P: float
-    K: float
-    B: float
-    F: float
-    H: float
-    PB: float
-    PF: float
-    QKRK: float  # ||Q + K'RK||
-    BI: float  # ||B + I||, or ||B|| + 1 for a non-square B
-
-
-# the last synthesis whose norms were taken, and its norms: callers
-# evaluate the constants many times on one synthesis before the next, and
-# a Synthesis is not changed once built, so matching it by identity is enough
-_last_norms: tuple = (None, None)
-
-
-def _system_norms(syn: Synthesis) -> _SystemNorms:
-    global _last_norms
-    seen, norms = _last_norms
-    if seen is syn:
-        return norms
-    P, K, F, H = syn.P, syn.K, syn.F, syn.H
-    B = syn.model.B
-    Q, R = syn.model.Q, syn.model.R
-    nB = _opnorm(B)
-    if B.shape[0] == B.shape[1]:
-        nBI = _opnorm(B + np.eye(B.shape[0]))
-    else:
-        nBI = nB + 1.0
-    norms = _SystemNorms(
-        P=_opnorm(P),
-        K=_opnorm(K),
-        B=nB,
-        F=_opnorm(F),
-        H=_opnorm(H),
-        PB=_opnorm(P @ B),
-        PF=_opnorm(P @ F),
-        QKRK=_opnorm(Q + K.T @ R @ K),
-        BI=nBI,
-    )
-    _last_norms = (syn, norms)
-    return norms
+# the synthesis quantities TheoremConstants reads from its ``syn``, in
+# the order that as_dict lists them
+_SYSTEM_QUANTITIES = ("C_F", "rho", "sigma", "kappa", "norm_H", "norm_B", "norm_K", "norm_P")
 
 
 def theorem_constants(syn: Synthesis, C_ell: float, epsilon: float) -> TheoremConstants:
@@ -152,10 +131,10 @@ def theorem_constants(syn: Synthesis, C_ell: float, epsilon: float) -> TheoremCo
         raise ValueError(
             f"C_ell and epsilon must be finite and nonnegative, got {C_ell!r} and {epsilon!r}"
         )
-    norms = _system_norms(syn)
+    norms = syn._norms
     rho, C_F, sigma, kappa = syn.rho, syn.C_F, syn.sigma, syn.kappa
-    nP, nK, nB, nF, nH = norms.P, norms.K, norms.B, norms.F, norms.H
-    nPB, nPF, nQKRK, nBI = norms.PB, norms.PF, norms.QKRK, norms.BI
+    nP, nK, nB, nF, nH = norms["P"], norms["K"], norms["B"], norms["F"], norms["H"]
+    nPB, nPF, nQKRK, nBI = norms["PB"], norms["PF"], norms["QKRK"], norms["BI"]
     C_bar = C_ell * (1.0 + nK)
     gamma = rho + C_F * C_bar
     applicable = (rho + C_bar) < 1.0
@@ -189,14 +168,7 @@ def theorem_constants(syn: Synthesis, C_ell: float, epsilon: float) -> TheoremCo
         eps_max_stability=float(eps_max),
         C_ell_max=float(C_ell_max),
         applicable=applicable,
-        C_F=C_F,
-        rho=rho,
-        sigma=sigma,
-        kappa=kappa,
-        norm_H=nH,
-        norm_B=nB,
-        norm_K=nK,
-        norm_P=nP,
+        syn=syn,
     )
 
 
@@ -285,8 +257,8 @@ def opt_cost_time_only(syn: Synthesis, disturbances, x0) -> float:
     """Exact offline-optimal cost under known additive disturbances.
 
     Simulates the disturbance-aware optimal policy over the disturbance
-    support and adds the exact LQR tail value; the result is verified
-    against the independent closed form.  Raises ValueError, before any
+    support, with no blow-up bound, and adds the exact LQR tail value;
+    the result is verified against the independent closed form.  Raises ValueError, before any
     rollout, for a non-finite disturbance or ``x0`` entry.
     """
     w = [np.asarray(v, dtype=float) for v in disturbances]
@@ -296,7 +268,8 @@ def opt_cost_time_only(syn: Synthesis, disturbances, x0) -> float:
     T = len(w)
     policy = auxiliary_optimal_policy(syn, w)
     residual = disturbance_residual(w) if T else zero_residual(syn.n)
-    traj = simulate(syn.model, residual, policy, x0, max(T, 1))
+    # no blow-up bound: only a non-finite state stops the rollout early
+    traj = simulate(syn.model, residual, policy, x0, max(T, 1), blowup=math.inf)
     cost = total_cost_with_tail(traj, syn)
     closed = auxiliary_cost_closed_form(syn, w, x0)
     # written as `not ... <=` so that a NaN cost or closed form fails too

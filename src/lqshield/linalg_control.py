@@ -5,14 +5,16 @@ Riccati fixed point P, the feedback gain K, the closed loop F = A - BK,
 and the decay-envelope constants (C_F, rho, kappa, sigma) that the
 stability and competitive-ratio machinery consumes.
 
-All functions are pure; returned objects are frozen and safe to share
-across threads.
+All functions are pure.  Returned objects are frozen; a derived value
+is computed on its first read, always to the same value, so they are
+safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +35,10 @@ def _as_matrix(M, name: str) -> np.ndarray:
     if M.ndim != 2:
         raise ValueError(f"{name} must be a 2-d matrix, got shape {M.shape}")
     return M
+
+
+def _opnorm(M) -> float:
+    return float(np.linalg.norm(M, 2))
 
 
 def spectral_radius(M) -> float:
@@ -114,28 +120,42 @@ class LinearModel:
 class Synthesis:
     """LQR synthesis products for a :class:`LinearModel`.
 
-    Besides (P, K, F, H) this carries the constants used by the
-    guarantee computations:
+    Only the Riccati fixed point ``P`` and its iteration count are
+    stored; everything else derives from them and the model, each value
+    computed on its first read and kept:
 
-    - ``rho``: midpoint decay rate (1 + spectral radius of F) / 2,
+    - ``H`` = R + B'PB (symmetrized), ``K`` = H^-1 B'PA, ``F`` = A - BK,
+    - ``rho_F``: spectral radius of F, and ``rho``: the midpoint decay
+      rate (1 + rho_F) / 2,
     - ``C_F``: empirical envelope constant with ||F^t|| <= C_F rho^t
       for 0 <= t <= ``T_check`` = 500 (a finite-horizon lower bound of
       the true envelope constant; T_check is reported alongside),
     - ``kappa``: max{2, ||A||, ||B||},
-    - ``sigma``: smallest eigenvalue across Q and R.
+    - ``sigma``: smallest eigenvalue across Q and R,
+    - ``dare_residual``: :func:`dare_residual_norm` of P.
     """
 
     model: LinearModel
     P: np.ndarray
-    K: np.ndarray
-    F: np.ndarray
-    H: np.ndarray
-    C_F: float
-    rho_F: float
-    kappa: float
-    sigma: float
-    dare_residual: float
     iterations: int
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        B = self.model.B
+        H = self.model.R + B.T @ self.P @ B
+        return 0.5 * (H + H.T)
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return np.linalg.solve(self.H, self.model.B.T @ self.P @ self.model.A)
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return self.model.A - self.model.B @ self.K
+
+    @cached_property
+    def rho_F(self) -> float:
+        return spectral_radius(self.F)
 
     @property
     def rho(self) -> float:
@@ -144,6 +164,47 @@ class Synthesis:
     @property
     def T_check(self) -> int:
         return _T_CHECK
+
+    @cached_property
+    def C_F(self) -> float:
+        return _envelope_constant(self.F, self.rho, _T_CHECK)
+
+    @cached_property
+    def kappa(self) -> float:
+        return max(2.0, _opnorm(self.model.A), _opnorm(self.model.B))
+
+    @cached_property
+    def sigma(self) -> float:
+        Q, R = self.model.Q, self.model.R
+        return float(min(np.min(np.linalg.eigvalsh(Q)), np.min(np.linalg.eigvalsh(R))))
+
+    @cached_property
+    def dare_residual(self) -> float:
+        return dare_residual_norm(self.model, self.P)
+
+    @cached_property
+    def _norms(self) -> dict[str, float]:
+        """The operator norms behind the guarantee constants, keyed by
+        matrix: P, K, B, F, H, PB, PF, QKRK (Q + K'RK) and BI (B + I, or
+        ||B|| + 1 for a non-square B)."""
+        P, K, F, H = self.P, self.K, self.F, self.H
+        B, Q, R = self.model.B, self.model.Q, self.model.R
+        nB = _opnorm(B)
+        if B.shape[0] == B.shape[1]:
+            nBI = _opnorm(B + np.eye(B.shape[0]))
+        else:
+            nBI = nB + 1.0
+        return {
+            "P": _opnorm(P),
+            "K": _opnorm(K),
+            "B": nB,
+            "F": _opnorm(F),
+            "H": _opnorm(H),
+            "PB": _opnorm(P @ B),
+            "PF": _opnorm(P @ F),
+            "QKRK": _opnorm(Q + K.T @ R @ K),
+            "BI": nBI,
+        }
 
     @property
     def n(self) -> int:
@@ -253,47 +314,27 @@ def _envelope_constant(F: np.ndarray, rho: float, T_check: int) -> float:
 
 
 def synthesize(model: LinearModel, max_iter: int = _DARE_MAX_ITER) -> Synthesis:
-    """Full LQR synthesis: P, K, F, H plus the decay-envelope constants.
+    """Full LQR synthesis: the Riccati fixed point and what derives from it.
 
     P is the fixed point of :func:`solve_dare`, iterated at most
     ``max_iter`` times, and ``iterations`` its iteration count.  ``C_F``
     is the max of ||F^t||_2 / rho^t over 0 <= t <= 500 (``T_check``),
-    from :func:`_envelope_constant`.
+    from :func:`_envelope_constant`, computed when first read.
 
-    Raises :class:`NonStabilizable` if the Riccati iteration fails or if
-    the synthesized closed loop is not contracting.
+    Raises :class:`NonStabilizable` if the Riccati iteration fails, if
+    R + B'PB is not positive definite, if the synthesized closed loop is
+    not contracting, or if the DARE residual of P is above tolerance.
     """
     P, iterations = _dare_fixed_point(model, max_iter)
-    A, B, Q, R = model.A, model.B, model.Q, model.R
-    H = R + B.T @ P @ B
-    H = 0.5 * (H + H.T)
-    if np.min(np.linalg.eigvalsh(H)) <= 0:
+    syn = Synthesis(model=model, P=P, iterations=iterations)
+    if np.min(np.linalg.eigvalsh(syn.H)) <= 0:
         raise NonStabilizable("R + B'PB is not positive definite")
-    K = np.linalg.solve(H, B.T @ P @ A)
-    F = A - B @ K
-    rho_F = spectral_radius(F)
-    if rho_F >= 1.0:
+    if syn.rho_F >= 1.0:
         raise NonStabilizable(
-            f"synthesized closed loop has spectral radius {rho_F:.6f} >= 1"
+            f"synthesized closed loop has spectral radius {syn.rho_F:.6f} >= 1"
         )
-    C_F = _envelope_constant(F, 0.5 * (1.0 + rho_F), _T_CHECK)
-    kappa = max(2.0, np.linalg.norm(A, 2), np.linalg.norm(B, 2))
-    sigma = float(min(np.min(np.linalg.eigvalsh(Q)), np.min(np.linalg.eigvalsh(R))))
-    residual = dare_residual_norm(model, P)
-    if residual > 1e-9 * (1.0 + np.linalg.norm(P, 2)):
+    if syn.dare_residual > 1e-9 * (1.0 + np.linalg.norm(P, 2)):
         raise NonStabilizable(
-            f"DARE residual {residual:.3e} above tolerance; solution untrusted"
+            f"DARE residual {syn.dare_residual:.3e} above tolerance; solution untrusted"
         )
-    return Synthesis(
-        model=model,
-        P=P,
-        K=K,
-        F=F,
-        H=H,
-        C_F=C_F,
-        rho_F=float(rho_F),
-        kappa=float(kappa),
-        sigma=sigma,
-        dare_residual=residual,
-        iterations=iterations,
-    )
+    return syn

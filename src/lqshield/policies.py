@@ -109,6 +109,11 @@ def naive_convex_policy(black: Policy, advice: Policy, lambda_fixed: float) -> P
     return Policy(act=act)
 
 
+# a bound on |x_i| below which every state coordinate quantizes into
+# int64: 2**63 / 1e9 is about 9.22e9
+_HASH_RANGE = 9.2e9
+
+
 def _quantized(x: np.ndarray) -> bytes:
     """The state quantized to 1e-9, as little-endian int64 bytes.
 

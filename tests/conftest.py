@@ -1,7 +1,44 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
 import lqshield as lq
+
+# the platform that the exact output pins of test_output_bits.py were
+# recorded on; another OpenBLAS kernel may move their last digits
+PINNED_PLATFORM = "NumPy 2.4.6, OpenBLAS 0.3.31, kernel SkylakeX"
+
+
+def _openblas_info() -> tuple[str, str]:
+    """The version and the runtime kernel of the OpenBLAS bundled with
+    NumPy, each "unknown" where it cannot be read."""
+    package = os.path.dirname(np.__file__)
+    # wheels bundle it in numpy.libs (Linux, Windows) or numpy/.dylibs (macOS)
+    for libs in (package + ".libs", os.path.join(package, ".dylibs")):
+        for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+            try:
+                lib = ctypes.CDLL(path)
+                corename = lib.scipy_openblas_get_corename64_
+                config = lib.scipy_openblas_get_config64_
+            except (OSError, AttributeError):
+                continue
+            corename.argtypes = config.argtypes = []
+            corename.restype = config.restype = ctypes.c_char_p
+            words = config().decode().split()
+            version = words[1] if len(words) > 1 else "unknown"
+            return version, corename().decode()
+    return "unknown", "unknown"
+
+
+def pytest_report_header(config):
+    version, kernel = _openblas_info()
+    return [
+        f"NumPy {np.__version__}, OpenBLAS {version}, kernel {kernel}",
+        f"output pins recorded on: {PINNED_PLATFORM}",
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -160,3 +160,22 @@ class TestDemonstrateInstability:
     def test_summary_text_mentions_radii(self, cert2):
         text = cert2.summary_text()
         assert "rho(combined)" in text and "K2" in text
+
+
+def test_radii_are_the_spectral_radii_of_the_closed_loops():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        model = random_stabilizable(rng, n)
+        syn = lq.synthesize(model)
+        try:
+            cert = lq.construct_adversarial_K2(model, syn.K, float(rng.uniform(0.2, 0.8)))
+        except (NotApplicable, SingularB):
+            continue
+        A, B = model.A, model.B
+        assert cert.rho_F1 == lq.spectral_radius(A - B @ cert.K1)
+        assert cert.rho_F2 == lq.spectral_radius(cert.F2)
+        assert cert.rho_combined == lq.spectral_radius(A - B @ cert.combined_gain)
+        checked += 1
+    assert checked >= 10

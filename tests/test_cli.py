@@ -544,6 +544,16 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, polic
             "[grid]\nc_ell_fractions = 0.2\nepsilon_fractions = 0.3\nalphas = 0.01,\n"
             "[experiment]\nseeds = 1\n",
         ),
+        (
+            "sweep-theta",
+            "[sweep]\nthetas = 1.0\n[experiment]\nmonte_carlo = 1\nblowup = 1e12\n"
+            "policies = blackbox\n[cartpole]\nblackbox_epsilon = 0.5\n",
+        ),
+        (
+            "stability-trace",
+            "[experiment]\ntheta = 1.0\nblowup = 1e12\npolicies = naive\n"
+            "[cartpole]\nblackbox_epsilon = 0.5\n",
+        ),
     ],
     ids=[
         "verify-bounds-seeds",
@@ -607,6 +617,8 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, polic
         "verify-bounds-empty-epsilon_fraction",
         "verify-bounds-repeated-alpha",
         "verify-bounds-empty-alpha",
+        "sweep-theta-blowup-past-hash-range",
+        "stability-trace-blowup-past-hash-range",
     ],
 )
 def test_degenerate_count_is_config_error(tmp_path, capsys, command, config):
@@ -616,6 +628,23 @@ def test_degenerate_count_is_config_error(tmp_path, capsys, command, config):
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "epsilon, blowup", [("0.0", "1e12"), ("0.5", "9.2e9")], ids=["unhashed", "hash-range"]
+)
+def test_blowup_within_what_the_roster_can_hash(tmp_path, epsilon, blowup):
+    """A blowup past the hash's range is fine when no black box hashes a
+    state (epsilon = 0), and the range itself is allowed."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"[sweep]\nthetas = 1.0\n[experiment]\nmonte_carlo = 1\nhorizon = 5\n"
+        f"blowup = {blowup}\npolicies = blackbox,naive\n"
+        f"[cartpole]\nblackbox_epsilon = {epsilon}\n"
+    )
+    code, out = run(tmp_path, "sweep-theta", "--config", str(cfg))
+    assert code == EXIT_OK
+    assert len(read_rows(out / "rows.csv")) == 2
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,19 @@ class TestTheoremConstants:
         assert c.mu == pytest.approx(bench2_syn.C_F * 0.03 * c.norm_B, rel=1e-12)
         assert c.applicable
 
+    def test_reads_its_synthesis(self, bench2_syn):
+        """Two evaluations compare equal, and the synthesis they read is
+        neither compared nor printed."""
+        a = lq.theorem_constants(bench2_syn, 0.01, 0.02)
+        b = lq.theorem_constants(bench2_syn, 0.01, 0.02)
+        assert a == b and a.syn is bench2_syn
+        assert "syn" not in repr(a) and "C_ell=0.01" in repr(a)
+        other = lq.theorem_constants(bench2_syn, 0.01, 0.03)
+        assert a != other
+        assert list(a.as_dict())[-8:] == [
+            "C_F", "rho", "sigma", "kappa", "norm_H", "norm_B", "norm_K", "norm_P"
+        ]
+
     def test_zero_both_gives_zero_mu(self, bench2_syn):
         c = lq.theorem_constants(bench2_syn, 0.0, 0.0)
         assert c.mu == 0.0
@@ -153,6 +166,74 @@ class TestFitStabilityEnvelope:
         assert lq.fit_stability_envelope(_manual_trajectory([1.0, 0.9]), consts) is False
 
 
+def _random_cell(seed):
+    """A random system and one verify-bounds-style cell on it: C_ell at
+    half the admissible cap, epsilon at 0.9 of eps_max, the black box's
+    declared error eps_tilde = eps - C_a_sys C_ell, and a unit x0.
+
+    n is 2-4 and m is 1..n; A is Gaussian rescaled to a spectral radius
+    drawn from U(0.2, 0.8), B is Gaussian, and Q = I, R = I.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(1, n + 1))
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(0.2, 0.8) / lq.spectral_radius(A)
+    model = lq.LinearModel(A=A, B=rng.standard_normal((n, m)), Q=np.eye(n), R=np.eye(m))
+    syn = lq.synthesize(model)
+    C_ell = 0.5 * admissible_lipschitz_cap(syn)
+    eps = 0.9 * lq.theorem_constants(syn, C_ell, 0.0).eps_max_stability
+    consts = lq.theorem_constants(syn, C_ell, eps)
+    x0 = rng.standard_normal(n)
+    return syn, consts, max(eps - consts.C_a_sys * C_ell, 0.0), x0 / np.linalg.norm(x0)
+
+
+def _greedy_blackbox(syn, eps):
+    """The LQR action moved by eps ||x|| along B'(Ax + Bu), the direction
+    that pushes the next state outward."""
+    A, B, K = syn.model.A, syn.model.B, syn.K
+
+    def act(t, x):
+        u = -K @ x
+        d = B.T @ (A @ x + B @ u)
+        nd = np.linalg.norm(d)
+        return u if nd == 0.0 else u + eps * np.linalg.norm(x) * d / nd
+
+    return lq.Policy(act=act)
+
+
+def _envelope_holds(syn, consts, blackbox, x0, seed):
+    """fit_stability_envelope of the learned rule at alpha 0.01 over 150
+    steps of the plant with a lipschitz_residual at the cell's C_ell."""
+    residual = lq.lipschitz_residual(syn.n, syn.m, consts.C_ell, seed=seed)
+    policy = lq.AdaptivePolicy(syn, blackbox, lq.lqr_policy(syn), 0.01, "learned")
+    traj = lq.simulate(syn.model, residual, policy, x0, 150)
+    return lq.fit_stability_envelope(traj, consts)
+
+
+class TestStabilityTheoremOnRandomSystems:
+    """The stability envelope as a property of random systems, and a
+    negative control showing that the check can fail."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_envelope_holds_within_the_hypotheses(self, seed):
+        syn, consts, eps_tilde, x0 = _random_cell(seed)
+        assert consts.violations() == [] and consts.mu < consts.gamma
+        rotation = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn), eps_tilde, "rotation", seed)
+        assert _envelope_holds(syn, consts, rotation, x0, seed) is True
+        greedy = _greedy_blackbox(syn, eps_tilde)
+        assert _envelope_holds(syn, consts, greedy, x0, seed) is True
+
+    def test_envelope_fails_at_ten_times_the_declared_error(self):
+        failures = 0
+        for seed in range(40):
+            syn, consts, eps_tilde, x0 = _random_cell(seed)
+            greedy = _greedy_blackbox(syn, 10.0 * eps_tilde)
+            failures += _envelope_holds(syn, consts, greedy, x0, seed) is False
+        assert failures >= 1
+
+
 class TestOptCostTimeOnly:
     def test_zero_disturbance_is_value_function(self, bench2_syn):
         rng = np.random.default_rng(0)
@@ -188,6 +269,13 @@ class TestOptCostTimeOnly:
         rng = np.random.default_rng(3)
         w = [rng.standard_normal(2) for _ in range(20)]
         lq.opt_cost_time_only(bench2_syn, w, rng.standard_normal(2))
+
+    def test_rolls_out_past_the_simulate_blowup_bound(self, bench2_syn):
+        # the state passes simulate's default bound of 1e9 at the first step
+        w = [[1e10, 0.0], [1e10, 0.0]]
+        cost = lq.opt_cost_time_only(bench2_syn, w, [0.0, 0.0])
+        closed = lq.auxiliary_cost_closed_form(bench2_syn, w, [0.0, 0.0])
+        assert cost == pytest.approx(closed, rel=1e-8)
 
     @pytest.mark.parametrize(
         "w, x0",

@@ -6,7 +6,19 @@ from scipy.linalg import solve_discrete_are
 
 import lqshield as lq
 from lqshield.errors import NonStabilizable
-from lqshield.linalg_control import _envelope_constant, _eta_series, dare_residual_norm
+import lqshield.linalg_control as linalg_control
+from lqshield.environments import (
+    CartPoleParams,
+    ChargingConfig,
+    cartpole_linearization,
+    ev_environment,
+)
+from lqshield.linalg_control import (
+    _dare_fixed_point,
+    _envelope_constant,
+    _eta_series,
+    dare_residual_norm,
+)
 
 from conftest import random_stabilizable
 
@@ -147,6 +159,119 @@ def _per_power_envelope(syn, T_check):
         if ratio > C_F:
             C_F, peak = ratio, t
     return float(C_F), peak
+
+
+def _eager_synthesis(model):
+    """Every synthesis value computed right after the Riccati loop, in
+    the order of the eager body that ``synthesize`` had before its
+    record derived them; the derived values must equal these bit for
+    bit."""
+    P, iterations = _dare_fixed_point(model, 20_000)
+    A, B, Q, R = model.A, model.B, model.Q, model.R
+    H = R + B.T @ P @ B
+    H = 0.5 * (H + H.T)
+    K = np.linalg.solve(H, B.T @ P @ A)
+    F = A - B @ K
+    rho_F = lq.spectral_radius(F)
+    C_F = _envelope_constant(F, 0.5 * (1.0 + rho_F), 500)
+    kappa = max(2.0, np.linalg.norm(A, 2), np.linalg.norm(B, 2))
+    sigma = float(min(np.min(np.linalg.eigvalsh(Q)), np.min(np.linalg.eigvalsh(R))))
+    residual = dare_residual_norm(model, P)
+    return {
+        "P": P,
+        "K": K,
+        "F": F,
+        "H": H,
+        "C_F": C_F,
+        "rho_F": float(rho_F),
+        "rho": 0.5 * (1.0 + float(rho_F)),
+        "kappa": float(kappa),
+        "sigma": sigma,
+        "dare_residual": residual,
+        "iterations": iterations,
+    }
+
+
+def _assert_same_bits(syn, expected):
+    for name, want in expected.items():
+        got = getattr(syn, name)
+        assert type(got) is type(want), name
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+
+
+# the systems the shipped ``dare`` runs synthesize: the default [system],
+# adversarial.cfg's, the cart-pole model and the EV fleet
+SHIPPED_SYSTEMS = {
+    "default": lq.LinearModel(
+        A=[[0.55, 0.25], [0.0, 0.45]], B=np.eye(2), Q=np.eye(2), R=np.eye(2)
+    ),
+    "adversarial-cfg": lq.LinearModel(
+        A=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.2, 0.1, 0.3]],
+        B=np.eye(3),
+        Q=np.eye(3),
+        R=np.eye(3),
+    ),
+    "cartpole": cartpole_linearization(CartPoleParams()),
+    "ev": ev_environment(ChargingConfig(), []).model,
+}
+
+
+class TestDerivedSynthesis:
+    """A Synthesis stores P and its iteration count; the rest derives."""
+
+    @pytest.mark.parametrize("name", list(SHIPPED_SYSTEMS))
+    def test_shipped_systems_match_eager_synthesis(self, name):
+        model = SHIPPED_SYSTEMS[name]
+        _assert_same_bits(lq.synthesize(model), _eager_synthesis(model))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_random_systems_match_eager_synthesis(self, seed, c_f_first):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        model = random_stabilizable(rng, n, int(rng.integers(1, n + 1)))
+        try:
+            expected = _eager_synthesis(model)
+            syn = lq.synthesize(model)
+        except NonStabilizable:
+            return
+        if c_f_first:
+            # a derived value does not depend on what was read before it
+            assert syn.C_F == expected["C_F"]
+        _assert_same_bits(syn, expected)
+
+    def test_envelope_constant_computed_on_first_read(self, bench2_model, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _envelope_constant(*args)
+
+        monkeypatch.setattr(linalg_control, "_envelope_constant", counted)
+        syn = lq.synthesize(bench2_model)
+        assert calls == []
+        assert syn.C_F == syn.C_F
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "A, P, message",
+        [
+            (0.5 * np.eye(2), -10.0 * np.eye(2), "R \\+ B'PB is not positive definite"),
+            (1.5 * np.eye(2), np.zeros((2, 2)), "spectral radius 1.500000 >= 1"),
+            (0.5 * np.eye(2), np.eye(2), "DARE residual .* above tolerance"),
+        ],
+        ids=["H-indefinite", "not-contracting", "residual"],
+    )
+    def test_checks_on_the_fixed_point(self, monkeypatch, A, P, message):
+        """synthesize checks H, then rho_F, then the DARE residual of the
+        fixed point it is handed."""
+        model = lq.LinearModel(A=A, B=np.eye(2), Q=np.eye(2), R=np.eye(2))
+        monkeypatch.setattr(linalg_control, "_dare_fixed_point", lambda model, it: (P, 1))
+        with pytest.raises(NonStabilizable, match=message):
+            lq.synthesize(model)
 
 
 class TestSpectralRadius:

@@ -13,6 +13,12 @@ plant step and the confidence trace rows.  A speed-up or a rewrite of any
 of these must keep every output bit; one changed bit in a state can flip
 a hashed direction on the grid.  If an output is meant to change,
 re-record these texts and name the change.
+
+The pins were recorded with NumPy 2.4.6 and its bundled OpenBLAS 0.3.31
+running the SkylakeX kernel.  The bits of the tiny matrix products
+depend on the kernel that OpenBLAS picks at start-up (another one, such
+as Haswell, moves the last digits of some outputs), so the test header
+names the kernel that ran.
 """
 
 import hashlib

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import NotRun
 from .linalg_control import Synthesis, _eta_series, _hindsight_weight
+from .plant import _vector
 from .policies import Policy
 
 __all__ = [
@@ -131,6 +132,7 @@ class AdaptivePolicy:
         self.blackbox = blackbox
         self.advice = advice
         self.alpha = float(alpha)
+        self._m = syn.m
         if callable(lambda_source):
             self._external = lambda_source
         elif lambda_source == "learned":
@@ -168,13 +170,11 @@ class AdaptivePolicy:
             return 0.0
         return self._num / self._den
 
-    def act(self, t: int, x) -> np.ndarray:
+    def act(self, t: int, x: np.ndarray) -> np.ndarray:
         if t != len(self._lambdas):
             raise ValueError(
                 f"adaptive policy must be stepped in order; expected t={len(self._lambdas)}, got {t}"
             )
-        if type(x) is not np.ndarray or x.dtype != np.float64 or x.ndim != 1:
-            x = np.asarray(x, dtype=float).reshape(-1)
         learned = self._external is None
         raw = float("nan")
         zero_state = math.sqrt(x.dot(x)) <= 0.0  # == np.linalg.norm(x)
@@ -210,14 +210,10 @@ class AdaptivePolicy:
         self._branches.append(branch)
         if self._t0 is None and (lam == 0.0 or zero_state):
             self._t0 = t
-        u_bar = self.advice.act(t, x)
-        if type(u_bar) is not np.ndarray or u_bar.dtype != np.float64 or u_bar.ndim != 1:
-            u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
+        u_bar = _vector(self.advice.act(t, x), self._m, "advice")
         if lam == 0.0:
             return u_bar
-        u_hat = self.blackbox.act(t, x)
-        if type(u_hat) is not np.ndarray or u_hat.dtype != np.float64 or u_hat.ndim != 1:
-            u_hat = np.asarray(u_hat, dtype=float).reshape(-1)
+        u_hat = _vector(self.blackbox.act(t, x), self._m, "black box")
         u = lam * u_hat + (1.0 - lam) * u_bar
         if learned:
             self._prev_pred = self._A.dot(x) + self._B.dot(u)

@@ -18,8 +18,8 @@ Two construction cases, depending on the closed loop F1 = A - B K1:
   scaled so the blended block has an eigenvalue beyond 1.
 
 A diagonal F1 that is a multiple of the identity admits neither case
-and raises :class:`NotApplicable`, as does an F1 none of whose
-off-diagonal entries can size the extra entry.
+and raises :class:`NotApplicable`, as do an F1 none of whose
+off-diagonal entries can size the extra entry and a one-state plant.
 """
 
 from __future__ import annotations
@@ -198,9 +198,9 @@ def construct_adversarial_K2(
 ) -> AdversarialCertificate:
     """Build the destabilizing partner gain for (K1, lambda).
 
-    Requires a square invertible B with n > 1, lambda and beta in (0, 1),
-    and a stabilizing K1 with A - B K1 != 0.  Raises
-    :class:`NotApplicable` when A - B K1 is a multiple of the identity, or
+    Requires a square invertible B, lambda and beta in (0, 1), and a
+    stabilizing K1 with A - B K1 != 0.  Raises :class:`NotApplicable` for
+    state dimension n < 2, when A - B K1 is a multiple of the identity, or
     when none of its off-diagonal entries can size the extra entry.
     """
     A, B = model.A, model.B
@@ -208,7 +208,7 @@ def construct_adversarial_K2(
     if B.shape[0] != B.shape[1]:
         raise SingularB(f"B must be square, got {B.shape}")
     if n < 2:
-        raise ValueError("the construction needs state dimension n > 1")
+        raise NotApplicable("the construction needs state dimension n > 1")
     if not (0.0 < lam < 1.0):
         raise ValueError("lambda must lie strictly inside (0, 1)")
     if not (0.0 < beta < 1.0):

@@ -83,9 +83,11 @@ EXIT_PRECONDITION = 3
 class RunConfig:
     """Layered key=value configuration with effective-value logging.
 
-    Values come from an INI-style file (section headers, flat keys);
-    every lookup records the value actually used so the run directory
-    carries a complete, re-runnable configuration.
+    Values come from an INI-style file (section headers, flat keys).
+    Every lookup records the value actually used, defaults included;
+    ``echo`` writes those, the command, seed and jobs to
+    ``effective_config.txt`` as ``section.key = value`` lines, a record
+    of the run that ``--config`` does not read back.
     """
 
     def __init__(self, path=None):
@@ -220,6 +222,10 @@ class _CartpoleBench:
         self.syn = synthesize(self.model)
         self.residual = cartpole_residual(self.params, self.params)
         self.syn_true = synthesize(true_model)
+        # the roster's stateless policies, shared by every build
+        self.advice = lqr_policy(self.syn)
+        self.destabilizing = gain_policy(-self.syn.K)
+        self.true_lqr = lqr_policy(self.syn_true)
         self.epsilon = cfg.get(
             "cartpole", "blackbox_epsilon", 0.0, least=0.0, below=math.inf
         )
@@ -227,18 +233,15 @@ class _CartpoleBench:
         self.alpha = cfg.get("cartpole", "alpha", 0.01, above=0.0)
 
     def build(self, label: str, seed: int):
-        advice = lqr_policy(self.syn)
         source, blend = _ROSTER[label]
         if source == "good":
-            policy = epsilon_consistent_blackbox(
-                lqr_policy(self.syn_true), self.epsilon, "rotation", seed
-            )
+            policy = epsilon_consistent_blackbox(self.true_lqr, self.epsilon, "rotation", seed)
         else:
-            policy = gain_policy(-self.syn.K) if source == "bad" else advice
+            policy = self.destabilizing if source == "bad" else self.advice
         if blend == "naive":
-            return naive_convex_policy(policy, advice, self.naive_lambda)
+            return naive_convex_policy(policy, self.advice, self.naive_lambda)
         if blend == "adaptive":
-            return AdaptivePolicy(self.syn, policy, advice, self.alpha, "learned")
+            return AdaptivePolicy(self.syn, policy, self.advice, self.alpha, "learned")
         return policy
 
     def check_blowup(self, roster: list[str], blowup: float) -> None:
@@ -457,16 +460,16 @@ def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     training = [generate_sessions(seed + k, "pre_covid", n, T) for k in range(training_days)]
     f_hat = fit_demand_schedule(training, T, n)
     syn = synthesize(ev_environment(config, []).model)
-    # one schedule black box serves every day: f_hat is fixed and it is stateless
-    schedule = parameterized_blackbox(syn, f_hat)
-    rows = []
+    # one black box and one advice serve every day: f_hat is fixed and both are stateless
+    blackbox = line_limited(parameterized_blackbox(syn, f_hat), gamma)
+    advice = line_limited(lqr_policy(syn), gamma)
+    rows, summary = [], []
     for profile in ("pre_covid", "post_covid"):
+        vals = {"blackbox": [], "adaptive": [], "lqr": []}  # rewards in seed order
         for s in range(n_seeds):
             day_seed = seed + 1000 + s
             sessions = generate_sessions(day_seed, profile, n, T)
             env = ev_environment(config, sessions)
-            blackbox = line_limited(schedule, gamma)
-            advice = line_limited(lqr_policy(syn), gamma)
             for label, policy in (
                 ("blackbox", blackbox),
                 ("adaptive", AdaptivePolicy(syn, blackbox, advice, alpha, "learned")),
@@ -475,28 +478,16 @@ def cmd_ev_compare(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
                 traj = simulate(env.model, env.residual, policy, np.zeros(n), T)
                 reward = float(np.sum(env.rewards_for_trajectory(traj)))
                 rows.append((profile, s, label, reward))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    write_csv(out / "rows.csv", ["profile", "seed", "policy", "total_reward"], rows)
-    summary = []
-    for profile in ("pre_covid", "post_covid"):
-        vals = {
-            label: [r[3] for r in rows if r[0] == profile and r[2] == label]
-            for label in ("blackbox", "adaptive", "lqr")
-        }
+                vals[label].append(reward)
         wins = sum(1 for a, b in zip(vals["adaptive"], vals["blackbox"]) if a >= b)
         mean_bb = float(np.mean(vals["blackbox"]))
         mean_ad = float(np.mean(vals["adaptive"]))
+        close = abs(mean_ad - mean_bb) <= 0.05 * abs(mean_bb)
         summary.append(
-            (
-                profile,
-                mean_bb,
-                mean_ad,
-                float(np.mean(vals["lqr"])),
-                wins,
-                n_seeds,
-                abs(mean_ad - mean_bb) <= 0.05 * abs(mean_bb),
-            )
+            (profile, mean_bb, mean_ad, float(np.mean(vals["lqr"])), wins, n_seeds, close)
         )
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    write_csv(out / "rows.csv", ["profile", "seed", "policy", "total_reward"], rows)
     write_csv(
         out / "summary.csv",
         ["profile", "mean_blackbox", "mean_adaptive", "mean_lqr", "adaptive_wins", "seeds", "within_5pct"],
@@ -517,6 +508,7 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     cfg.check_read()
     ell_cap = admissible_lipschitz_cap(syn)
     n = model.n
+    lqr = lqr_policy(syn)
     # every input that depends only on the seed is drawn once, not per cell
     env_x0, ratio_runs = [], []
     for s in range(n_seeds):
@@ -532,6 +524,7 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
     for ell_frac in ell_fracs:
         C_ell = ell_frac * ell_cap * 0.999
         probe = theorem_constants(syn, C_ell, 0.0)
+        resids = [lipschitz_residual(n, model.m, C_ell, seed=seed + s) for s in range(n_seeds)]
         for eps_frac in eps_fracs:
             eps = eps_frac * probe.eps_max_stability * 0.999
             consts = theorem_constants(syn, C_ell, eps)
@@ -545,12 +538,9 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
                     continue
                 eps_tilde = max(eps - consts.C_a_sys * C_ell, 0.0)
                 env_pass = 0
-                for s, x0 in enumerate(env_x0):
-                    resid = lipschitz_residual(n, model.m, C_ell, seed=seed + s)
-                    bb = epsilon_consistent_blackbox(
-                        lqr_policy(syn), eps_tilde, "rotation", seed + s
-                    )
-                    pol = AdaptivePolicy(syn, bb, lqr_policy(syn), alpha, "learned")
+                for s, (x0, resid) in enumerate(zip(env_x0, resids)):
+                    bb = epsilon_consistent_blackbox(lqr, eps_tilde, "rotation", seed + s)
+                    pol = AdaptivePolicy(syn, bb, lqr, alpha, "learned")
                     traj = simulate(model, resid, pol, x0, horizon)
                     env_pass += bool(fit_stability_envelope(traj, consts))
                 # ratio benchmark: disturbance-only plant with exact reference
@@ -558,9 +548,7 @@ def cmd_verify_bounds(cfg: RunConfig, out: Path, seed: int, jobs: int) -> int:
                 for s, (w, x0, optimal, resid) in enumerate(ratio_runs):
                     opt = opt_cost_time_only(syn, w, x0)
                     bb = epsilon_consistent_blackbox(optimal, eps, "rotation", seed + s)
-                    pol = AdaptivePolicy(
-                        syn, bb, lqr_policy(syn), 1e-6, lambda_source=lambda t: 1.0
-                    )
+                    pol = AdaptivePolicy(syn, bb, lqr, 1e-6, lambda_source=lambda t: 1.0)
                     traj = simulate(model, resid, pol, x0, disturbance_T + 200)
                     ratios.append(competitive_ratio(traj, opt, syn=syn))
                 cr_mean = float(np.mean(ratios))

@@ -136,10 +136,8 @@ def cartpole_residual(
     true_step_batch = _euler_stepper(params_true, np.sin, np.cos)
 
     def f(t, x, u):
-        x = np.asarray(x, dtype=float).reshape(4)
-        uv = np.asarray(u, dtype=float).reshape(-1)
-        true_next = true_step(*x.tolist(), float(uv[0]))
-        return np.array(true_next) - (A.dot(x) + B.dot(uv))
+        true_next = true_step(*x.tolist(), float(u[0]))
+        return np.array(true_next) - (A.dot(x) + B.dot(u))
 
     def f_batch(t, X, U):
         true_next = np.empty_like(X)

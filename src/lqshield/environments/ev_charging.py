@@ -128,7 +128,8 @@ def load_prices_csv(path) -> np.ndarray:
 
 @dataclass
 class EvEnvironment:
-    """Linear model + residual + reward for one day of sessions."""
+    """Linear model + residual + reward (of float64 1-d x and u) for one
+    day of sessions."""
 
     model: LinearModel
     residual: ResidualModel
@@ -196,8 +197,7 @@ def ev_environment(
     no_events: dict = {}
 
     def residual_eval(t, x, u):
-        u = np.asarray(u, dtype=float).reshape(n)
-        xs = np.asarray(x, dtype=float).reshape(n).tolist()
+        xs = x.tolist()
         us = u.tolist()
         arr = arrivals.get(t, no_events)
         dep = departures.get(t, no_events)
@@ -226,8 +226,6 @@ def ev_environment(
     horizon = len(prices)
 
     def reward(t, x, u) -> float:
-        x = np.asarray(x, dtype=float).reshape(n)
-        u = np.asarray(u, dtype=float).reshape(n)
         p_t = prices[t] if t < horizon else prices[-1]
         # math.sqrt(v.dot(v)) is the value np.linalg.norm(v) returns
         r = (

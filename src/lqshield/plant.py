@@ -30,9 +30,24 @@ __all__ = [
 ]
 
 
+def _vector(v, size: Optional[int], what: str) -> np.ndarray:
+    """``v``, a vector that a caller's policy or residual returned, as a
+    float64 1-d array; ValueError naming ``what`` unless it has ``size``
+    entries (any number when ``size`` is None)."""
+    if type(v) is not np.ndarray or v.dtype != np.float64 or v.ndim != 1:
+        v = np.asarray(v, dtype=float).reshape(-1)
+    if size is not None and v.shape[0] != size:
+        raise ValueError(f"{what} returned dimension {v.shape[0]}, expected {size}")
+    return v
+
+
 @dataclass(frozen=True)
 class ResidualModel:
     """The unknown nonlinearity, evaluated as f(t, x, u) -> state vector.
+
+    ``eval`` gets x and u as float64 1-d arrays of sizes n and m, as
+    :func:`simulate` passes them; it may return any array-like of n
+    entries, which its readers coerce and size-check.
 
     Its Lipschitz bound C_ell is a hypothesis of the guarantees, passed to
     them explicitly; :func:`estimate_lipschitz` measures a residual's
@@ -51,9 +66,8 @@ class ResidualModel:
         """f(t, X[k], U[k]) for every row k, as an [N, n] array."""
         if self.eval_batch is not None:
             return self.eval_batch(t, X, U)
-        return np.array(
-            [np.asarray(self.eval(t, x, u), dtype=float).reshape(-1) for x, u in zip(X, U)]
-        )
+        n = X.shape[1]
+        return np.array([_vector(self.eval(t, x, u), n, "residual") for x, u in zip(X, U)])
 
 
 def zero_residual(n: int) -> ResidualModel:
@@ -104,7 +118,7 @@ def lipschitz_residual(
     J /= np.linalg.norm(J, 2)
 
     def f(t, x, u):
-        z = np.concatenate([np.asarray(x, float), np.asarray(u, float)])
+        z = np.concatenate([x, u])
         return constant * (G @ np.tanh(J @ z))
 
     def f_batch(t, X, U):
@@ -161,7 +175,8 @@ def simulate(
     queried exactly once per step in time order.  If some ||x_t||
     exceeds ``blowup`` (or goes non-finite) the rollout stops and the
     partial trajectory is returned with ``diverged`` set.  A non-finite
-    ``x0`` raises ValueError.
+    ``x0`` raises ValueError, as does a policy action without m entries
+    or a residual without n.
 
     Each step evaluates x_{t+1} = A x_t + B u_t + f_t and the stage cost
     x_t'Q x_t + u_t'R u_t with the operations of the replay check in
@@ -191,14 +206,8 @@ def simulate(
     steps = T
     diverged = False
     for t in range(T):
-        u = act(t, x)
-        if type(u) is not np.ndarray or u.dtype != np.float64 or u.ndim != 1:
-            u = np.asarray(u, dtype=float).reshape(-1)
-        if u.shape[0] != m:
-            raise ValueError(f"policy returned dimension {u.shape[0]}, expected {m}")
-        f = f_eval(t, x, u)
-        if type(f) is not np.ndarray or f.dtype != np.float64 or f.ndim != 1:
-            f = np.asarray(f, dtype=float).reshape(-1)
+        u = _vector(act(t, x), m, "policy")
+        f = _vector(f_eval(t, x, u), n, "residual")
         x_next = A.dot(x) + B.dot(u) + f
         actions[t] = u
         residuals[t] = f

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg_control import Synthesis, _eta_series
+from .plant import _vector
 
 __all__ = [
     "Policy",
@@ -42,6 +43,10 @@ __all__ = [
 
 @dataclass
 class Policy:
+    """``act(t, x) -> u`` gets x as a float64 1-d array of the state size,
+    as :func:`~lqshield.plant.simulate` passes it; it may return any
+    array-like of the action size, which its readers coerce and size-check."""
+
     act: Callable[[int, np.ndarray], np.ndarray]
 
 
@@ -102,9 +107,9 @@ def naive_convex_policy(black: Policy, advice: Policy, lambda_fixed: float) -> P
     lam = float(lambda_fixed)
 
     def act(t, x):
-        return lam * np.asarray(black.act(t, x), float) + (1.0 - lam) * np.asarray(
-            advice.act(t, x), float
-        )
+        u_hat = black.act(t, x)
+        u_bar = _vector(advice.act(t, x), None, "advice")
+        return lam * _vector(u_hat, u_bar.shape[0], "black box") + (1.0 - lam) * u_bar
 
     return Policy(act=act)
 
@@ -186,8 +191,7 @@ def epsilon_consistent_blackbox(
 
     def act(t, x):
         nonlocal last
-        x = np.asarray(x, dtype=float)
-        base = np.asarray(optimal.act(t, x), dtype=float)
+        base = _vector(optimal.act(t, x), None, "reference")
         nx = math.sqrt(x.dot(x))  # == np.linalg.norm(x)
         if nx == 0.0:
             return base
@@ -230,11 +234,13 @@ def measure_epsilon(
     rng = np.random.default_rng(rng_seed)
     worst = 0.0
     for _ in range(samples):
-        x = np.asarray(sampler(rng), dtype=float)
+        x = _vector(sampler(rng), None, "sampler")
         nx = np.linalg.norm(x)
         if nx < 1e-12:
             continue
-        diff = np.asarray(blackbox.act(0, x), float) - np.asarray(optimal.act(0, x), float)
+        u_hat = blackbox.act(0, x)
+        u_ref = _vector(optimal.act(0, x), None, "reference")
+        diff = _vector(u_hat, u_ref.shape[0], "black box") - u_ref
         ratio = np.linalg.norm(diff) / nx
         if ratio > worst:
             worst = float(ratio)

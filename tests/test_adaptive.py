@@ -289,6 +289,15 @@ class TestAdaptivePolicyBranches:
         assert (state2.lambdas, state2.branches) == (state.lambdas, state.branches)
         assert np.array_equal(state2.lambda_prime_raw, state.lambda_prime_raw, equal_nan=True)
 
+    def test_rejects_blackbox_of_wrong_size(self):
+        # a one-entry black box would otherwise broadcast onto both inputs
+        model = lq.LinearModel(A=0.5 * np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2))
+        syn = lq.synthesize(model)
+        bb = lq.Policy(act=lambda t, x: np.array([0.3]))
+        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 0.01)
+        with pytest.raises(ValueError, match="black box returned dimension 1, expected 2"):
+            pol.act(0, np.zeros(2))
+
     def test_requires_time_order(self, syn3):
         pol = lq.AdaptivePolicy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: 1.0)
         pol.act(0, np.ones(3))

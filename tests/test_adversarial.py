@@ -129,7 +129,7 @@ class TestPreconditions:
 
     def test_rejects_scalar_dimension(self):
         model = lq.LinearModel(A=[[0.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(lq.NotApplicable, match="n > 1"):
             lq.construct_adversarial_K2(model, [[-0.5]], 0.5)
 
 

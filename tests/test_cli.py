@@ -72,6 +72,15 @@ def test_adversarial_not_applicable_exit_code(tmp_path):
     assert code == EXIT_PRECONDITION
 
 
+def test_adversarial_one_state_exit_code(tmp_path):
+    # the construction needs n > 1: a scalar plant is outside its hypotheses
+    cfg = tmp_path / "scalar.cfg"
+    cfg.write_text("[system]\nA = 0.5\nB = 1\n")
+    code, out = run(tmp_path, "adversarial", "--config", str(cfg))
+    assert code == EXIT_PRECONDITION
+    assert not (out / "certificate.txt").exists()
+
+
 def test_adversarial_default_system(tmp_path):
     code, out = run(tmp_path, "adversarial", "--seed", "3")
     assert code == EXIT_OK
@@ -304,6 +313,41 @@ def test_sweep_synthesizes_once_per_process(tmp_path, monkeypatch):
     assert len(read_rows(out / "rows.csv")) == 3 * 3 * 2
     # the crude and the true-mass models, each synthesized once
     assert len(calls) == 2
+
+
+def test_verify_bounds_builds_stateless_inputs_once(tmp_path, monkeypatch):
+    builds = {"lqr_policy": 0, "lipschitz_residual": 0}
+    for name in builds:
+        real = getattr(cli, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            builds[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "[grid]\nc_ell_fractions = 0.1,0.5\nepsilon_fractions = 0.1,0.5\n"
+        "[experiment]\nseeds = 2\nhorizon = 20\ndisturbance_steps = 5\n"
+    )
+    code, out = run(tmp_path, "verify-bounds", "--config", str(cfg))
+    assert code == EXIT_OK
+    assert [r["status"] for r in read_rows(out / "grid.csv")] == ["ok"] * 4
+    # one advice per run, one residual per (C_ell, seed)
+    assert builds == {"lqr_policy": 1, "lipschitz_residual": 2 * 2}
+
+
+def test_ev_compare_builds_policies_once(tmp_path, monkeypatch):
+    built = []
+    real = cli.line_limited
+    monkeypatch.setattr(cli, "line_limited", lambda *a: built.append(a) or real(*a))
+    cfg = tmp_path / "ev.cfg"
+    cfg.write_text("[experiment]\nseeds = 2\ntraining_days = 1\n")
+    code, out = run(tmp_path, "ev-compare", "--config", str(cfg))
+    assert code == EXIT_OK
+    assert len(read_rows(out / "rows.csv")) == 2 * 2 * 3
+    # the line-limited black box and advice
+    assert len(built) == 2
 
 
 def test_dare_sizes_default_costs_from_system(tmp_path):

@@ -81,6 +81,17 @@ def test_non_finite_start_is_rejected(x0):
         lq.simulate(model, lq.zero_residual(2), still, x0, 5)
 
 
+def test_residual_of_wrong_size_is_rejected():
+    # a one-entry residual would otherwise broadcast onto every coordinate
+    model = lq.LinearModel(A=0.5 * np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2))
+    resid = lq.ResidualModel(eval=lambda t, x, u: [1.0])
+    still = lq.Policy(act=lambda t, x: np.zeros(2))
+    with pytest.raises(ValueError, match="residual returned dimension 1, expected 2"):
+        lq.simulate(model, resid, still, np.zeros(2), 3)
+    with pytest.raises(ValueError, match="residual returned dimension 1, expected 2"):
+        resid.batch(0, np.zeros((3, 2)), np.zeros((3, 2)))
+
+
 def test_divergence_flag():
     model = lq.LinearModel(A=[[2.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
     zero_policy = lq.Policy(act=lambda t, x: np.zeros(1))

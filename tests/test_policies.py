@@ -157,12 +157,41 @@ class TestNaiveConvex:
             mixed = lq.naive_convex_policy(black, advice, lam).act(0, x)
             assert np.allclose(mixed, lam * u1 + (1 - lam) * u0, atol=0)
 
+    def test_rejects_actions_of_different_sizes(self):
+        black = lq.Policy(act=lambda t, x: np.array([0.3]))
+        advice = lq.gain_policy(np.eye(2))
+        mix = lq.naive_convex_policy(black, advice, 0.5)
+        with pytest.raises(ValueError, match="black box returned dimension 1, expected 2"):
+            mix.act(0, np.array([1.0, 0.0]))
+
     def test_rejects_bad_lambda(self, syn3):
         with pytest.raises(ValueError):
             lq.naive_convex_policy(lq.lqr_policy(syn3), lq.lqr_policy(syn3), 1.5)
 
 
 class TestEpsilonConsistent:
+    def test_column_reference_acts_as_its_flat_copy(self):
+        K = np.array([[0.2, 0.1], [0.0, 0.3]])
+        flat = lq.gain_policy(K)
+        column = lq.Policy(act=lambda t, x: flat.act(t, x).reshape(-1, 1))
+        x = np.array([0.4, -0.7])
+        want = lq.epsilon_consistent_blackbox(flat, 0.3, "rotation", 5).act(0, x)
+        got = lq.epsilon_consistent_blackbox(column, 0.3, "rotation", 5).act(0, x)
+        assert got.shape == (2,)
+        assert np.array_equal(got, want)
+        model = lq.LinearModel(A=0.5 * np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2))
+        trajs = [
+            lq.simulate(
+                model,
+                lq.zero_residual(2),
+                lq.epsilon_consistent_blackbox(ref, 0.3, "rotation", 5),
+                x,
+                10,
+            )
+            for ref in (flat, column)
+        ]
+        assert trajs[0].states.tobytes() == trajs[1].states.tobytes()
+
     def test_zero_epsilon_is_identity(self, syn3):
         base = lq.lqr_policy(syn3)
         bb = lq.epsilon_consistent_blackbox(base, 0.0, "rotation", 0)

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _DENOM_FLOOR = 1e-12
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,9 @@ class AdaptivePolicy:
     first update is held until two steps have been seen.  The policy
     keeps only the running sums and the previous step's terms; the
     unclamped coefficient of step t is ``trace().lambda_prime_raw[t]``.
-    One instance drives one simulation.
+    A step changes the policy only once the advice and the black box
+    have returned, so a step whose query raised can be retried at the
+    same t.  One instance drives one simulation.
     """
 
     def __init__(
@@ -155,45 +158,52 @@ class AdaptivePolicy:
         self._prev_v: Optional[np.ndarray] = None
         self._prev_b: Optional[np.ndarray] = None
 
-    def _learned_raw(self, t: int, x: np.ndarray) -> Optional[float]:
-        """Advance the incremental sums with the newly observed x_t and
-        return the current coefficient (None while history is too short)."""
+    def _learned_raw(self, t: int, x: np.ndarray) -> tuple[Optional[float], tuple]:
+        """The current coefficient (None while history is too short) and
+        the incremental sums (c, num, den) advanced with the newly observed
+        x_t, which the caller stores once the step has returned."""
         r_prev = self._prev_pred - x
         # the numerator sums from s = 1, the denominator from s = 0
-        self._c = self._F.dot(self._c) + (self._prev_b if t >= 2 else 0.0)
-        self._num += float(r_prev.dot(self._P.dot(self._c)))
+        c = self._F.dot(self._c) + (self._prev_b if t >= 2 else 0.0)
+        num = self._num + float(r_prev.dot(self._P.dot(c)))
         v = self._prev_v
-        self._den += float(v.dot(self._M.dot(v)))
+        den = self._den + float(v.dot(self._M.dot(v)))
         if t < 2:
-            return None
-        if abs(self._den) < _DENOM_FLOOR:
-            return 0.0
-        return self._num / self._den
+            coeff = None
+        elif abs(den) < _DENOM_FLOOR:
+            coeff = 0.0
+        else:
+            coeff = num / den
+        return coeff, (c, num, den)
 
     def act(self, t: int, x: np.ndarray) -> np.ndarray:
-        if t != len(self._lambdas):
+        lambdas = self._lambdas
+        if t != len(lambdas):
             raise ValueError(
-                f"adaptive policy must be stepped in order; expected t={len(self._lambdas)}, got {t}"
+                f"adaptive policy must be stepped in order; expected t={len(lambdas)}, got {t}"
             )
-        learned = self._external is None
-        raw = float("nan")
         zero_state = math.sqrt(x.dot(x)) <= 0.0  # == np.linalg.norm(x)
+        if t and lambdas[-1] == 0.0:
+            # zero is absorbing: the advice alone, and no coefficient
+            u = _vector(self.advice.act(t, x), self._m, "advice")
+            self._record(0.0, _NAN, "zero_state" if zero_state else "cutoff")
+            return u
+        learned = self._external is None
+        raw = _NAN
+        sums = None
         if t == 0:
             lam = 1.0
             branch = "init"
-        elif self._lambdas[-1] == 0.0:
-            lam = 0.0
-            branch = "zero_state" if zero_state else "cutoff"
         else:
             # the learned sums advance at a zero state too, so later
             # updates see all data; the external rule is not asked there
             if learned:
-                coeff = self._learned_raw(t, x)
+                coeff, sums = self._learned_raw(t, x)
             else:
                 coeff = None if zero_state else float(self._external(t))
             if coeff is not None:
                 raw = coeff
-            prev = self._lambdas[-1]
+            prev = lambdas[-1]
             if zero_state or coeff is None:
                 lam = prev
                 branch = "zero_state" if zero_state else "hold"
@@ -205,21 +215,28 @@ class AdaptivePolicy:
                 else:
                     lam = 0.0
                     branch = "cutoff"
-        self._lambdas.append(lam)
-        self._raw.append(raw)
-        self._branches.append(branch)
-        if self._t0 is None and (lam == 0.0 or zero_state):
-            self._t0 = t
         u_bar = _vector(self.advice.act(t, x), self._m, "advice")
         if lam == 0.0:
-            return u_bar
-        u_hat = _vector(self.blackbox.act(t, x), self._m, "black box")
-        u = lam * u_hat + (1.0 - lam) * u_bar
-        if learned:
+            u = u_bar
+        else:
+            u_hat = _vector(self.blackbox.act(t, x), self._m, "black box")
+            u = lam * u_hat + (1.0 - lam) * u_bar
+        # every query has returned: only now does the step change the state
+        if sums is not None:
+            self._c, self._num, self._den = sums
+        if learned and lam != 0.0:
             self._prev_pred = self._A.dot(x) + self._B.dot(u)
             self._prev_v = u_hat + self._K.dot(x)
             self._prev_b = self._B.dot(self._prev_v)
+        self._record(lam, raw, branch)
+        if self._t0 is None and (lam == 0.0 or zero_state):
+            self._t0 = t
         return u
+
+    def _record(self, lam: float, raw: float, branch: str) -> None:
+        self._lambdas.append(lam)
+        self._raw.append(raw)
+        self._branches.append(branch)
 
     @property
     def lambdas(self) -> list[float]:

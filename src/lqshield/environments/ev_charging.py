@@ -128,21 +128,41 @@ def load_prices_csv(path) -> np.ndarray:
 
 @dataclass
 class EvEnvironment:
-    """Linear model + residual + reward (of float64 1-d x and u) for one
-    day of sessions."""
+    """Linear model + residual + reward for one day of sessions.
+
+    ``reward(t, x, u)`` takes one step (an int t and float64 1-d x and u;
+    it returns a float) or stacked steps (an int array t of N steps and
+    row-stacked x [N, n] and u [N, n]; it returns an array of N rewards).
+    Both forms evaluate one formula, each row with the same BLAS routine
+    and reduction as the one-step form, so a stacked reward has the bits
+    of the per-step rewards.
+    """
 
     model: LinearModel
     residual: ResidualModel
-    reward: Callable[[int, np.ndarray, np.ndarray], float]
+    reward: Callable[[object, np.ndarray, np.ndarray], object]
 
     def rewards_for_trajectory(self, traj: Trajectory) -> np.ndarray:
-        """Recompute the per-step rewards of a recorded rollout."""
-        return np.array(
-            [
-                self.reward(t, traj.states[t], traj.actions[t])
-                for t in range(traj.horizon)
-            ]
-        )
+        """The per-step rewards of a recorded rollout, from one stacked
+        :attr:`reward` call after the rollout (the reward does not feed
+        back into the dynamics)."""
+        T = traj.horizon
+        return self.reward(np.arange(T), traj.states[:T], traj.actions)
+
+
+def _sum(values: list) -> float:
+    """``float(np.add.reduce(values))`` for a list of floats.
+
+    NumPy's pairwise summation adds fewer than 8 entries left to right
+    from 0.0, which Python float additions reproduce bit for bit at a
+    fraction of a ufunc call's cost; longer lists go through NumPy.
+    """
+    if len(values) < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    return float(np.add.reduce(values))
 
 
 def _sessions_by_step(sessions: Sequence[ChargingSession], n: int):
@@ -194,48 +214,58 @@ def ev_environment(
         A=np.eye(n), B=-tau * np.eye(n), Q=np.eye(n), R=1e-4 * np.eye(n)
     )
 
-    no_events: dict = {}
-
     def residual_eval(t, x, u):
         xs = x.tolist()
         us = u.tolist()
-        arr = arrivals.get(t, no_events)
-        dep = departures.get(t, no_events)
-        total = float(np.add.reduce(np.abs(u)))
-        over_limit = total > gamma
-        # effective allocation after the line projection, u_i * (gamma / total);
-        # the full-battery check uses it so total delivery never exceeds gamma * tau
-        scale = gamma / total if over_limit else 1.0
-        f = []
-        for i in range(n):
-            x_i, u_i = xs[i], us[i]
-            u_eff = u_i * scale
-            if i in arr:
-                f.append(arr[i])
-            elif i in dep or x_i - tau * u_eff < 0:
-                f.append(tau * u_i - x_i)
-            elif over_limit:
-                f.append(tau * (u_i - u_eff))
-            else:
-                f.append(0.0)
+        total = _sum([abs(u_i) for u_i in us])  # ||u||_1
+        # the generic rule: a full battery (x - tau u_eff < 0) zeros its
+        # coordinate; over the line limit the effective allocation is
+        # u_eff = u * (gamma / total), so total delivery never exceeds
+        # gamma * tau, and the residual takes back the excess
+        if total > gamma:
+            scale = gamma / total
+            f = [
+                tau * u_i - x_i if x_i - tau * (u_i * scale) < 0 else tau * (u_i - u_i * scale)
+                for x_i, u_i in zip(xs, us)
+            ]
+        else:
+            f = [tau * u_i - x_i if x_i - tau * u_i < 0 else 0.0 for x_i, u_i in zip(xs, us)]
+        # then the overrides, the higher precedence last
+        dep = departures.get(t)
+        if dep is not None:
+            for i in dep:
+                f[i] = tau * us[i] - xs[i]
+        arr = arrivals.get(t)
+        if arr is not None:
+            for i, energy in arr.items():
+                f[i] = energy
         return np.array(f, dtype=float)
 
     residual = ResidualModel(eval=residual_eval)
     phi1, phi2, phi3, phi4 = config.phi
-    prices = config.prices.tolist()
-    horizon = len(prices)
+    prices = config.prices
+    last = prices.shape[0] - 1
+    no_events: dict = {}
 
-    def reward(t, x, u) -> float:
-        p_t = prices[t] if t < horizon else prices[-1]
-        # math.sqrt(v.dot(v)) is the value np.linalg.norm(v) returns
-        r = (
-            phi1 * tau * math.sqrt(u.dot(u))
-            - phi2 * math.sqrt(x.dot(x))
-            - phi3 * p_t * float(np.add.reduce(np.abs(u)))
-        )
-        for i, energy in departures.get(t, no_events).items():
-            r -= phi4 * x[i] / energy
-        return r
+    def reward(t, x, u):
+        one_step = np.ndim(t) == 0
+        steps = np.atleast_1d(t)
+        X, U = np.atleast_2d(x), np.atleast_2d(u)
+        # sqrt of a (1, n) @ (n, 1) ddot per row: the value np.linalg.norm returns
+        norm_u = np.sqrt(np.matmul(U[:, None, :], U[:, :, None]).reshape(-1))
+        norm_x = np.sqrt(np.matmul(X[:, None, :], X[:, :, None]).reshape(-1))
+        total_u = np.add.reduce(np.abs(U), axis=1)
+        # the one-step form combined these as Python floats, which never warn
+        with np.errstate(all="ignore"):
+            r = (
+                phi1 * tau * norm_u
+                - phi2 * norm_x
+                - phi3 * prices[np.minimum(steps, last)] * total_u
+            )
+        for k, step in enumerate(steps.tolist()):
+            for i, energy in departures.get(step, no_events).items():
+                r[k] -= phi4 * X[k, i] / energy
+        return float(r[0]) if one_step else r
 
     return EvEnvironment(model=model, residual=residual, reward=reward)
 
@@ -270,7 +300,8 @@ def line_limited(policy: Policy, gamma: float) -> Policy:
 
     def act(t, x):
         u = np.maximum(np.asarray(inner(t, x), dtype=float), 0.0)
-        total = float(np.add.reduce(u, None))  # == np.sum(u)
+        # == np.sum(u)
+        total = _sum(u.tolist()) if u.ndim == 1 else float(np.add.reduce(u, None))
         if total > gamma:
             u = u * (gamma / total)
         return u
@@ -308,12 +339,10 @@ def generate_sessions(
                 )
             else:
                 arrival = int(round(rng.uniform(6.0, 18.0) * steps_per_hour))
-            arrival = int(np.clip(arrival, 0, steps - 12))
+            arrival = min(max(arrival, 0), steps - 12)
             if arrival <= cursor:
                 arrival = cursor + 1
-            duration = int(
-                np.clip(round((3.0 + rng.uniform(0.0, 1.5)) * steps_per_hour), 6, steps)
-            )
+            duration = min(max(round((3.0 + rng.uniform(0.0, 1.5)) * steps_per_hour), 6), steps)
             departure = min(arrival + duration, steps - 1)
             if departure <= arrival:
                 continue

@@ -230,16 +230,30 @@ def auxiliary_cost_closed_form(syn: Synthesis, disturbances, x0) -> float:
 
     x0'P x0 + 2 x0'F'V_0 + sum_t (w_t'P w_t + 2 w_t'F'V_{t+1}
     - V_t' B H^-1 B' V_t) with V_t = sum_{tau>=t} (F')^(tau-t) P w_tau.
+
+    The per-step terms come from stacked ``np.matmul`` calls whose rows go
+    through the BLAS routines of the one-step products, and are added in
+    step order as Python floats.
     """
     w = [np.asarray(v, dtype=float) for v in disturbances]
     x0 = np.asarray(x0, dtype=float)
     P, F = syn.P, syn.F
-    T = len(w)
     BHB = _hindsight_weight(syn)
-    V = _eta_series(F, P, w) + [np.zeros(syn.n)]
+    V = np.array(_eta_series(F, P, w) + [np.zeros(syn.n)])
     cost = float(x0 @ P @ x0 + 2.0 * x0 @ (F.T @ V[0]))
-    for t in range(T):
-        cost += float(w[t] @ P @ w[t] + 2.0 * w[t] @ (F.T @ V[t + 1]) - V[t] @ BHB @ V[t])
+    if not w:
+        return cost
+    # rows as (1, n) and (n, 1) matrices: (1, n) @ (n, n) is the gemv and
+    # (1, n) @ (n, 1) the ddot of the one-step ``w @ P @ w``
+    W, Vt = np.array(w), V[:-1]
+    FV = np.matmul(F.T, V[1:, :, None])
+    terms = (
+        np.matmul(np.matmul(W[:, None, :], P), W[:, :, None])
+        + 2.0 * np.matmul(W[:, None, :], FV)
+        - np.matmul(np.matmul(Vt[:, None, :], BHB), Vt[:, :, None])
+    )
+    for term in terms.reshape(-1).tolist():
+        cost += term
     return cost
 
 

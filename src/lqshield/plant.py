@@ -30,11 +30,15 @@ __all__ = [
 ]
 
 
+_F64 = np.dtype(np.float64)
+
+
 def _vector(v, size: Optional[int], what: str) -> np.ndarray:
     """``v``, a vector that a caller's policy or residual returned, as a
     float64 1-d array; ValueError naming ``what`` unless it has ``size``
     entries (any number when ``size`` is None)."""
-    if type(v) is not np.ndarray or v.dtype != np.float64 or v.ndim != 1:
+    # the native float64 dtype is a singleton; any other dtype is coerced
+    if type(v) is not np.ndarray or v.dtype is not _F64 or v.ndim != 1:
         v = np.asarray(v, dtype=float).reshape(-1)
     if size is not None and v.shape[0] != size:
         raise ValueError(f"{what} returned dimension {v.shape[0]}, expected {size}")
@@ -63,11 +67,16 @@ class ResidualModel:
     eval_batch: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def batch(self, t: int, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """f(t, X[k], U[k]) for every row k, as an [N, n] array."""
-        if self.eval_batch is not None:
-            return self.eval_batch(t, X, U)
+        """f(t, X[k], U[k]) for every row k, as an [N, n] array; ValueError
+        naming the residual for a result of any other shape."""
         n = X.shape[1]
-        return np.array([_vector(self.eval(t, x, u), n, "residual") for x, u in zip(X, U)])
+        if self.eval_batch is None:
+            rows = [_vector(self.eval(t, x, u), n, "residual") for x, u in zip(X, U)]
+            return np.array(rows, dtype=float).reshape(X.shape)
+        F = np.asarray(self.eval_batch(t, X, U), dtype=float)
+        if F.shape != X.shape:
+            raise ValueError(f"residual batch returned shape {F.shape}, expected {X.shape}")
+        return F
 
 
 def zero_residual(n: int) -> ResidualModel:
@@ -161,6 +170,18 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1)
 
 
+def _stage_costs(X: np.ndarray, U: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """x'Q x + u'R u for every row pair of X [N, n] and U [N, m], each row
+    with the bits of ``float(x.dot(Q).dot(x) + u.dot(R).dot(u))``.
+
+    Rows as (1, n) and (n, 1) matrices: (1, n) @ (n, n) is the gemv and
+    (1, n) @ (n, 1) the ddot of the one-step form, and an overflow warns
+    as it does there."""
+    xQx = np.matmul(np.matmul(X[:, None, :], Q), X[:, :, None])
+    uRu = np.matmul(np.matmul(U[:, None, :], R), U[:, :, None])
+    return (xQx + uRu).reshape(-1)
+
+
 def simulate(
     model: LinearModel,
     residual: ResidualModel,
@@ -178,12 +199,18 @@ def simulate(
     ``x0`` raises ValueError, as does a policy action without m entries
     or a residual without n.
 
-    Each step evaluates x_{t+1} = A x_t + B u_t + f_t and the stage cost
-    x_t'Q x_t + u_t'R u_t with the operations of the replay check in
-    ``tests/test_plant.py``, in the same order, so a rollout replays
-    without defect; ``ndarray.dot`` stands in for ``@`` only for
-    its lower call overhead.  The records are preallocated for the full
-    horizon and trimmed when the rollout stops early.
+    The per-step loop holds only what feeds back into the dynamics: the
+    action, the residual, x_{t+1} = A x_t + B u_t + f_t (with the
+    operations of the replay check in ``tests/test_plant.py``, in the
+    same order, so a rollout replays without defect; ``ndarray.dot``
+    stands in for ``@`` only for its lower call overhead) and the
+    blow-up test.  The stage costs x_t'Q x_t + u_t'R u_t do not feed
+    back, so they are computed once, after the loop, for all recorded
+    steps in one stacked ``np.matmul``: per row a (1, n) @ (n, n)
+    product is the same BLAS gemv and a (1, n) @ (n, 1) product the same
+    ddot as ``x.dot(Q).dot(x)``, so every cost has the bits of the
+    per-step form.  The records are preallocated for the full horizon
+    and trimmed when the rollout stops early.
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
@@ -201,19 +228,22 @@ def simulate(
     states = np.empty((T + 1, n))
     actions = np.empty((T, m))
     residuals = np.empty((T, n))
-    step_costs = np.empty(T)
     states[0] = x
     steps = T
     diverged = False
+    ndarray = np.ndarray
     for t in range(T):
-        u = _vector(act(t, x), m, "policy")
-        f = _vector(f_eval(t, x, u), n, "residual")
-        x_next = A.dot(x) + B.dot(u) + f
+        # _vector's check inline: a float64 vector of the right size passes as is
+        u = act(t, x)
+        if type(u) is not ndarray or u.dtype is not _F64 or u.shape != (m,):
+            u = _vector(u, m, "policy")
+        f = f_eval(t, x, u)
+        if type(f) is not ndarray or f.dtype is not _F64 or f.shape != (n,):
+            f = _vector(f, n, "residual")
+        x = A.dot(x) + B.dot(u) + f
         actions[t] = u
         residuals[t] = f
-        step_costs[t] = float(x.dot(Q).dot(x) + u.dot(R).dot(u))
-        states[t + 1] = x_next
-        x = x_next
+        states[t + 1] = x
         # the same value as np.linalg.norm(x)
         if not (math.sqrt(x.dot(x)) <= limit):
             diverged = True
@@ -223,12 +253,11 @@ def simulate(
         states = states[: steps + 1].copy()
         actions = actions[:steps].copy()
         residuals = residuals[:steps].copy()
-        step_costs = step_costs[:steps].copy()
     return Trajectory(
         states=states,
         actions=actions,
         residuals=residuals,
-        step_costs=step_costs,
+        step_costs=_stage_costs(states[:-1], actions, Q, R),
         diverged=diverged,
     )
 

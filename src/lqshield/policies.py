@@ -15,6 +15,7 @@ The synthetic black-box families stand in for pre-trained agents:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -66,9 +67,17 @@ def gain_policy(K: np.ndarray) -> Policy:
 
 
 def _feedforward_terms(syn: Synthesis, seq: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """g_t = -H^-1 B' sum_{tau=t} (F')^(tau-t) P seq_tau."""
-    B, H = syn.model.B, syn.H
-    return [-np.linalg.solve(H, B.T @ eta) for eta in _eta_series(syn.F, syn.P, seq)]
+    """g_t = -H^-1 B' sum_{tau=t} (F')^(tau-t) P seq_tau.
+
+    Every g_t comes from one broadcast solve over the stacked B' eta_t;
+    each stacked row goes through the same BLAS and LAPACK calls as
+    ``-np.linalg.solve(H, B.T @ eta_t)``, so it has that row's bits.
+    """
+    etas = _eta_series(syn.F, syn.P, seq)
+    if not etas:
+        return []
+    E = np.array(etas)[:, :, None]
+    return list(-np.linalg.solve(syn.H, np.matmul(syn.model.B.T, E))[:, :, 0])
 
 
 def parameterized_blackbox(syn: Synthesis, f_hat: Sequence[np.ndarray]) -> Policy:
@@ -136,12 +145,19 @@ def _quantized(x: np.ndarray) -> bytes:
     return struct.pack(f"<{len(vals)}q", *map(round, vals))
 
 
+@functools.lru_cache(maxsize=4096)
 def _direction(seed: int, q: bytes, m: int) -> np.ndarray:
     """Unit m-vector drawn from a generator seeded by a hash of ``q`` and ``seed``.
 
     The seed enters the hash as 8 little-endian bytes of ``seed % 2**64``,
     its two's-complement int64 encoding for seeds in [-2**63, 2**63); any
     other integer seed wraps onto that range.
+
+    A pure function, memoized: seeding a generator costs far more than a
+    cache lookup, and rollouts revisit quantized states (a decayed state
+    repeats the all-zero grid point, and runs that share a seed repeat
+    whole trajectories).  The returned array is read-only, since every
+    caller with the same arguments shares it.
     """
     digest = hashlib.blake2b(
         q + (int(seed) % 2**64).to_bytes(8, "little"), digest_size=16
@@ -157,8 +173,10 @@ def _direction(seed: int, q: bytes, m: int) -> np.ndarray:
     if norm < 1e-12:
         d = np.zeros(m)
         d[0] = 1.0
-        return d
-    return d / norm
+    else:
+        d = d / norm
+    d.flags.writeable = False
+    return d
 
 
 def epsilon_consistent_blackbox(
@@ -176,9 +194,9 @@ def epsilon_consistent_blackbox(
     the black box is ``optimal`` itself.
 
     Deterministic given the seed; the perturbation vanishes at x = 0.
-    Drawing d costs a fresh generator seeding, so each black box keeps the
-    direction of its last query and draws again only when the quantized
-    state changes (decayed rollouts repeat the all-zero grid point).
+    Drawing d costs a fresh generator seeding, so each distinct
+    (seed, quantized state, action size) is drawn once and then read
+    from a bounded cache that all black boxes share.
     """
     if not 0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
@@ -187,19 +205,13 @@ def epsilon_consistent_blackbox(
     if epsilon == 0:
         return optimal
     eps = float(epsilon)
-    last = (None, 0, None)  # (quantized state, m, direction) of the last draw
 
     def act(t, x):
-        nonlocal last
         base = _vector(optimal.act(t, x), None, "reference")
         nx = math.sqrt(x.dot(x))  # == np.linalg.norm(x)
         if nx == 0.0:
             return base
-        q, m = _quantized(x), base.shape[0]
-        hit = last  # read once, so a concurrent caller cannot swap it mid-query
-        if q != hit[0] or m != hit[1]:
-            hit = last = (q, m, _direction(rng_seed, q, m))
-        return base + eps * nx * hit[2]
+        return base + eps * nx * _direction(rng_seed, _quantized(x), base.shape[0])
 
     return Policy(act=act)
 

@@ -298,6 +298,56 @@ class TestAdaptivePolicyBranches:
         with pytest.raises(ValueError, match="black box returned dimension 1, expected 2"):
             pol.act(0, np.zeros(2))
 
+    def test_step_whose_query_raised_can_be_retried(self, bench2_model, bench2_syn):
+        """A step changes the policy only once its queries have returned:
+        after a black box raises once at t = 0, the retry at t = 0 is
+        accepted, and a run whose black box raises once at some steps (the
+        learned sums advance at t = 3 and 5) and is retried there equals
+        the undisturbed run."""
+        syn = bench2_syn
+        rng = np.random.default_rng(3)
+        w = [rng.standard_normal(2) for _ in range(12)]
+        inner = lq.auxiliary_optimal_policy(syn, w)
+        pending = {0, 3, 5}
+
+        def flaky(t, x):
+            if t in pending:
+                pending.discard(t)
+                raise RuntimeError(f"black box failed at t={t}")
+            return inner.act(t, x)
+
+        x0 = np.array([1.0, -0.5])
+        pol = lq.AdaptivePolicy(syn, lq.Policy(act=flaky), lq.lqr_policy(syn), 0.01)
+        with pytest.raises(RuntimeError, match="t=0"):
+            pol.act(0, x0)
+        assert pol.lambdas == []
+        pol.act(0, x0)
+        assert pol.lambdas == [1.0]
+
+        pending.update({0, 3, 5})
+        pol = lq.AdaptivePolicy(syn, lq.Policy(act=flaky), lq.lqr_policy(syn), 0.01)
+
+        def retried(t, x):
+            try:
+                return pol.act(t, x)
+            except RuntimeError:
+                return pol.act(t, x)
+
+        resid = lq.disturbance_residual(w)
+        traj = lq.simulate(bench2_model, resid, lq.Policy(act=retried), x0, 12)
+        ref = lq.AdaptivePolicy(syn, inner, lq.lqr_policy(syn), 0.01)
+        ref_traj = lq.simulate(bench2_model, resid, ref, x0, 12)
+        assert not pending
+        state, ref_state = pol.trace(), ref.trace()
+        assert state.branches[3:6] == ("decrease",) * 3
+        assert traj.states.tobytes() == ref_traj.states.tobytes()
+        assert (state.lambdas, state.branches, state.t0) == (
+            ref_state.lambdas,
+            ref_state.branches,
+            ref_state.t0,
+        )
+        assert np.array_equal(state.lambda_prime_raw, ref_state.lambda_prime_raw, equal_nan=True)
+
     def test_requires_time_order(self, syn3):
         pol = lq.AdaptivePolicy(syn3, lq.lqr_policy(syn3), lq.lqr_policy(syn3), 0.1, lambda t: 1.0)
         pol.act(0, np.ones(3))

@@ -366,3 +366,24 @@ def test_line_limited_matches_reference_copy_on_random_actions():
         inner = lq.Policy(act=lambda t, x: raw)
         got = line_limited(inner, gamma).act(0, np.zeros(5))
         assert _bits(got) == _bits(ref_limited(inner, gamma)(0, np.zeros(5)))
+
+
+def test_sum_matches_numpy_reduce_bit_for_bit():
+    """The residual's ||u||_1 and the line limit's total add a short list
+    in Python floats; each must have the bits of np.add.reduce, for every
+    length, sign of zero, non-finite entry and spread of magnitudes."""
+    from lqshield.environments.ev_charging import _sum
+
+    rng = np.random.default_rng(29)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.7e308, -1.7e308, 5e-324]
+    for n in range(0, 13):
+        for _ in range(2000):
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+            if n and rng.uniform() < 0.3:
+                v[rng.integers(n)] = specials[rng.integers(len(specials))]
+            if n and rng.uniform() < 0.05:
+                v[:] = -0.0
+            for values in (v, np.abs(v)):
+                got = _sum(values.tolist())
+                assert type(got) is float
+                assert _bits(got) == _bits(np.add.reduce(values)), (n, values)

@@ -478,6 +478,28 @@ def test_residual_batch_matches_rowwise_eval(case):
         assert not out.any()
 
 
+def test_residual_batch_of_wrong_shape_is_rejected():
+    """A batch form must return [N, n], as the row-wise fallback must return
+    n entries per row; a batch cut to one column is refused by name."""
+    import dataclasses
+
+    resid = lq.lipschitz_residual(2, 2, 0.5, seed=1)
+    cut = dataclasses.replace(resid, eval_batch=lambda t, X, U: resid.eval_batch(t, X, U)[:, :1])
+    X, U = np.ones((3, 2)), np.ones((3, 2))
+    assert resid.batch(0, X, U).shape == (3, 2)
+    expected = r"residual batch returned shape \(3, 1\), expected \(3, 2\)"
+    with pytest.raises(ValueError, match=expected):
+        cut.batch(0, X, U)
+    with pytest.raises(ValueError, match="residual batch returned shape"):
+        lq.estimate_lipschitz(cut, 200, 1.0, 0, 2, 2)
+
+
+@pytest.mark.parametrize("case", list(_batch_cases()))
+def test_residual_batch_of_no_rows_has_the_state_width(case):
+    resid, n, m, t = _batch_cases()[case]
+    assert resid.batch(t, np.zeros((0, n)), np.zeros((0, m))).shape == (0, n)
+
+
 def test_estimate_lipschitz_matches_pairwise_loop():
     """The batched estimate reproduces a per-pair loop on the same draws."""
     resid = lq.lipschitz_residual(3, 2, 0.2, seed=3)

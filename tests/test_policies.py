@@ -391,26 +391,40 @@ def test_cached_direction_matches_reference_copy(syn3, queries):
         assert boxes[seed].act(0, x).tobytes() == want.tobytes()
 
 
-def test_direction_drawn_once_per_run_of_equal_quantized_states(bench2_syn, monkeypatch):
-    draws = []
-    direction = policies._direction
-
-    def counted(seed, q, m):
-        draws.append(q)
-        return direction(seed, q, m)
-
-    monkeypatch.setattr(policies, "_direction", counted)
+def test_direction_drawn_once_per_distinct_quantized_state(bench2_syn):
+    """One draw per distinct (seed, quantized state, m), however often and
+    by however many black boxes it is queried."""
     syn = bench2_syn
-    bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn), 0.3, "rotation", 2)
-    # lambda stays positive, so the black box is queried at every step,
-    # as in the verify-bounds ratio runs
-    pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
     x0 = np.array([0.6, -0.8])
     resid = lq.lipschitz_residual(2, 2, 0.05, seed=2)
-    traj = lq.simulate(syn.model, resid, pol, x0, 120)
-    assert traj.horizon == 120
-    assert min(pol.lambdas) > 0.0
-    queried = [policies._quantized(x) for x in traj.states[:-1] if x.dot(x) > 0.0]
-    runs = [q for i, q in enumerate(queried) if i == 0 or q != queried[i - 1]]
-    assert draws == runs
-    assert len(runs) < len(queried)  # the decayed tail repeats the all-zero point
+    policies._direction.cache_clear()
+    keys = []
+    # two black boxes share seed 2, so the second one's rollout repeats the
+    # first one's states; the third has seed 5
+    for seed in (2, 2, 5):
+        bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn), 0.3, "rotation", seed)
+        # lambda stays positive, so the black box is queried at every step,
+        # as in the verify-bounds ratio runs
+        pol = lq.AdaptivePolicy(syn, bb, lq.lqr_policy(syn), 1e-6, lambda t: 1.0)
+        traj = lq.simulate(syn.model, resid, pol, x0, 120)
+        assert traj.horizon == 120
+        assert min(pol.lambdas) > 0.0
+        keys += [(seed, policies._quantized(x), 2) for x in traj.states[:-1] if x.dot(x) > 0.0]
+    info = policies._direction.cache_info()
+    assert info.misses == len(set(keys))
+    assert info.hits == len(keys) - len(set(keys))
+    # the second box draws nothing new, and each decayed tail repeats the
+    # all-zero grid point
+    assert len(set(keys)) < len(keys) // 2
+
+
+def test_direction_is_shared_read_only_and_actions_are_fresh(syn3):
+    x = np.array([0.3, -1.2, 0.7])
+    d = _direction(7, _quantized(x), 3)
+    assert not d.flags.writeable
+    assert _direction(7, _quantized(x), 3) is d
+    bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn3), 0.2, "rotation", 7)
+    first = bb.act(0, x)
+    want = first.tobytes()
+    first += 1.0  # a caller may write to its action
+    assert bb.act(0, x).tobytes() == want

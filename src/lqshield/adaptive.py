@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import NotRun
-from .linalg_control import Synthesis, _eta_series, _hindsight_weight
+from .linalg_control import Synthesis, _eta_series
 from .plant import _vector
 from .policies import Policy
 
@@ -46,12 +46,6 @@ class ConfidenceState:
     branches: tuple = ()
 
 
-def _learned_weight(syn: Synthesis) -> np.ndarray:
-    """(B H^-1)^+ B, the m x m weight of the learned rule's denominator."""
-    B = syn.model.B
-    return np.linalg.pinv(B @ np.linalg.inv(syn.H)) @ B
-
-
 def optimal_lambda(
     syn: Synthesis,
     f_star: Sequence[np.ndarray],
@@ -71,7 +65,7 @@ def optimal_lambda(
     if t < 0 or len(f_star) < t + 1 or len(f_hat) < t + 1:
         raise ValueError("residual sequences must cover indices 0..t")
     F, P = syn.F, syn.P
-    W = _hindsight_weight(syn)
+    W = syn._hindsight_weight
     num = 0.0
     den = 0.0
     for eta_star, eta_hat in zip(
@@ -149,7 +143,7 @@ class AdaptivePolicy:
         # incremental learned-rule state
         self._A, self._B = syn.model.A, syn.model.B
         self._P, self._F, self._K = syn.P, syn.F, syn.K
-        self._M = _learned_weight(syn)
+        self._M = syn._learned_weight
         self._c = np.zeros(syn.n)
         self._num = 0.0
         self._den = 0.0

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateOPT, PreconditionViolated
-from .linalg_control import LinearModel, Synthesis, _eta_series, _hindsight_weight
+from .linalg_control import _TRAJOPT_ITERATIONS, LinearModel, Synthesis, _eta_series
 from .plant import ResidualModel, Trajectory, disturbance_residual, simulate, zero_residual
 from .policies import auxiliary_optimal_policy, lqr_policy
 
@@ -238,7 +238,7 @@ def auxiliary_cost_closed_form(syn: Synthesis, disturbances, x0) -> float:
     w = [np.asarray(v, dtype=float) for v in disturbances]
     x0 = np.asarray(x0, dtype=float)
     P, F = syn.P, syn.F
-    BHB = _hindsight_weight(syn)
+    BHB = syn._hindsight_weight
     V = np.array(_eta_series(F, P, w) + [np.zeros(syn.n)])
     cost = float(x0 @ P @ x0 + 2.0 * x0 @ (F.T @ V[0]))
     if not w:
@@ -325,17 +325,19 @@ def opt_cost_trajopt(
     residual: ResidualModel,
     x0,
     T: int,
-    iterations: int = 40,
     *,
     syn: Synthesis,
 ) -> TrajOptResult:
     """Approximate offline-optimal cost by shooting on u_0..u_{T-1}.
 
-    Finite-difference gradient descent with backtracking line search,
-    initialized from the rollout of the LQR of ``syn`` (the synthesis of
-    ``model``); the objective adds its value x_T'P x_T as terminal cost.
-    The returned best cost is monotone non-increasing across iterations
-    and never exceeds the initial (LQR rollout) cost.
+    Finite-difference gradient descent with backtracking line search, for
+    at most 40 iterations, from the T-step rollout of the LQR of ``syn``,
+    run with no blow-up bound; the objective adds its value x_T'P x_T as
+    terminal cost.  The returned best cost is monotone non-increasing
+    across iterations and never exceeds the initial (LQR rollout) cost.
+    Raises ValueError unless ``syn`` is the synthesis of ``model`` (equal
+    A, B, Q and R), and :class:`DegenerateOPT` when the LQR rollout goes
+    non-finite, since there is then no start to shoot from.
 
     The objective rolls a batch of action sequences at once, with the
     residual evaluated through :meth:`ResidualModel.batch`.  Every point
@@ -345,6 +347,8 @@ def opt_cost_trajopt(
     are differenced into the next gradient only once the point is
     accepted.  A sequence whose state goes non-finite costs inf.
     """
+    if not all(np.array_equal(getattr(syn.model, k), getattr(model, k)) for k in "ABQR"):
+        raise ValueError("syn must be the synthesis of model: their A, B, Q or R differ")
     x0 = np.asarray(x0, dtype=float)
     A, B, Q, R, P = model.A, model.B, model.Q, model.R, syn.P
     n, m = model.n, model.m
@@ -377,10 +381,10 @@ def opt_cost_trajopt(
         cost[dead | ~np.isfinite(cost)] = math.inf
         return cost
 
-    traj = simulate(model, residual, lqr_policy(syn), x0, T)
-    u = traj.actions.reshape(-1).copy()
-    if u.shape[0] != T * m:
-        u = np.resize(u, T * m)
+    traj = simulate(model, residual, lqr_policy(syn), x0, T, blowup=math.inf)
+    if traj.diverged:
+        raise DegenerateOPT(f"the LQR start rollout went non-finite at step {traj.horizon} of {T}")
+    u = traj.actions.reshape(-1)
     D = u.shape[0]
     rows = np.arange(D)
 
@@ -395,24 +399,23 @@ def opt_cost_trajopt(
 
     best, probed = with_probes(u)
     history = [best]
-    for _ in range(iterations):
+    for _ in range(_TRAJOPT_ITERATIONS):
         costs, h = probed
         grad = (costs[:D] - costs[D:]) / (2.0 * h)
         gnorm = np.linalg.norm(grad)
         if gnorm < 1e-14:
             break
         step = 1.0 / (1.0 + gnorm)
-        improved_this_iter = False
         for _ in range(40):
             cand = u - step * grad
             c, cand_probed = with_probes(cand)
             if c < best - 1e-12 * max(1.0, abs(best)):
                 u, best, probed = cand, c, cand_probed
-                improved_this_iter = True
+                history.append(best)
                 break
             step *= 0.5
-        history.append(best)
-        if not improved_this_iter:
+        else:  # 40 halvings found no decrease
+            history.append(best)
             break
     return TrajOptResult(cost_history=history)
 

@@ -206,6 +206,18 @@ class Synthesis:
             "BI": nBI,
         }
 
+    @cached_property
+    def _hindsight_weight(self) -> np.ndarray:
+        """B H^-1 B', the weight of ``optimal_lambda`` and ``auxiliary_cost_closed_form``."""
+        B = self.model.B
+        return B @ np.linalg.solve(self.H, B.T)
+
+    @cached_property
+    def _learned_weight(self) -> np.ndarray:
+        """(B H^-1)^+ B, the weight of the adaptive rule's learned denominator."""
+        B = self.model.B
+        return np.linalg.pinv(B @ np.linalg.inv(self.H)) @ B
+
     @property
     def n(self) -> int:
         return self.model.n
@@ -213,14 +225,6 @@ class Synthesis:
     @property
     def m(self) -> int:
         return self.model.m
-
-
-def _hindsight_weight(syn: Synthesis) -> np.ndarray:
-    """B H^-1 B', the n x n weight that the disturbance-aware optimum puts
-    on the discounted residual series eta (``optimal_lambda`` and
-    ``auxiliary_cost_closed_form``)."""
-    B = syn.model.B
-    return B @ np.linalg.solve(syn.H, B.T)
 
 
 def dare_residual_norm(model: LinearModel, P: np.ndarray) -> float:
@@ -234,6 +238,8 @@ def dare_residual_norm(model: LinearModel, P: np.ndarray) -> float:
 
 _DARE_TOL = 1e-12
 _DARE_MAX_ITER = 20_000
+# the fixed descent budget of guarantees.opt_cost_trajopt
+_TRAJOPT_ITERATIONS = 40
 
 
 def _dare_fixed_point(model: LinearModel, max_iter: int) -> tuple[np.ndarray, int]:

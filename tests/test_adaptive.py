@@ -365,6 +365,20 @@ class TestAdaptivePolicyBranches:
             pol.trace()
 
 
+class TestBlendWeightsPerSynthesis:
+    def test_policies_on_one_synthesis_share_the_weights(self, syn3):
+        """Both blend weights are taken once per synthesis, with the bits of
+        the per-policy and per-call expressions they replace."""
+        advice = lq.lqr_policy(syn3)
+        first = lq.AdaptivePolicy(syn3, advice, advice, 0.01)
+        second = lq.AdaptivePolicy(syn3, advice, advice, 0.01)
+        assert first._M is second._M
+        B, H = syn3.model.B, syn3.H
+        assert first._M.tobytes() == (np.linalg.pinv(B @ np.linalg.inv(H)) @ B).tobytes()
+        assert syn3._hindsight_weight is syn3._hindsight_weight
+        assert syn3._hindsight_weight.tobytes() == (B @ np.linalg.solve(H, B.T)).tobytes()
+
+
 class TestAdaptiveInvariants:
     def test_property_suite_over_random_runs(self):
         """Monotone lambda in [0, 1] from 1, and exact convex-combination

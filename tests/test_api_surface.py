@@ -56,7 +56,7 @@ API_SURFACE = (
     'lqshield.naive_convex_policy(black, advice, lambda_fixed)\n'
     'lqshield.nonnegative(policy)\n'
     'lqshield.opt_cost_time_only(syn, disturbances, x0)\n'
-    'lqshield.opt_cost_trajopt(model, residual, x0, T, iterations, syn)\n'
+    'lqshield.opt_cost_trajopt(model, residual, x0, T, syn)\n'
     'lqshield.optimal_lambda(syn, f_star, f_hat, t)\n'
     'lqshield.parameterized_blackbox(syn, f_hat)\n'
     'lqshield.saturated(policy, limit)\n'

@@ -50,7 +50,7 @@ assert main(["sweep-theta", "--config", str(cfg), "--out", str(tmp / "sweep")]) 
 model = lq.LinearModel(A=[[0.55, 0.25], [0.0, 0.45]], B=np.eye(2), Q=np.eye(2), R=np.eye(2))
 syn = lq.synthesize(model)
 resid = lq.lipschitz_residual(2, 2, 0.05, seed=5)
-lq.opt_cost_trajopt(model, resid, [1.0, -0.5], 5, iterations=2, syn=syn)
+lq.opt_cost_trajopt(model, resid, [1.0, -0.5], 5, syn=syn)
 
 spans = tracer.report()["spans"]
 print(" ".join(sorted(name for name, span in spans.items() if span["calls"] > 0)))

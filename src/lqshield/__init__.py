@@ -61,9 +61,7 @@ from .policies import (
     auxiliary_optimal_policy,
     epsilon_consistent_blackbox,
     gain_policy,
-    gaussian_state_sampler,
     lqr_policy,
-    measure_epsilon,
     naive_convex_policy,
     nonnegative,
     parameterized_blackbox,

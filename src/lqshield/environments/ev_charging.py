@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import SessionConflict, SessionParseError, ValidationError
 from ..linalg_control import LinearModel
-from ..plant import ResidualModel, Trajectory
+from ..plant import ResidualModel, Trajectory, _vector
 from ..policies import Policy
 
 __all__ = [
@@ -299,9 +299,8 @@ def line_limited(policy: Policy, gamma: float) -> Policy:
     inner = policy.act
 
     def act(t, x):
-        u = np.maximum(np.asarray(inner(t, x), dtype=float), 0.0)
-        # == np.sum(u)
-        total = _sum(u.tolist()) if u.ndim == 1 else float(np.add.reduce(u, None))
+        u = np.maximum(_vector(inner(t, x), None, "policy"), 0.0)
+        total = _sum(u.tolist())  # == np.sum(u)
         if total > gamma:
             u = u * (gamma / total)
         return u

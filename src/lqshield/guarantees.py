@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateOPT, PreconditionViolated
-from .linalg_control import _TRAJOPT_ITERATIONS, LinearModel, Synthesis, _eta_series
+from .linalg_control import LinearModel, Synthesis, _eta_series
 from .plant import ResidualModel, Trajectory, disturbance_residual, simulate, zero_residual
 from .policies import auxiliary_optimal_policy, lqr_policy
 
@@ -320,6 +320,10 @@ class TrajOptResult:
         return len(self.cost_history) - 1
 
 
+# the fixed descent budget of opt_cost_trajopt
+_TRAJOPT_ITERATIONS = 40
+
+
 def opt_cost_trajopt(
     model: LinearModel,
     residual: ResidualModel,
@@ -464,28 +468,24 @@ def verify_bounds(
     ratio: float,
     lambda_limit: float,
     x0_norm: float = 0.0,
-    c2: Optional[float] = None,
-    c3: float = 1.0,
 ) -> BoundCheck:
     """Check the measured competitive ratio against the structural guarantee bound
 
         (1 - lambda) CR_model_bar + c2 / (1 - (2||H||/sigma) eps)
-        + c3 C_ell ||x0||.
+        + c3 C_ell ||x0||
 
-    The absorbed proportionality constants are calibration inputs: c2
-    defaults to :func:`default_c2`, c3 to 1 (set from a calibration
-    run).  Raises :class:`PreconditionViolated` outside the guarantee's
+    at the absorbed constants c2 = :func:`default_c2` and c3 = 1.  They
+    are fixed until a calibration run computes them and passes them in.
+    Raises :class:`PreconditionViolated` outside the guarantee's
     hypotheses.
     """
     violations = constants.violations()
     if violations:
         raise PreconditionViolated(violations)
-    if c2 is None:
-        c2 = default_c2(constants)
     model_term = (1.0 - lambda_limit) * constants.CR_model_bar
     denom = 1.0 - (2.0 * constants.norm_H / constants.sigma) * constants.epsilon
-    error_term = c2 / denom
-    nonlinear_term = c3 * constants.C_ell * x0_norm
+    error_term = default_c2(constants) / denom
+    nonlinear_term = constants.C_ell * x0_norm
     return BoundCheck(
         ratio=float(ratio),
         model_term=float(model_term),

@@ -238,8 +238,6 @@ def dare_residual_norm(model: LinearModel, P: np.ndarray) -> float:
 
 _DARE_TOL = 1e-12
 _DARE_MAX_ITER = 20_000
-# the fixed descent budget of guarantees.opt_cost_trajopt
-_TRAJOPT_ITERATIONS = 40
 
 
 def _dare_fixed_point(model: LinearModel, max_iter: int) -> tuple[np.ndarray, int]:

@@ -6,8 +6,8 @@ lives in :mod:`lqshield.adaptive`.
 
 The synthetic black-box families stand in for pre-trained agents:
 
-- consistency-bounded perturbations of a reference policy (the error
-  never exceeds ``epsilon * ||x||`` by construction),
+- consistency-bounded perturbations of a reference policy (the error is
+  ``epsilon * ||x||`` by construction),
 - linearly parameterized feedforward policies built from residual
   estimates,
 - plain (possibly destabilizing) state-feedback gains.
@@ -35,10 +35,8 @@ __all__ = [
     "parameterized_blackbox",
     "epsilon_consistent_blackbox",
     "naive_convex_policy",
-    "measure_epsilon",
     "saturated",
     "nonnegative",
-    "gaussian_state_sampler",
 ]
 
 
@@ -214,49 +212,6 @@ def epsilon_consistent_blackbox(
         return base + eps * nx * _direction(rng_seed, _quantized(x), base.shape[0])
 
     return Policy(act=act)
-
-
-def gaussian_state_sampler(n: int):
-    """Sampler drawing states from N(0, I_n)."""
-
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(n)
-
-    return sample
-
-
-def measure_epsilon(
-    blackbox: Policy,
-    optimal: Policy,
-    sampler,
-    samples: int,
-    rng_seed: int,
-) -> float:
-    """Empirical consistency error: sup of ||blackbox(x) - optimal(x)|| / ||x||
-    over samples, with both policies queried at t = 0.
-
-    The reference should be the best available stand-in for the
-    hindsight-optimal policy: :func:`auxiliary_optimal_policy` is exact
-    for disturbance-only plants; for state/action-dependent residuals
-    only approximate references exist (e.g. built from trajectory
-    optimization), so treat the resulting estimate accordingly.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(rng_seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = _vector(sampler(rng), None, "sampler")
-        nx = np.linalg.norm(x)
-        if nx < 1e-12:
-            continue
-        u_hat = blackbox.act(0, x)
-        u_ref = _vector(optimal.act(0, x), None, "reference")
-        diff = _vector(u_hat, u_ref.shape[0], "black box") - u_ref
-        ratio = np.linalg.norm(diff) / nx
-        if ratio > worst:
-            worst = float(ratio)
-    return worst
 
 
 def saturated(policy: Policy, limit: float) -> Policy:

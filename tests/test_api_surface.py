@@ -49,10 +49,8 @@ API_SURFACE = (
     'lqshield.estimate_lipschitz(residual, samples, radius, rng_seed, n, m)\n'
     'lqshield.fit_stability_envelope(traj, predicted)\n'
     'lqshield.gain_policy(K)\n'
-    'lqshield.gaussian_state_sampler(n)\n'
     'lqshield.lipschitz_residual(n, m, constant, seed)\n'
     'lqshield.lqr_policy(syn)\n'
-    'lqshield.measure_epsilon(blackbox, optimal, sampler, samples, rng_seed)\n'
     'lqshield.naive_convex_policy(black, advice, lambda_fixed)\n'
     'lqshield.nonnegative(policy)\n'
     'lqshield.opt_cost_time_only(syn, disturbances, x0)\n'
@@ -66,7 +64,7 @@ API_SURFACE = (
     'lqshield.synthesize(model, max_iter)\n'
     'lqshield.theorem_constants(syn, C_ell, epsilon)\n'
     'lqshield.total_cost_with_tail(traj, syn)\n'
-    'lqshield.verify_bounds(constants, ratio, lambda_limit, x0_norm, c2, c3)\n'
+    'lqshield.verify_bounds(constants, ratio, lambda_limit, x0_norm)\n'
     'lqshield.write_trajectory_csv(traj, path)\n'
     'lqshield.zero_residual(n)\n'
     'lqshield.environments.CartPoleParams(g, m, M, l, tau, model_m, model_M)\n'

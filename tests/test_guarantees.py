@@ -678,8 +678,8 @@ class TestCompetitiveRatio:
 class TestVerifyBounds:
     def test_reduces_to_c2_term(self, bench2_syn):
         consts = lq.theorem_constants(bench2_syn, 0.0, 0.0)
-        check = lq.verify_bounds(consts, 1.0, lambda_limit=1.0, c2=1.0)
-        assert check.bound == pytest.approx(1.0)
+        check = lq.verify_bounds(consts, 1.0, lambda_limit=1.0)
+        assert check.bound == default_c2(consts)
         assert check.model_term == 0.0
         assert check.nonlinear_term == 0.0
         assert check.satisfied

@@ -228,13 +228,6 @@ class TestEpsilonConsistent:
         x = np.array([0.3, -1.2, 0.7])
         assert np.array_equal(bb.act(0, x), bb.act(0, x.copy()))
 
-    def test_measured_epsilon_within_declared(self, syn3):
-        base = lq.lqr_policy(syn3)
-        bb = lq.epsilon_consistent_blackbox(base, 0.2, "rotation", 11)
-        eps_hat = lq.measure_epsilon(bb, base, lq.gaussian_state_sampler(3), 2000, 17)
-        assert eps_hat <= 0.2 * (1 + 1e-9)
-        assert eps_hat > 0.19  # rotation mode is tight
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e10, -1e10])
     def test_rotation_rejects_unhashable_state(self, syn3, bad):
         bb = lq.epsilon_consistent_blackbox(lq.lqr_policy(syn3), 0.2, "rotation", 5)
@@ -245,30 +238,30 @@ class TestEpsilonConsistent:
             bb.act(0, x)
 
 
-class TestMeasureEpsilon:
-    def test_identical_policies(self, syn3):
-        pol = lq.lqr_policy(syn3)
-        eps_hat = lq.measure_epsilon(pol, pol, lq.gaussian_state_sampler(3), 100, 0)
-        assert eps_hat == 0.0
-
-    def test_gain_offset_svd_tight(self, syn3):
-        rng = np.random.default_rng(12)
-        D = rng.standard_normal((syn3.m, 3))
-        D *= 0.05 / np.linalg.norm(D, 2)
-        perturbed = lq.gain_policy(syn3.K + D)
-        base = lq.lqr_policy(syn3)
-        # sampling along the top right-singular direction attains the bound
-        _, _, Vt = np.linalg.svd(D)
-        top = Vt[0]
-
-        def sampler(rng_):
-            if rng_.uniform() < 0.2:
-                return top * rng_.uniform(0.5, 2.0)
-            return rng_.standard_normal(3)
-
-        eps_hat = lq.measure_epsilon(perturbed, base, sampler, 500, 3)
-        assert eps_hat <= 0.05 * (1 + 1e-9)
-        assert eps_hat == pytest.approx(0.05, rel=1e-6)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.floats(0.0, 2.0, exclude_min=True),
+    st.one_of(st.integers(), st.integers(min_value=2**63)),
+    st.integers(-6, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_rotation_offset_is_exactly_epsilon_norm_x(sizes, epsilon, seed, k, draw_seed):
+    """The rotation black box's defining identity: its offset from the
+    reference has norm epsilon ||x||, to rounding, at every scale of x;
+    and at x = 0 it returns the reference's action."""
+    n, m = sizes
+    rng = np.random.default_rng(draw_seed)
+    ref = lq.gain_policy(rng.standard_normal((m, n)))
+    bb = lq.epsilon_consistent_blackbox(ref, epsilon, "rotation", seed)
+    x = 10.0**k * rng.standard_normal(n)
+    u_ref = ref.act(0, x)
+    offset = np.linalg.norm(bb.act(0, x) - u_ref)
+    target = epsilon * np.linalg.norm(x)
+    # subtracting the reference can cancel digits, hence its norm in the scale
+    assert abs(offset - target) <= 1e-12 * (target + np.linalg.norm(u_ref))
+    zero = np.zeros(n)
+    assert np.array_equal(bb.act(0, zero), ref.act(0, zero))
 
 
 class TestWrappers:

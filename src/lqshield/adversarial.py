@@ -42,21 +42,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdversarialCertificate:
-    """The partner gain K2 of K1 at blend weight ``lam``, with the closed
-    loop F2 = A - B K2 and the determinant of the blended closed loop as
-    constructed.  The spectral radii rho_F1, rho_F2 and rho_combined (of
-    A - B K1, F2 and A - B combined_gain) are computed on first read."""
+    """The partner gain K2 = B^-1 (A - F2) of K1 at blend weight ``lam``,
+    with its closed loop F2 and the blend's determinant as constructed.
+    K2 and the spectral radii rho_F1, rho_F2 and rho_combined (of A - B K1,
+    F2 and A - B combined_gain) are computed on first read."""
 
     model: LinearModel
     K1: np.ndarray
-    K2: np.ndarray
     lam: float
     beta: float
     F2: np.ndarray
     construction_case: str
     det_combined: float
+
+    @cached_property
+    def K2(self) -> np.ndarray:
+        return np.linalg.inv(self.model.B) @ (self.model.A - self.F2)
 
     @property
     def combined_gain(self) -> np.ndarray:
@@ -214,7 +217,7 @@ def construct_adversarial_K2(
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie strictly inside (0, 1)")
     try:
-        Binv = np.linalg.inv(B)
+        np.linalg.inv(B)
     except np.linalg.LinAlgError as exc:
         raise SingularB("B is singular") from exc
     if np.linalg.cond(B) > 1e12:
@@ -247,7 +250,6 @@ def construct_adversarial_K2(
     cert = AdversarialCertificate(
         model=model,
         K1=K1,
-        K2=Binv @ (A - F2),
         lam=float(lam),
         beta=float(used_beta),
         F2=F2,

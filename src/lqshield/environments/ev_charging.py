@@ -69,7 +69,7 @@ class ChargingSession:
             raise ValidationError(f"station index must be >= 1, got {self.station}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChargingConfig:
     """Fleet geometry, step duration, prices, and reward coefficients."""
 
@@ -126,7 +126,7 @@ def load_prices_csv(path) -> np.ndarray:
     return np.asarray(values)
 
 
-@dataclass
+@dataclass(eq=False)
 class EvEnvironment:
     """Linear model + residual + reward for one day of sessions.
 

@@ -10,7 +10,8 @@ predicted bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -35,29 +36,89 @@ __all__ = [
 ]
 
 
+def _derived(name: str) -> property:
+    return property(lambda self: self._constants[name])
+
+
 @dataclass(frozen=True)
 class TheoremConstants:
     """System constants entering the stability and ratio guarantees.
 
-    ``applicable`` is False when rho + C_ell (1 + ||K||) >= 1, where the
-    geometric series behind C_b_sys diverges; C_b_sys is then infinite
-    and the derived constants are zeroed.  The system quantities (C_F,
-    rho, sigma, kappa and the norms of H, B, K and P) are read from
-    ``syn``, the synthesis the constants were evaluated on.
+    Only the hypotheses (C_ell, epsilon), finite and nonnegative, and the
+    synthesis ``syn`` are stored.  The constants derive from them, all
+    in one pass on the first read of any:
+
+    gamma        = rho + C_F C_ell (1 + ||K||)
+    mu           = C_F (eps (C_ell + ||B||) + C_a_sys C_ell)
+    CR_model_bar = 2 kappa (C_F ||P|| / (1 - rho))^2 / sigma
+
+    with C_b_sys the value-function gradient constant, C_a_sys the
+    optimal-vs-LQR policy gap constant and C_c_sys the admissible-Lipschitz
+    constant (||B + I|| is taken as ||B|| + 1 for a non-square B).
+    ``applicable`` is False when rho + C_ell (1 + ||K||) >= 1: C_b_sys is
+    then infinite and the constants built on it are zeroed.  C_F, rho,
+    sigma, kappa and the norms of H, B, K and P are read from ``syn``.
     """
 
     C_ell: float
     epsilon: float
-    gamma: float
-    mu: float
-    C_a_sys: float
-    C_b_sys: float
-    C_c_sys: float
-    CR_model_bar: float
-    eps_max_stability: float
-    C_ell_max: float
-    applicable: bool
-    syn: Synthesis = field(repr=False, compare=False)
+    syn: Synthesis = field(repr=False)
+
+    def __post_init__(self):
+        C_ell, epsilon = self.C_ell, self.epsilon
+        if not (0 <= C_ell < math.inf and 0 <= epsilon < math.inf):
+            raise ValueError(
+                f"C_ell and epsilon must be finite and nonnegative, got {C_ell!r} and {epsilon!r}"
+            )
+        object.__setattr__(self, "C_ell", float(C_ell))
+        object.__setattr__(self, "epsilon", float(epsilon))
+
+    gamma = _derived("gamma")
+    mu = _derived("mu")
+    C_a_sys = _derived("C_a_sys")
+    C_b_sys = _derived("C_b_sys")
+    C_c_sys = _derived("C_c_sys")
+    CR_model_bar = _derived("CR_model_bar")
+    eps_max_stability = _derived("eps_max_stability")
+    C_ell_max = _derived("C_ell_max")
+    applicable = _derived("applicable")
+
+    @cached_property
+    def _constants(self) -> dict:
+        C_ell, epsilon, syn, norms = self.C_ell, self.epsilon, self.syn, self.syn._norms
+        rho, C_F, sigma, kappa = syn.rho, syn.C_F, syn.sigma, syn.kappa
+        nP, nK, nB, nF, nH = norms["P"], norms["K"], norms["B"], norms["F"], norms["H"]
+        nPB, nPF, nQKRK, nBI = norms["PB"], norms["PF"], norms["QKRK"], norms["BI"]
+        C_bar = C_ell * (1.0 + nK)
+        gamma = rho + C_F * C_bar
+        applicable = (rho + C_bar) < 1.0
+        if applicable:
+            C_b = (
+                2.0 * C_F**2 * nP * (rho + C_bar) * (rho + 1.0 + nK)
+                / (1.0 - (rho + C_bar) ** 2)
+                * math.sqrt(nQKRK / sigma)
+            )
+            C_a = nH / (
+                2.0 * C_F * (nPF + (1.0 + nK) * (nPB + nP) + 0.5 * C_b * nBI * (1.0 + nF + nK))
+            )
+            C_c = nH / (4.0 * nPB + 2.0 * nP + C_b * (nB + 1.0) * nB)
+        else:
+            C_b, C_a, C_c = math.inf, 0.0, 0.0
+        mu = C_F * (epsilon * (C_ell + nB) + C_a * C_ell)
+        CR_model_bar = 2.0 * kappa * (C_F * nP / (1.0 - rho)) ** 2 / sigma
+        eps_max = min(sigma / (2.0 * nH), (1.0 / C_F - C_a * C_ell) / (C_ell + nB))
+        C_ell_max = min(1.0, C_a, C_c, (1.0 - rho) / (C_F * (1.0 + nK)))
+        return {
+            "gamma": float(gamma),
+            "mu": float(mu),
+            "C_a_sys": float(C_a),
+            "C_b_sys": float(C_b),
+            "C_c_sys": float(C_c),
+            "CR_model_bar": float(CR_model_bar),
+            "eps_max_stability": float(eps_max),
+            "C_ell_max": float(C_ell_max),
+            "applicable": applicable,
+        }
 
     @property
     def C_F(self) -> float:
@@ -92,8 +153,8 @@ class TheoremConstants:
         return self.syn._norms["P"]
 
     def as_dict(self) -> dict:
-        """The evaluated constants, then the system quantities, by name."""
-        names = [f.name for f in fields(self) if f.name != "syn"] + list(_SYSTEM_QUANTITIES)
+        """The hypotheses, the derived constants, then the system quantities."""
+        names = ("C_ell", "epsilon", *self._constants, *_SYSTEM_QUANTITIES)
         return {k: getattr(self, k) for k in names}
 
     def violations(self) -> list[str]:
@@ -115,61 +176,8 @@ _SYSTEM_QUANTITIES = ("C_F", "rho", "sigma", "kappa", "norm_H", "norm_B", "norm_
 
 
 def theorem_constants(syn: Synthesis, C_ell: float, epsilon: float) -> TheoremConstants:
-    """Evaluate the guarantee constants for given (C_ell, epsilon).
-
-    gamma        = rho + C_F C_ell (1 + ||K||)
-    mu           = C_F (eps (C_ell + ||B||) + C_a_sys C_ell)
-    CR_model_bar = 2 kappa (C_F ||P|| / (1 - rho))^2 / sigma
-
-    C_b_sys is the value-function gradient constant (finite only while
-    rho + C_ell(1+||K||) < 1), C_a_sys the optimal-vs-LQR policy gap
-    constant, and C_c_sys the admissible-Lipschitz constant.  For a
-    non-square B the term ||B + I|| is replaced by its bound
-    ||B|| + 1.  C_ell and epsilon must be finite and nonnegative.
-    """
-    if not (0 <= C_ell < math.inf and 0 <= epsilon < math.inf):
-        raise ValueError(
-            f"C_ell and epsilon must be finite and nonnegative, got {C_ell!r} and {epsilon!r}"
-        )
-    norms = syn._norms
-    rho, C_F, sigma, kappa = syn.rho, syn.C_F, syn.sigma, syn.kappa
-    nP, nK, nB, nF, nH = norms["P"], norms["K"], norms["B"], norms["F"], norms["H"]
-    nPB, nPF, nQKRK, nBI = norms["PB"], norms["PF"], norms["QKRK"], norms["BI"]
-    C_bar = C_ell * (1.0 + nK)
-    gamma = rho + C_F * C_bar
-    applicable = (rho + C_bar) < 1.0
-    if applicable:
-        C_b = (
-            2.0 * C_F**2 * nP * (rho + C_bar) * (rho + 1.0 + nK)
-            / (1.0 - (rho + C_bar) ** 2)
-            * math.sqrt(nQKRK / sigma)
-        )
-        C_a = nH / (
-            2.0 * C_F * (nPF + (1.0 + nK) * (nPB + nP) + 0.5 * C_b * nBI * (1.0 + nF + nK))
-        )
-        C_c = nH / (4.0 * nPB + 2.0 * nP + C_b * (nB + 1.0) * nB)
-    else:
-        C_b = math.inf
-        C_a = 0.0
-        C_c = 0.0
-    mu = C_F * (epsilon * (C_ell + nB) + C_a * C_ell)
-    CR_model_bar = 2.0 * kappa * (C_F * nP / (1.0 - rho)) ** 2 / sigma
-    eps_max = min(sigma / (2.0 * nH), (1.0 / C_F - C_a * C_ell) / (C_ell + nB))
-    C_ell_max = min(1.0, C_a, C_c, (1.0 - rho) / (C_F * (1.0 + nK)))
-    return TheoremConstants(
-        C_ell=float(C_ell),
-        epsilon=float(epsilon),
-        gamma=float(gamma),
-        mu=float(mu),
-        C_a_sys=float(C_a),
-        C_b_sys=float(C_b),
-        C_c_sys=float(C_c),
-        CR_model_bar=float(CR_model_bar),
-        eps_max_stability=float(eps_max),
-        C_ell_max=float(C_ell_max),
-        applicable=applicable,
-        syn=syn,
-    )
+    """The guarantee constants of ``syn`` at (C_ell, epsilon)."""
+    return TheoremConstants(C_ell, epsilon, syn)
 
 
 def admissible_lipschitz_cap(syn: Synthesis) -> float:
@@ -181,12 +189,12 @@ def admissible_lipschitz_cap(syn: Synthesis) -> float:
     C_ell < C_ell_max(C_ell); the map is decreasing, making the
     feasible set an interval [0, c*).
     """
-    lo, hi = 0.0, theorem_constants(syn, 0.0, 0.0).C_ell_max
+    lo, hi = 0.0, TheoremConstants(0.0, 0.0, syn).C_ell_max
     if hi <= 0:
         return 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid < theorem_constants(syn, mid, 0.0).C_ell_max:
+        if mid < TheoremConstants(mid, 0.0, syn).C_ell_max:
             lo = mid
         else:
             hi = mid

@@ -65,7 +65,7 @@ def _eta_series(F, P, seq: Sequence[np.ndarray]) -> list[np.ndarray]:
     return etas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
     """The crude plant model: x_{t+1} = A x_t + B u_t (+ residual).
 
@@ -116,7 +116,7 @@ class LinearModel:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Synthesis:
     """LQR synthesis products for a :class:`LinearModel`.
 

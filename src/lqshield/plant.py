@@ -137,7 +137,7 @@ def lipschitz_residual(
     return ResidualModel(eval=f, eval_batch=f_batch)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Recorded rollout: states x_0..x_T, actions u_0..u_{T-1}, realized
     residuals and per-step quadratic costs.

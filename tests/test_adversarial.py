@@ -90,6 +90,17 @@ class TestOffDiagonalCase:
             scale = max(1.0, np.max(np.abs(cert.F2)))
             assert np.max(np.abs(model.A - model.B @ cert.K2 - cert.F2)) <= 1e-10 * scale
 
+    def test_partner_gain_derives_from_the_closed_loop(self):
+        """K2 is B^-1 (A - F2), bit for bit, for both construction cases."""
+        rng = np.random.default_rng(4)
+        models = [random_stabilizable(rng, n, n) for n in (2, 3, 4)]
+        certs = [lq.construct_adversarial_K2(m, lq.synthesize(m).K, 0.4) for m in models]
+        certs.append(lq.construct_adversarial_K2(identity_plant(2), -np.diag([0.5, -0.5]), 0.5))
+        assert {c.construction_case for c in certs} == {"off_diagonal", "diagonal_2x2_embedded"}
+        for cert in certs:
+            A, B = cert.model.A, cert.model.B
+            assert np.array_equal(cert.K2, np.linalg.inv(B) @ (A - cert.F2))
+
 
 class TestPropertySweep:
     def test_random_draws_all_valid(self):

@@ -19,7 +19,7 @@ from lqshield.cli import EXIT_OK, main
 
 API_SURFACE = (
     'lqshield.AdaptivePolicy(syn, blackbox, advice, alpha, lambda_source)\n'
-    'lqshield.AdversarialCertificate(model, K1, K2, lam, beta, F2, construction_case, det_combined)\n'
+    'lqshield.AdversarialCertificate(model, K1, lam, beta, F2, construction_case, det_combined)\n'
     'lqshield.BoundCheck(ratio, model_term, error_term, nonlinear_term)\n'
     'lqshield.ConfidenceState(lambdas, t0, lambda_prime_raw, branches)\n'
     'lqshield.ConfigError: ValueError\n'
@@ -35,7 +35,7 @@ API_SURFACE = (
     'lqshield.SessionParseError: ValueError\n'
     'lqshield.SingularB: ValueError\n'
     'lqshield.Synthesis(model, P, iterations)\n'
-    'lqshield.TheoremConstants(C_ell, epsilon, gamma, mu, C_a_sys, C_b_sys, C_c_sys, CR_model_bar, eps_max_stability, C_ell_max, applicable, syn)\n'
+    'lqshield.TheoremConstants(C_ell, epsilon, syn)\n'
     'lqshield.TrajOptResult(cost_history)\n'
     'lqshield.Trajectory(states, actions, residuals, step_costs, diverged)\n'
     'lqshield.ValidationError: ValueError\n'

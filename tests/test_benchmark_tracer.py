@@ -6,7 +6,8 @@ factory's ``bias_mode``, the residual of ``opt_cost_trajopt``), so removing
 or renaming one of them breaks the benchmark; this catches it in seconds
 instead of in the benchmark's own suite.  So does a change to the number
 of rollouts one verify-bounds grid cell runs, which the benchmark's work
-count assumes.
+count assumes, and a change to the number of guarantee-constant calls
+that the package makes through the names the tracer wraps.
 """
 
 import os
@@ -19,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # installs the tracer, then drives one two-cell verify-bounds run, one
 # one-rollout cart-pole sweep and one trajopt call through the wrapped
 # package and prints the spans that ran, then the verify-bounds run's
-# traced rollouts and steps
+# traced rollouts and steps, then its guarantee-constant calls
 DRIVE = """
 import sys
 from pathlib import Path
@@ -40,6 +41,7 @@ cfg.write_text(
 )
 assert main(["verify-bounds", "--config", str(cfg), "--out", str(tmp / "out")]) == 0
 grid = tracer.counts["plant.simulate.rollouts"], tracer.counts["plant.simulate.steps"]
+constants = tracer.spans["guarantees.constants"][0]
 cfg = tmp / "sweep.cfg"
 cfg.write_text(
     "[sweep]\\nthetas = 0.1\\n[experiment]\\nmonte_carlo = 1\\nhorizon = 5\\n"
@@ -55,6 +57,7 @@ lq.opt_cost_trajopt(model, resid, [1.0, -0.5], 5, syn=syn)
 spans = tracer.report()["spans"]
 print(" ".join(sorted(name for name, span in spans.items() if span["calls"] > 0)))
 print(*grid)
+print(constants)
 """
 
 
@@ -68,12 +71,15 @@ def test_tracer_installs(tmp_path):
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    spans, grid = result.stdout.splitlines()
+    spans, grid, constants = result.stdout.splitlines()
     # the geometry perfbench's work count assumes for each of the two grid
     # cells and the one seed: the envelope run (horizon 120), the exact-OPT
     # rollout (disturbance_steps 50) and the ratio run (50 + 200 steps);
     # with one cell, a rollout hoisted out of the grid loop would not show
     assert grid.split() == [str(2 * 3), str(2 * (120 + 50 + 250))]
+    # one admissible_lipschitz_cap call, whose bisection runs inside it,
+    # one probe at the grid's one C_ell and one evaluation per cell
+    assert constants == "4", constants
     ran = set(spans.split())
     for name in (
         "policies.rotation",

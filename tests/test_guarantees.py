@@ -27,7 +27,7 @@ class TestTheoremConstants:
 
     def test_reads_its_synthesis(self, bench2_syn):
         """Two evaluations compare equal, and the synthesis they read is
-        neither compared nor printed."""
+        not printed."""
         a = lq.theorem_constants(bench2_syn, 0.01, 0.02)
         b = lq.theorem_constants(bench2_syn, 0.01, 0.02)
         assert a == b and a.syn is bench2_syn
@@ -95,14 +95,41 @@ class TestTheoremConstants:
     def test_rejects_negative_inputs(self, bench2_syn):
         with pytest.raises(ValueError):
             lq.theorem_constants(bench2_syn, -0.1, 0.0)
+        # a record built directly is checked the same way
+        for C_ell, eps in ((-0.1, 0.0), (0.0, -0.1)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                lq.TheoremConstants(C_ell, eps, bench2_syn)
 
     def test_rejects_nan_inputs(self, bench2_syn):
         # infinite inputs too: they would give gamma = inf and mu = nan
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                lq.theorem_constants(bench2_syn, bad, 0.0)
-            with pytest.raises(ValueError):
-                lq.theorem_constants(bench2_syn, 0.0, bad)
+            for build in (
+                lambda C_ell, eps: lq.theorem_constants(bench2_syn, C_ell, eps),
+                lambda C_ell, eps: lq.TheoremConstants(C_ell, eps, bench2_syn),
+            ):
+                with pytest.raises(ValueError):
+                    build(bad, 0.0)
+                with pytest.raises(ValueError):
+                    build(0.0, bad)
+
+
+class TestTheoremConstantsRecord:
+    """The record stores (C_ell, epsilon, syn) and derives the rest."""
+
+    def test_stores_its_inputs_as_floats(self, bench2_syn):
+        c = lq.TheoremConstants(np.float64(0.01), 0, bench2_syn)
+        assert type(c.C_ell) is float and type(c.epsilon) is float
+        with pytest.raises(AttributeError):
+            c.gamma = 0.5
+
+    def test_equality_and_hash_follow_inputs_and_synthesis(self, bench2_model, bench2_syn):
+        a = lq.TheoremConstants(0.01, 0.02, bench2_syn)
+        b = lq.theorem_constants(bench2_syn, 0.01, 0.02)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        twin = lq.synthesize(bench2_model)
+        assert np.array_equal(twin.P, bench2_syn.P)
+        assert lq.TheoremConstants(0.01, 0.02, twin) != a
 
 
 def _manual_trajectory(norm_seq, step_costs=None):
@@ -385,6 +412,7 @@ class TestHoistedNorms:
             eps = float(rng.uniform(0.0, 0.1))
             got = lq.theorem_constants(syn, C_ell, eps).as_dict()
             assert got == _reference_theorem_constants(syn, C_ell, eps)
+            assert lq.TheoremConstants(C_ell, eps, syn).as_dict() == got
 
     def test_interleaved_syntheses(self, bench2_syn):
         """Constants taken alternately on two syntheses use each one's own

@@ -341,3 +341,31 @@ class TestLinearModelValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             lq.LinearModel(A=np.eye(2), B=np.ones((3, 1)), Q=np.eye(2), R=np.eye(1))
+
+
+class TestRecordsCompareByIdentity:
+    """Records that hold arrays compare and hash by identity, so ``==``
+    between two equal but distinct ones neither raises nor compares the
+    arrays."""
+
+    def _twice(self, build):
+        a, b = build(), build()
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert len({a, b, a}) == 2
+
+    def test_linear_models(self):
+        self._twice(lambda: lq.LinearModel(A=np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2)))
+
+    def test_syntheses_of_one_model(self, bench2_model):
+        self._twice(lambda: lq.synthesize(bench2_model))
+
+    def test_trajectories_certificates_and_ev_records(self, bench2_model):
+        syn = lq.synthesize(bench2_model)
+        self._twice(
+            lambda: lq.simulate(bench2_model, lq.zero_residual(2), lq.lqr_policy(syn), [1.0, 0.0], 3)
+        )
+        self._twice(lambda: lq.construct_adversarial_K2(bench2_model, syn.K, 0.5))
+        self._twice(ChargingConfig)
+        config = ChargingConfig()
+        self._twice(lambda: ev_environment(config, []))
